@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 
 use dcrd_net::disjoint::edge_disjoint_pair;
 use dcrd_net::paths::{multipath_pair, Metric};
-use dcrd_net::NodeId;
+use dcrd_net::{NodeId, NodeList};
 use dcrd_pubsub::packet::Packet;
 use dcrd_pubsub::strategy::SetupContext;
 use dcrd_sim::SimTime;
@@ -117,7 +117,7 @@ impl NextHopPolicy for MultipathPolicy {
             };
             for route in routes {
                 let mut copy = packet.clone();
-                copy.destinations = vec![dest];
+                copy.destinations = NodeList::from_slice(&[dest]);
                 copy.route = Some(route.clone());
                 copies.push(copy);
             }

@@ -237,7 +237,7 @@ mod tests {
             TopicId::new(0),
             NodeId::new(0),
             SimTime::ZERO,
-            dests.iter().map(|&d| NodeId::new(d)).collect(),
+            dests.iter().map(|&d| NodeId::new(d)).collect::<Vec<_>>(),
         )
     }
 

@@ -22,7 +22,7 @@ use std::collections::BTreeMap;
 use dcrd_net::estimate::LinkEstimates;
 use dcrd_net::membership::MembershipDelta;
 use dcrd_net::paths::ShortestPaths;
-use dcrd_net::{NodeId, NodeSet, Topology};
+use dcrd_net::{NodeId, NodeList, NodeSet, Topology};
 use dcrd_pubsub::hotstate::{NodeMap, PacketNodeMap, PacketNodeSet};
 use dcrd_pubsub::packet::{Packet, PacketId, PacketKind};
 use dcrd_pubsub::recovery::SequenceTracker;
@@ -83,6 +83,37 @@ struct Pending {
     timeout: SimDuration,
 }
 
+/// A broker's outstanding sends for one packet, oldest first. Tags are
+/// issued from one monotone counter, so appending keeps the list in tag
+/// order; a broker rarely has more than a few sends of one packet in
+/// flight, so lookups scan.
+#[derive(Debug, Default)]
+struct PendingSends(Vec<(u64, Pending)>);
+
+impl PendingSends {
+    fn push(&mut self, tag: u64, pending: Pending) {
+        debug_assert!(self.0.last().is_none_or(|&(last, _)| last < tag));
+        self.0.push((tag, pending));
+    }
+
+    fn get_mut(&mut self, tag: u64) -> Option<&mut Pending> {
+        self.0.iter_mut().find(|(t, _)| *t == tag).map(|(_, p)| p)
+    }
+
+    fn remove(&mut self, tag: u64) -> Option<Pending> {
+        let at = self.0.iter().position(|(t, _)| *t == tag)?;
+        Some(self.0.remove(at).1)
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &Pending> {
+        self.0.iter().map(|(_, p)| p)
+    }
+
+    fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+}
+
 /// Jacobson-style smoothed round-trip state for one directed link, in
 /// microseconds (gains 1/8 for SRTT, 1/4 for RTTVAR).
 #[derive(Debug, Clone, Copy)]
@@ -134,8 +165,8 @@ struct NodeState {
     done: NodeSet,
     /// Per-destination neighbors already tried and failed from here.
     tried: BTreeMap<NodeId, NodeSet>,
-    /// Outstanding sends keyed by tag.
-    pending: BTreeMap<u64, Pending>,
+    /// Outstanding sends, by tag.
+    pending: PendingSends,
     /// Transmissions spent by this broker on this packet.
     attempts: u32,
     /// Persistence retries consumed (publisher only).
@@ -151,7 +182,7 @@ impl NodeState {
             upstream,
             done: NodeSet::new(),
             tried: BTreeMap::new(),
-            pending: BTreeMap::new(),
+            pending: PendingSends::default(),
             attempts: 0,
             persist_retries: 0,
             parked: Vec::new(),
@@ -248,6 +279,10 @@ pub struct DcrdStrategy {
     next_persist_tag: u64,
     next_journal_tag: u64,
     next_nack_id: u64,
+    /// The (empty) pending lists of concluded states, handed to the next
+    /// states opened: a state lives for a few events, so without reuse
+    /// every hop would allocate one.
+    spare_pending: Vec<PendingSends>,
     /// Reusable buffers for the per-event fan-out in `process` — the hot
     /// loop borrows these instead of allocating fresh vectors every call.
     scratch: ScratchArena,
@@ -260,9 +295,9 @@ pub struct DcrdStrategy {
 #[derive(Debug, Default)]
 struct ScratchArena {
     /// `(next hop, destinations, is_upstream)` assignments under
-    /// construction. The inner destination vectors are moved into the
-    /// forwarded packets, so only the outer vector's capacity is recycled.
-    assignments: Vec<(NodeId, Vec<NodeId>, bool)>,
+    /// construction. The destination lists move into the forwarded
+    /// packets.
+    assignments: Vec<(NodeId, NodeList, bool)>,
     /// Destinations this broker abandons this pass.
     give_ups: Vec<NodeId>,
     /// Destinations parked for a persistence retry this pass.
@@ -316,6 +351,7 @@ impl DcrdStrategy {
             next_persist_tag: PERSIST_TAG_BASE,
             next_journal_tag: JOURNAL_TAG_BASE,
             next_nack_id: NACK_ID_BASE,
+            spare_pending: Vec::new(),
             scratch: ScratchArena::default(),
         }
     }
@@ -622,7 +658,7 @@ impl DcrdStrategy {
                 .topics()
                 .iter()
                 .find(|s| s.topic == packet.topic && s.publisher == packet.publisher);
-            let live: Vec<NodeId> = packet
+            let live: NodeList = packet
                 .destinations
                 .iter()
                 .copied()
@@ -651,10 +687,7 @@ impl DcrdStrategy {
                         state.tried.remove(&dest);
                     }
                 }
-                None => {
-                    self.inflight
-                        .insert((id, node), NodeState::new(packet, None));
-                }
+                None => self.open_state(node, packet, None),
             }
             self.process(node, id, now, out);
         }
@@ -889,7 +922,7 @@ impl DcrdStrategy {
         // One O(pending destinations) sweep replaces a per-destination scan
         // over every pending send.
         scratch.covered.union_with(&state.done);
-        for p in state.pending.values() {
+        for p in state.pending.iter() {
             for &d in &p.packet.destinations {
                 scratch.covered.insert(d);
             }
@@ -927,7 +960,9 @@ impl DcrdStrategy {
                     {
                         entry.1.push(dest);
                     } else {
-                        scratch.assignments.push((hop, vec![dest], is_upstream));
+                        scratch
+                            .assignments
+                            .push((hop, NodeList::from_slice(&[dest]), is_upstream));
                     }
                 }
                 None => {
@@ -942,7 +977,7 @@ impl DcrdStrategy {
 
         // Mutate phase. The timeout needs `&self` while the state is
         // borrowed mutably, so compute it before re-borrowing the state.
-        // The destination vectors move out of the scratch into the
+        // The destination lists move out of the scratch into the
         // forwarded packets (they live on as `packet.destinations`).
         for slot in 0..scratch.assignments.len() {
             let Some(entry) = scratch.assignments.get_mut(slot) else {
@@ -985,7 +1020,7 @@ impl DcrdStrategy {
         for (tag, pending, deadline) in scratch.new_pendings.drain(..) {
             out.send(pending.to, pending.packet.clone());
             out.set_timer(deadline, TimerKey { packet: id, tag });
-            state.pending.insert(tag, pending);
+            state.pending.push(tag, pending);
         }
         for dest in scratch.give_ups.drain(..) {
             state.done.insert(dest);
@@ -1020,6 +1055,18 @@ impl DcrdStrategy {
         if node != state.packet.publisher {
             self.journal.retire(node, id);
         }
+        debug_assert!(state.pending.is_empty(), "concluded with sends outstanding");
+        self.spare_pending.push(state.pending);
+    }
+
+    /// Opens the per-packet forwarding state of broker `node`, replacing
+    /// any state it already holds for the packet.
+    fn open_state(&mut self, node: NodeId, packet: Packet, upstream: Option<NodeId>) {
+        let mut state = NodeState::new(packet, upstream);
+        if let Some(spare) = self.spare_pending.pop() {
+            state.pending = spare;
+        }
+        self.inflight.insert((state.packet.id, node), state);
     }
 
     /// Journals `holder`'s custody of `packet` before it takes effect (the
@@ -1143,7 +1190,7 @@ impl DcrdStrategy {
                         || entry.done.contains(&subscriber) =>
                 {
                     let mut copy = entry.packet.clone();
-                    copy.destinations = vec![subscriber];
+                    copy.destinations = NodeList::from_slice(&[subscriber]);
                     copy.path.clear();
                     copy.tag = 0;
                     serve.push((id, copy));
@@ -1168,9 +1215,7 @@ impl DcrdStrategy {
                     state.attempts = 0;
                     state.persist_retries = 0;
                 }
-                None => {
-                    self.inflight.insert((id, node), NodeState::new(copy, None));
-                }
+                None => self.open_state(node, copy, None),
             }
             self.process(node, id, now, out);
         }
@@ -1212,8 +1257,7 @@ impl RoutingStrategy for DcrdStrategy {
         }
         let id = packet.id;
         let deferred = self.take_custody(node, &packet, None, now, out);
-        self.inflight
-            .insert((id, node), NodeState::new(packet, None));
+        self.open_state(node, packet, None);
         if !deferred {
             self.process(node, id, now, out);
         }
@@ -1246,7 +1290,7 @@ impl RoutingStrategy for DcrdStrategy {
                 // and both the timeout path and the original copy went on).
                 let returned = packet.visited(node);
                 state.packet.path.merge(&packet.path);
-                for dest in packet.destinations {
+                for &dest in &packet.destinations {
                     if !state.packet.destinations.contains(&dest) {
                         state.packet.destinations.push(dest);
                     }
@@ -1279,8 +1323,7 @@ impl RoutingStrategy for DcrdStrategy {
                     Some(from)
                 };
                 deferred = self.take_custody(node, &packet, upstream, now, out);
-                self.inflight
-                    .insert((id, node), NodeState::new(packet, upstream));
+                self.open_state(node, packet, upstream);
             }
         }
         if !deferred {
@@ -1300,7 +1343,7 @@ impl RoutingStrategy for DcrdStrategy {
         let Some(state) = self.inflight.get_mut(&(packet.id, node)) else {
             return;
         };
-        if let Some(p) = state.pending.remove(&packet.tag) {
+        if let Some(p) = state.pending.remove(packet.tag) {
             for dest in &p.packet.destinations {
                 state.done.insert(*dest);
                 self.journal.note_done(node, packet.id, *dest);
@@ -1341,7 +1384,7 @@ impl RoutingStrategy for DcrdStrategy {
         let Some(state) = self.inflight.get_mut(&(id, node)) else {
             return;
         };
-        let Some(p) = state.pending.get_mut(&key.tag) else {
+        let Some(p) = state.pending.get_mut(key.tag) else {
             return; // ACK already arrived; stale timer.
         };
         if p.sends < self.params.m {
@@ -1354,7 +1397,7 @@ impl RoutingStrategy for DcrdStrategy {
             let Some(state) = self.inflight.get_mut(&(id, node)) else {
                 return;
             };
-            let Some(p) = state.pending.get_mut(&key.tag) else {
+            let Some(p) = state.pending.get_mut(key.tag) else {
                 return;
             };
             p.sends += 1;
@@ -1370,7 +1413,7 @@ impl RoutingStrategy for DcrdStrategy {
         // Upstream hops are exempt from the tried set — the upstream link is
         // the only way back, so it is retried (bounded by the attempts cap)
         // rather than written off.
-        let Some(p) = state.pending.remove(&key.tag) else {
+        let Some(p) = state.pending.remove(key.tag) else {
             return;
         };
         if !p.is_upstream {
@@ -1435,7 +1478,7 @@ impl RoutingStrategy for DcrdStrategy {
                 .topics()
                 .iter()
                 .find(|s| s.topic == packet.topic && s.publisher == packet.publisher);
-            let live: Vec<NodeId> = packet
+            let live: NodeList = packet
                 .destinations
                 .iter()
                 .copied()
@@ -1450,8 +1493,7 @@ impl RoutingStrategy for DcrdStrategy {
                 continue;
             }
             packet.destinations = live;
-            self.inflight
-                .insert((id, node), NodeState::new(packet, entry.upstream));
+            self.open_state(node, packet, entry.upstream);
             self.process(node, id, now, out);
         }
     }

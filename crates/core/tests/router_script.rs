@@ -6,7 +6,7 @@ use dcrd_core::{DcrdConfig, DcrdStrategy, DurabilityMode, RecoveryConfig};
 use dcrd_net::estimate::analytic_estimates;
 use dcrd_net::failure::{FailureModel, LinkFailureModel};
 use dcrd_net::graph::TopologyBuilder;
-use dcrd_net::{NodeId, Topology};
+use dcrd_net::{NodeId, NodeList, Topology};
 use dcrd_pubsub::packet::{Packet, PacketId};
 use dcrd_pubsub::strategy::{Action, Actions, RoutingStrategy, RunParams, SetupContext, TimerKey};
 use dcrd_pubsub::topic::{Subscription, TopicId};
@@ -78,7 +78,10 @@ impl Harness {
             TopicId::new(0),
             self.topo.node(0),
             SimTime::ZERO,
-            subscribers.iter().map(|&s| self.topo.node(s)).collect(),
+            subscribers
+                .iter()
+                .map(|&s| self.topo.node(s))
+                .collect::<NodeList>(),
         );
         let mut out = Actions::new();
         self.strategy
@@ -401,7 +404,10 @@ impl RecoveryRig {
             TopicId::new(0),
             self.topo.node(0),
             now,
-            subscribers.iter().map(|&s| self.topo.node(s)).collect(),
+            subscribers
+                .iter()
+                .map(|&s| self.topo.node(s))
+                .collect::<NodeList>(),
         )
         .with_seq(seq);
         let mut out = Actions::new();

@@ -30,6 +30,9 @@
 //!   deterministic epidemic rumor spread (bounded partial views, eager
 //!   push, anti-entropy digest reconciliation) with convergence gating
 //!   and bounded-staleness reporting.
+//! * [`nodeset`], [`nodelist`] — the packet header's node collections: an
+//!   O(1) membership bitset and an ordered list, both heap-free at the sizes
+//!   a forwarded copy carries.
 //! * [`loss`] — per-transmission Bernoulli packet loss (`Pl`).
 //! * [`estimate`] — per-link quality estimates `⟨α, γ⟩` (expected one-way
 //!   delay and single-transmission delivery ratio), both analytic and via an
@@ -60,9 +63,11 @@ pub mod gossip;
 pub mod graph;
 pub mod loss;
 pub mod membership;
+pub mod nodelist;
 pub mod nodeset;
 pub mod paths;
 pub mod topology;
 
 pub use graph::{EdgeId, NodeId, Topology};
+pub use nodelist::NodeList;
 pub use nodeset::NodeSet;

@@ -2,27 +2,32 @@
 //!
 //! The router's hot loop asks "has this packet visited node X?" and "is
 //! destination Y already covered?" thousands of times per simulated second.
-//! [`NodeSet`] answers in O(1) from a u64 bitset word: overlays at the
-//! paper's scale (≤64 brokers) fit in one inline word with zero heap
-//! allocation; larger topologies spill into extra words on demand.
+//! [`NodeSet`] answers in O(1) from u64 bitset words: overlays of up to 256
+//! brokers — the paper's scale and the largest routinely simulated here —
+//! fit in the inline words with zero heap allocation, so cloning a packet's
+//! path record never allocates for them; larger topologies spill into extra
+//! words on demand.
 
 use crate::graph::NodeId;
 use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
 
 const WORD_BITS: usize = 64;
+/// Words stored inline: node indices below `INLINE_WORDS * 64` never touch
+/// the heap.
+const INLINE_WORDS: usize = 4;
 
 /// A set of [`NodeId`]s backed by u64 bitset words.
 ///
-/// Node indices `0..64` live in an inline word; indices `≥64` lazily
+/// Node indices `0..256` live in inline words; indices `≥256` lazily
 /// allocate spill words. All operations are O(1) in the number of members
 /// (O(words) for [`clear`](NodeSet::clear) and equality).
 #[derive(Debug, Clone, Default)]
 pub struct NodeSet {
-    /// Bits for node indices `0..64` (covers the paper's topologies).
-    low: u64,
-    /// Spill words for indices `≥64`; word `w` holds indices
-    /// `64*(w+1) .. 64*(w+2)`. Empty until a large index is inserted.
+    /// Bits for node indices `0..256`.
+    low: [u64; INLINE_WORDS],
+    /// Spill words for indices `≥256`; word `w` holds indices
+    /// `64*(w+4) .. 64*(w+5)`. Empty until a large index is inserted.
     high: Vec<u64>,
 }
 
@@ -31,7 +36,7 @@ impl NodeSet {
     #[must_use]
     pub const fn new() -> Self {
         NodeSet {
-            low: 0,
+            low: [0; INLINE_WORDS],
             high: Vec::new(),
         }
     }
@@ -42,21 +47,35 @@ impl NodeSet {
         (idx / WORD_BITS, 1u64 << (idx % WORD_BITS))
     }
 
+    /// The word holding bit index `64 * word ..`, zero if never allocated.
+    #[inline]
+    fn word(&self, word: usize) -> u64 {
+        match self.low.get(word) {
+            Some(w) => *w,
+            None => self.high.get(word - INLINE_WORDS).copied().unwrap_or(0),
+        }
+    }
+
+    /// The existing word `word`, if it is inline or already spilled.
+    #[inline]
+    fn word_mut(&mut self, word: usize) -> Option<&mut u64> {
+        if word < INLINE_WORDS {
+            self.low.get_mut(word)
+        } else {
+            self.high.get_mut(word - INLINE_WORDS)
+        }
+    }
+
     /// Inserts a node; returns `true` if it was not already present.
     #[inline]
     pub fn insert(&mut self, node: NodeId) -> bool {
         let (word, bit) = Self::split(node);
-        let slot = if word == 0 {
-            &mut self.low
-        } else {
-            if self.high.len() < word {
-                self.high.resize(word, 0);
-            }
-            match self.high.get_mut(word - 1) {
-                Some(s) => s,
-                // Unreachable: the resize above guarantees the slot.
-                None => return false,
-            }
+        if word >= INLINE_WORDS && self.high.len() <= word - INLINE_WORDS {
+            self.high.resize(word - INLINE_WORDS + 1, 0);
+        }
+        // Present: inline, or guaranteed by the resize above.
+        let Some(slot) = self.word_mut(word) else {
+            return false;
         };
         let fresh = *slot & bit == 0;
         *slot |= bit;
@@ -67,11 +86,7 @@ impl NodeSet {
     #[inline]
     pub fn remove(&mut self, node: NodeId) -> bool {
         let (word, bit) = Self::split(node);
-        let slot = if word == 0 {
-            &mut self.low
-        } else if let Some(s) = self.high.get_mut(word - 1) {
-            s
-        } else {
+        let Some(slot) = self.word_mut(word) else {
             return false;
         };
         let present = *slot & bit != 0;
@@ -84,18 +99,13 @@ impl NodeSet {
     #[must_use]
     pub fn contains(&self, node: NodeId) -> bool {
         let (word, bit) = Self::split(node);
-        let slot = if word == 0 {
-            self.low
-        } else {
-            self.high.get(word - 1).copied().unwrap_or(0)
-        };
-        slot & bit != 0
+        self.word(word) & bit != 0
     }
 
     /// Empties the set, keeping any spill capacity for reuse.
     #[inline]
     pub fn clear(&mut self) {
-        self.low = 0;
+        self.low = [0; INLINE_WORDS];
         for w in &mut self.high {
             *w = 0;
         }
@@ -103,7 +113,9 @@ impl NodeSet {
 
     /// Adds every member of `other` to `self`.
     pub fn union_with(&mut self, other: &NodeSet) {
-        self.low |= other.low;
+        for (into, from) in self.low.iter_mut().zip(&other.low) {
+            *into |= *from;
+        }
         if self.high.len() < other.high.len() {
             self.high.resize(other.high.len(), 0);
         }
@@ -115,14 +127,19 @@ impl NodeSet {
     /// Number of members.
     #[must_use]
     pub fn len(&self) -> usize {
-        let spill: u32 = self.high.iter().map(|w| w.count_ones()).sum();
-        self.low.count_ones() as usize + spill as usize
+        let ones: u32 = self
+            .low
+            .iter()
+            .chain(&self.high)
+            .map(|w| w.count_ones())
+            .sum();
+        ones as usize
     }
 
     /// Whether the set has no members.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.low == 0 && self.high.iter().all(|&w| w == 0)
+        self.low.iter().chain(&self.high).all(|&w| w == 0)
     }
 }
 
@@ -150,10 +167,10 @@ impl NodeSet {
 }
 
 /// Total order consistent with the capacity-ignoring [`PartialEq`]: sets
-/// compare by inline word, then by trimmed spill words (shorter-with-zeros
-/// equals longer). The order itself is arbitrary but deterministic, so
-/// `NodeSet` can key a `BTreeMap` without spill capacity leaking into
-/// iteration order.
+/// compare word by word, lowest indices first, as if padded with zero words
+/// (so the order does not depend on how many words are inline). The order
+/// itself is arbitrary but deterministic, so `NodeSet` can key a `BTreeMap`
+/// without spill capacity leaking into iteration order.
 impl Ord for NodeSet {
     fn cmp(&self, other: &Self) -> Ordering {
         self.low
@@ -202,23 +219,30 @@ mod tests {
         assert!(s.insert(n(0)));
         assert!(s.insert(n(63)));
         assert!(!s.insert(n(63)), "re-insert reports already present");
+        assert!(s.insert(n(64)));
+        assert!(s.insert(n(255)));
         assert!(s.contains(n(0)));
         assert!(s.contains(n(63)));
+        assert!(s.contains(n(64)));
+        assert!(s.contains(n(255)));
         assert!(!s.contains(n(7)));
-        assert_eq!(s.len(), 2);
-        assert!(s.high.is_empty(), "indices < 64 must not allocate");
+        assert!(!s.contains(n(256)));
+        assert_eq!(s.len(), 4);
+        assert!(s.high.is_empty(), "indices < 256 must not allocate");
+        assert!(s.clone().high.capacity() == 0, "nor does cloning them");
     }
 
     #[test]
     fn spill_words_cover_large_indices() {
         let mut s = NodeSet::new();
-        assert!(s.insert(n(64)));
+        assert!(s.insert(n(256)));
         assert!(s.insert(n(1000)));
-        assert!(s.contains(n(64)));
+        assert!(s.contains(n(256)));
         assert!(s.contains(n(1000)));
         assert!(!s.contains(n(999)));
-        assert!(!s.contains(n(65)));
+        assert!(!s.contains(n(257)));
         assert_eq!(s.len(), 2);
+        assert!(!s.high.is_empty());
         assert!(s.remove(n(1000)));
         assert!(!s.remove(n(1000)));
         assert!(!s.contains(n(1000)));
@@ -226,14 +250,18 @@ mod tests {
 
     #[test]
     fn remove_and_clear() {
-        let mut s: NodeSet = [n(1), n(70), n(130)].into_iter().collect();
-        assert_eq!(s.len(), 3);
+        let mut s: NodeSet = [n(1), n(70), n(130), n(300)].into_iter().collect();
+        assert_eq!(s.len(), 4);
         assert!(s.remove(n(70)));
         assert!(!s.contains(n(70)));
+        assert!(s.remove(n(300)));
+        assert!(!s.remove(n(300)));
+        assert!(!s.remove(n(9000)), "never-allocated word");
         s.clear();
         assert!(s.is_empty());
         assert!(!s.contains(n(1)));
         assert!(!s.contains(n(130)));
+        assert!(!s.contains(n(300)));
     }
 
     #[test]
@@ -247,6 +275,9 @@ mod tests {
         assert_eq!(grown, fresh);
         fresh.insert(n(80));
         assert_ne!(grown, fresh);
+        let mut spilled = grown.clone();
+        spilled.insert(n(300));
+        assert_ne!(grown, spilled);
     }
 
     /// Regression (PR 10): `Ord` and `Hash` must agree with the
@@ -292,12 +323,12 @@ mod tests {
 
     #[test]
     fn union_merges_both_ranges() {
-        let a: NodeSet = [n(1), n(65)].into_iter().collect();
+        let a: NodeSet = [n(1), n(65), n(400)].into_iter().collect();
         let mut b: NodeSet = [n(2)].into_iter().collect();
         b.union_with(&a);
-        for i in [1, 2, 65] {
+        for i in [1, 2, 65, 400] {
             assert!(b.contains(n(i)));
         }
-        assert_eq!(b.len(), 3);
+        assert_eq!(b.len(), 4);
     }
 }

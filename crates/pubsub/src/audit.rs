@@ -44,7 +44,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use dcrd_net::NodeId;
+use dcrd_net::{NodeId, NodeList};
 use dcrd_sim::SimTime;
 use serde::{Deserialize, Serialize};
 
@@ -346,7 +346,7 @@ pub struct InvariantAuditor {
     /// Publish-time expectations, in publish order: `(message, sequence
     /// number, expected subscribers)`. Only populated when the sequence
     /// check is on.
-    published: Vec<(PacketId, u64, Vec<NodeId>)>,
+    published: Vec<(PacketId, u64, NodeList)>,
     report: AuditReport,
 }
 
@@ -458,7 +458,7 @@ impl InvariantAuditor {
         if self.config.sequence_check {
             let published = std::mem::take(&mut self.published);
             for (packet, seq, subscribers) in published {
-                for subscriber in subscribers {
+                for &subscriber in &subscribers {
                     if !self.delivered.contains_key(&(packet, subscriber)) {
                         self.violate(Violation::SequenceGap {
                             packet,

@@ -470,6 +470,43 @@ mod tests {
         assert!(DecodePacketError::BadMagic(7).to_string().contains("0x07"));
     }
 
+    /// The header lists round-trip verbatim on both sides of the packet's
+    /// inline list capacity (8 ids) and far beyond it.
+    #[test]
+    fn round_trips_header_lists_across_the_inline_boundary() {
+        for n in [0u32, 8, 9, 300] {
+            let dests: Vec<NodeId> = (0..n).map(NodeId::new).collect();
+            // A path with revisits: the ordered list must survive as is.
+            let path: Vec<NodeId> = (0..n).map(|i| NodeId::new(i % 7)).collect();
+            let p = Packet::from_body(
+                PacketBody::new(
+                    PacketId::new(u64::from(n)),
+                    TopicId::new(1),
+                    NodeId::new(2),
+                    SimTime::from_millis(5),
+                    3,
+                    Bytes::new(),
+                ),
+                PacketKind::Data,
+                dests.clone(),
+                path.clone().into(),
+                None,
+                9,
+            );
+            let decoded = decode_packet(&encode_packet(&p)).expect("decodes");
+            assert_eq!(decoded, p, "{n} entries");
+            assert_eq!(decoded.destinations, dests);
+            assert_eq!(decoded.path, path);
+            // A forwarded copy of the decoded packet extends the same lists.
+            let hop = NodeId::new(1000);
+            let f = decoded.forward(hop, decoded.destinations.clone(), 0);
+            assert_eq!(f.destinations, dests);
+            assert_eq!(f.path.len(), path.len() + 1);
+            assert_eq!(f.path.last(), Some(hop));
+            assert!(path.iter().all(|&v| f.visited(v)) && f.visited(hop));
+        }
+    }
+
     proptest! {
         #[test]
         fn round_trip_arbitrary_packets(

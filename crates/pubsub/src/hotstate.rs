@@ -30,6 +30,16 @@ fn dense_index(id: PacketId) -> Option<usize> {
     (raw < DENSE_LIMIT).then_some(raw as usize)
 }
 
+/// Gives an emptied row's buffer back. Packet ids are never reused, so a
+/// row that emptied (every broker concluded the packet) stays empty; keeping
+/// its buffer would retain every packet's peak row for the whole run.
+#[inline]
+fn release_if_empty<T>(row: &mut Vec<T>) {
+    if row.is_empty() {
+        *row = Vec::new();
+    }
+}
+
 /// A map keyed by `(packet id, broker)` with a dense packet-id-indexed
 /// fast path.
 #[derive(Debug, Clone)]
@@ -141,7 +151,9 @@ impl<V> PacketNodeMap<V> {
             Some(i) => {
                 let row = self.dense.get_mut(i)?;
                 let at = row.binary_search_by_key(&key.1, |&(n, _)| n).ok()?;
-                Some(row.remove(at).1)
+                let value = row.remove(at).1;
+                release_if_empty(row);
+                Some(value)
             }
             None => self.spill.remove(key),
         };
@@ -157,6 +169,7 @@ impl<V> PacketNodeMap<V> {
         let mut len = 0;
         for row in &mut self.dense {
             row.retain_mut(|(node, value)| keep(*node, value));
+            release_if_empty(row);
             len += row.len();
         }
         self.spill.retain(|&(_, node), value| keep(node, value));
@@ -342,6 +355,37 @@ mod tests {
         assert_eq!(m.get(&(id(0), n(2))), Some(&20));
         assert!(!m.contains_key(&(id(5), n(1))));
         assert!(!m.contains_key(&(id(SPARSE), n(1))));
+    }
+
+    /// Regression: `remove` used to keep an emptied row's buffer, so a run
+    /// retained one peak-sized row per packet ever published.
+    #[test]
+    fn emptied_rows_release_their_buffers() {
+        let row_capacity =
+            |m: &PacketNodeMap<[u64; 8]>| m.dense.iter().map(Vec::capacity).sum::<usize>();
+        let mut m: PacketNodeMap<[u64; 8]> = PacketNodeMap::new();
+        // 1000 packets, each held by three brokers and then concluded —
+        // two by `remove`, one by a crash wipe — while a few stay live.
+        for raw in 0..1000 {
+            for node in 0..3 {
+                m.insert((id(raw), n(node)), [raw; 8]);
+            }
+            if raw % 250 == 0 {
+                continue;
+            }
+            assert_eq!(m.remove(&(id(raw), n(1))), Some([raw; 8]));
+            assert_eq!(m.remove(&(id(raw), n(0))), Some([raw; 8]));
+            m.retain(|node, v| node != n(2) || v[0] % 250 == 0);
+        }
+        assert_eq!(m.len(), 4 * 3);
+        assert!(
+            row_capacity(&m) <= 4 * 8,
+            "only the four live rows may hold a buffer, got {} entries of capacity",
+            row_capacity(&m)
+        );
+        // A released row is still a usable row.
+        assert_eq!(m.insert((id(1), n(5)), [7; 8]), None);
+        assert_eq!(m.get(&(id(1), n(5))), Some(&[7; 8]));
     }
 
     #[test]

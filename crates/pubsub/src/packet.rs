@@ -17,13 +17,19 @@
 //! bumps the body's refcount instead of cloning the payload, and the
 //! [`PathRecord`] keeps a bitset shadow of its nodes so loop checks are
 //! O(1) instead of a linear scan.
+//!
+//! Both header lists are [`NodeList`]s and the shadow is a [`NodeSet`], so
+//! **a forwarded copy allocates nothing** while it carries at most
+//! [`NodeList::INLINE`] destinations, has visited at most that many
+//! brokers, and the overlay's node ids fit the set's inline words; the
+//! same holds for cloning it (the router's pending record) and dropping it.
 
 use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use dcrd_net::{NodeId, NodeSet};
+use dcrd_net::{NodeId, NodeList, NodeSet};
 use dcrd_sim::SimTime;
 use serde::{Deserialize, Serialize};
 
@@ -131,7 +137,7 @@ impl PacketBody {
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 #[serde(from = "Vec<NodeId>", into = "Vec<NodeId>")]
 pub struct PathRecord {
-    nodes: Vec<NodeId>,
+    nodes: NodeList,
     seen: NodeSet,
 }
 
@@ -140,9 +146,23 @@ impl PathRecord {
     #[must_use]
     pub const fn new() -> Self {
         PathRecord {
-            nodes: Vec::new(),
+            nodes: NodeList::new(),
             seen: NodeSet::new(),
         }
+    }
+
+    /// A copy of this path with `node` appended (see [`push`](Self::push)),
+    /// built with room for the extra hop so the copy is never followed by a
+    /// regrow.
+    fn with_hop(&self, node: NodeId) -> Self {
+        let mut nodes = NodeList::with_capacity(self.nodes.len() + 1);
+        nodes.extend_from_slice(&self.nodes);
+        let mut path = PathRecord {
+            nodes,
+            seen: self.seen.clone(),
+        };
+        path.push(node);
+        path
     }
 
     /// Appends `node`, collapsing a consecutive duplicate (forwarding twice
@@ -220,13 +240,13 @@ impl Eq for PathRecord {}
 
 impl PartialEq<Vec<NodeId>> for PathRecord {
     fn eq(&self, other: &Vec<NodeId>) -> bool {
-        &self.nodes == other
+        self.nodes == *other
     }
 }
 
 impl PartialEq<[NodeId]> for PathRecord {
     fn eq(&self, other: &[NodeId]) -> bool {
-        self.nodes == other
+        self.nodes == *other
     }
 }
 
@@ -235,13 +255,16 @@ impl PartialEq<[NodeId]> for PathRecord {
 impl From<Vec<NodeId>> for PathRecord {
     fn from(nodes: Vec<NodeId>) -> Self {
         let seen = nodes.iter().copied().collect();
-        PathRecord { nodes, seen }
+        PathRecord {
+            nodes: nodes.into(),
+            seen,
+        }
     }
 }
 
 impl From<PathRecord> for Vec<NodeId> {
     fn from(path: PathRecord) -> Self {
-        path.nodes
+        path.nodes.into()
     }
 }
 
@@ -270,7 +293,7 @@ pub struct Packet {
     #[serde(default)]
     pub kind: PacketKind,
     /// Subscribers this copy is responsible for reaching.
-    pub destinations: Vec<NodeId>,
+    pub destinations: NodeList,
     /// Brokers that have been on this copy's routing path, in order.
     pub path: PathRecord,
     /// Optional pinned source route (used by Multipath and tree baselines);
@@ -298,7 +321,7 @@ impl Packet {
         topic: TopicId,
         publisher: NodeId,
         published_at: SimTime,
-        destinations: Vec<NodeId>,
+        destinations: impl Into<NodeList>,
     ) -> Self {
         Packet {
             body: Arc::new(PacketBody::new(
@@ -310,7 +333,7 @@ impl Packet {
                 Bytes::new(),
             )),
             kind: PacketKind::Data,
-            destinations,
+            destinations: destinations.into(),
             path: PathRecord::new(),
             route: None,
             tag: 0,
@@ -322,7 +345,7 @@ impl Packet {
     pub fn from_body(
         body: PacketBody,
         kind: PacketKind,
-        destinations: Vec<NodeId>,
+        destinations: impl Into<NodeList>,
         path: PathRecord,
         route: Option<Vec<NodeId>>,
         tag: u64,
@@ -330,7 +353,7 @@ impl Packet {
         Packet {
             body: Arc::new(body),
             kind,
-            destinations,
+            destinations: destinations.into(),
             path,
             route,
             tag,
@@ -364,10 +387,28 @@ impl Packet {
                 subscriber,
                 missing,
             },
-            destinations: vec![publisher],
+            destinations: NodeList::from_slice(&[publisher]),
             path: PathRecord::new(),
             route: None,
             tag: 0,
+        }
+    }
+
+    /// What a sender learns from a hop-by-hop ACK: the acknowledged copy's
+    /// message identity (the shared body) and the `tag` it was sent with.
+    /// An ACK does not echo the routing header — the view's kind is
+    /// [`PacketKind::Data`] and its destinations, path and route are empty
+    /// whatever the acknowledged copy carried — so building one allocates
+    /// nothing.
+    #[must_use]
+    pub fn ack_view(body: Arc<PacketBody>, tag: u64) -> Self {
+        Packet {
+            body,
+            kind: PacketKind::Data,
+            destinations: NodeList::new(),
+            path: PathRecord::new(),
+            route: None,
+            tag,
         }
     }
 
@@ -395,10 +436,8 @@ impl Packet {
         if !self.path.contains(node) {
             return path.last().copied();
         }
-        match path.iter().position(|&n| n == node) {
-            Some(0) | None => None,
-            Some(i) => Some(path[i - 1]),
-        }
+        let first = path.iter().position(|&n| n == node)?;
+        path.get(first.checked_sub(1)?).copied()
     }
 
     /// A derived copy responsible for `destinations`, with `node` appended
@@ -411,16 +450,15 @@ impl Packet {
     /// receivers read their upstream hop from, while loop avoidance only
     /// needs set membership. Consecutive duplicates are collapsed.
     ///
-    /// Zero-copy: the payload-bearing body is shared, not cloned.
+    /// Zero-copy: the payload-bearing body is shared, not cloned, and the
+    /// header lists stay inline up to [`NodeList::INLINE`] entries.
     #[must_use]
-    pub fn forward(&self, node: NodeId, destinations: Vec<NodeId>, tag: u64) -> Packet {
-        let mut path = self.path.clone();
-        path.push(node);
+    pub fn forward(&self, node: NodeId, destinations: impl Into<NodeList>, tag: u64) -> Packet {
         Packet {
             body: Arc::clone(&self.body),
             kind: self.kind.clone(),
-            destinations,
-            path,
+            destinations: destinations.into(),
+            path: self.path.with_hop(node),
             route: self.route.clone(),
             tag,
         }

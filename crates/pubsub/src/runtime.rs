@@ -25,15 +25,16 @@ use dcrd_net::membership::{
     BrokerChurnModel, GroundTruth, MembershipDelta, SwimConfig, SwimDetector,
 };
 use dcrd_net::paths::{dijkstra, Metric, ShortestPaths};
-use dcrd_net::{NodeId, Topology};
+use dcrd_net::{NodeId, NodeList, Topology};
 use dcrd_sim::rng::rng_for;
 use dcrd_sim::{EventQueue, SimDuration, SimTime};
 use rand::rngs::SmallRng;
+use std::sync::Arc;
 
 use crate::audit::{AuditConfig, AuditReport, InvariantAuditor, Violation};
 use crate::error::{RuntimeError, MAX_RUNTIME_ERRORS};
 use crate::hotstate::PacketNodeMap;
-use crate::packet::{Packet, PacketId};
+use crate::packet::{Packet, PacketBody, PacketId};
 use crate::strategy::{Action, Actions, RoutingStrategy, RunParams, SetupContext, TimerKey};
 use crate::trace::{Trace, TraceEvent, TxOutcome};
 use crate::workload::Workload;
@@ -299,8 +300,7 @@ pub struct DeliveryLog {
     /// clamped event was a strategy timer).
     pub clamped_events: u64,
     /// High-water mark of the central event queue — what
-    /// [`OverlayRuntime::estimated_queue_len`] must stay at or above for
-    /// the pre-sizing to prevent mid-run reallocation.
+    /// [`OverlayRuntime::estimated_queue_len`] must stay at or above.
     pub peak_queue_len: usize,
     /// Full transmission trace (only with `capture_trace`).
     pub trace: Option<Trace>,
@@ -470,23 +470,26 @@ enum Event {
         topic_index: usize,
         round: u64,
     },
-    // Packets ride the queue boxed: the heap's sift operations move
-    // entries around, and an 8-byte pointer keeps those moves cheap where
-    // an inline `Packet` would drag ~130 bytes through every swap.
+    // Packets do not ride the queue: the wheel moves an entry on every
+    // cascade, so events carry a 4-byte `ParkedPackets` slot where an
+    // inline `Packet` would drag ~200 bytes through each move.
     Arrival {
         to: NodeId,
         from: NodeId,
-        packet: Box<Packet>,
+        slot: u32,
     },
     Process {
         node: NodeId,
         from: NodeId,
-        packet: Box<Packet>,
+        slot: u32,
     },
+    // An ACK echoes no routing header: the shared body (message identity)
+    // and the acknowledged copy's tag are all a sender reads from it.
     AckArrival {
         at: NodeId,
         to: NodeId,
-        packet: Box<Packet>,
+        body: Arc<PacketBody>,
+        tag: u64,
     },
     Timer {
         node: NodeId,
@@ -501,6 +504,42 @@ enum Event {
     },
 }
 
+/// Packets between their `Send` and the receiving broker's routing logic:
+/// on the wire, or waiting for a busy broker. A claimed slot is reused by
+/// the next send, so the steady state allocates nothing per transmission.
+#[derive(Default)]
+struct ParkedPackets {
+    slots: Vec<Option<Packet>>,
+    free: Vec<u32>,
+}
+
+impl ParkedPackets {
+    /// Parks `packet` and returns its slot.
+    fn park(&mut self, packet: Packet) -> u32 {
+        if let Some(slot) = self.free.pop() {
+            if let Some(seat) = self.slots.get_mut(slot as usize) {
+                *seat = Some(packet);
+            }
+            slot
+        } else {
+            self.slots.push(Some(packet));
+            (self.slots.len() - 1) as u32
+        }
+    }
+
+    /// The packet parked in `slot`.
+    fn peek(&self, slot: u32) -> Option<&Packet> {
+        self.slots.get(slot as usize)?.as_ref()
+    }
+
+    /// Takes the packet out of `slot` and frees the slot.
+    fn claim(&mut self, slot: u32) -> Option<Packet> {
+        let packet = self.slots.get_mut(slot as usize)?.take()?;
+        self.free.push(slot);
+        Some(packet)
+    }
+}
+
 /// The mutable state of one run, threaded through every
 /// [`OverlayRuntime::tick`] call: the event queue, the delivery log under
 /// construction, the optional chaos/gossip machinery, and the per-broker
@@ -511,6 +550,7 @@ struct RunState {
     log: DeliveryLog,
     auditor: Option<InvariantAuditor>,
     queue: EventQueue<Event>,
+    parked: ParkedPackets,
     next_packet_id: u64,
     monitor: Option<EwmaMonitor>,
     churn: Option<BrokerChurnModel>,
@@ -521,7 +561,8 @@ struct RunState {
     staging: Vec<Action>,
     node_free: Vec<SimTime>,
     overload: Option<(SimDuration, usize)>,
-    pending: Vec<Vec<(NodeId, Box<Packet>)>>,
+    /// Per-broker waiting room (bounded-queue mode): `(sender, slot)`.
+    pending: Vec<Vec<(NodeId, u32)>>,
     in_service: Vec<bool>,
     sp_cache: Vec<Option<ShortestPaths>>,
 }
@@ -725,7 +766,7 @@ impl<'a> OverlayRuntime<'a> {
             (Some(service), Some(limit)) => Some((service, limit)),
             _ => None,
         };
-        let mut pending: Vec<Vec<(NodeId, Box<Packet>)>> = Vec::new();
+        let mut pending: Vec<Vec<(NodeId, u32)>> = Vec::new();
         let mut in_service: Vec<bool> = Vec::new();
         let mut sp_cache: Vec<Option<ShortestPaths>> = Vec::new();
         if overload.is_some() {
@@ -740,6 +781,7 @@ impl<'a> OverlayRuntime<'a> {
             log,
             auditor,
             queue,
+            parked: ParkedPackets::default(),
             next_packet_id,
             monitor,
             churn,
@@ -826,23 +868,14 @@ impl<'a> OverlayRuntime<'a> {
                         spec.topic,
                         spec.publisher,
                         now,
-                        active.iter().map(|s| s.subscriber).collect(),
+                        active.iter().map(|s| s.subscriber).collect::<NodeList>(),
                     )
                     .with_seq(round);
                     if let Some(aud) = &mut st.auditor {
                         aud.observe_publish(&packet);
                     }
                     strategy.on_publish(spec.publisher, packet, now, &mut st.out);
-                    self.execute(
-                        &mut st.out,
-                        spec.publisher,
-                        now,
-                        &mut st.queue,
-                        &mut st.rng,
-                        &mut st.log,
-                        &mut st.auditor,
-                        &mut st.staging,
-                    );
+                    self.execute(st, spec.publisher, now);
                 }
 
                 let next = spec.publish_time(round + 1);
@@ -856,14 +889,18 @@ impl<'a> OverlayRuntime<'a> {
                     );
                 }
             }
-            Event::Arrival { to, from, packet } => {
+            Event::Arrival { to, from, slot } => {
                 // A broker that crashed while the packet was in flight
                 // loses it: no ACK, no processing. (The epoch-failure
                 // node model only blocks transmissions at send time;
                 // the crash model also eats arrivals.)
                 if self.failure.chaos().is_some_and(|c| c.node_down(to, now)) {
+                    st.parked.claim(slot);
                     return;
                 }
+                let Some(packet) = st.parked.peek(slot) else {
+                    return; // unreachable: every send parks its packet
+                };
                 // Hop-by-hop ACK, generated before processing
                 // (Algorithm 2 line 2). Subject to the same link rules.
                 let Some(edge) = self.topology.edge_between(to, from) else {
@@ -872,6 +909,7 @@ impl<'a> OverlayRuntime<'a> {
                         to,
                         packet: packet.id,
                     });
+                    st.parked.claim(slot);
                     return;
                 };
                 let blocked = self.failure.edge_blocked(self.topology, edge, now);
@@ -888,23 +926,18 @@ impl<'a> OverlayRuntime<'a> {
                         Event::AckArrival {
                             at: from,
                             to,
-                            packet: packet.clone(),
+                            body: Arc::clone(&packet.body),
+                            tag: packet.tag,
                         },
                     );
                 }
                 match (self.config.processing_time, st.overload) {
                     (None, _) => {
-                        strategy.on_packet(to, from, *packet, now, &mut st.out);
-                        self.execute(
-                            &mut st.out,
-                            to,
-                            now,
-                            &mut st.queue,
-                            &mut st.rng,
-                            &mut st.log,
-                            &mut st.auditor,
-                            &mut st.staging,
-                        );
+                        let Some(packet) = st.parked.claim(slot) else {
+                            return;
+                        };
+                        strategy.on_packet(to, from, packet, now, &mut st.out);
+                        self.execute(st, to, now);
                     }
                     (Some(service), None) => {
                         // Serial per-broker service: the packet waits
@@ -921,7 +954,7 @@ impl<'a> OverlayRuntime<'a> {
                             Event::Process {
                                 node: to,
                                 from,
-                                packet,
+                                slot,
                             },
                         );
                     }
@@ -931,7 +964,7 @@ impl<'a> OverlayRuntime<'a> {
                         let Some(q) = st.pending.get_mut(to.index()) else {
                             return; // unreachable: sized to num_nodes
                         };
-                        q.push((from, packet));
+                        q.push((from, slot));
                         if q.len() > limit {
                             let Some(cache) = st.sp_cache.get_mut(to.index()) else {
                                 return;
@@ -940,7 +973,11 @@ impl<'a> OverlayRuntime<'a> {
                                 .get_or_insert_with(|| dijkstra(self.topology, to, Metric::Delay));
                             let slacks: Vec<i128> = q
                                 .iter()
-                                .map(|(_, p)| shed_slack(&st.log, sp, p, now, service))
+                                .map(|&(_, waiting)| {
+                                    st.parked.peek(waiting).map_or(i128::MAX, |p| {
+                                        shed_slack(&st.log, sp, p, now, service)
+                                    })
+                                })
                                 .collect();
                             let victim = match self.config.shed_policy {
                                 // Newest arrival, regardless of slack.
@@ -960,6 +997,9 @@ impl<'a> OverlayRuntime<'a> {
                                 }
                             };
                             let (_, shed) = q.remove(victim);
+                            let Some(shed) = st.parked.claim(shed) else {
+                                return;
+                            };
                             let kept_doomed = slacks
                                 .iter()
                                 .enumerate()
@@ -1000,21 +1040,24 @@ impl<'a> OverlayRuntime<'a> {
                             return;
                         };
                         if !*busy && !q.is_empty() {
-                            let (f, p) = q.remove(0);
+                            let (f, next) = q.remove(0);
                             *busy = true;
                             st.queue.schedule(
                                 now + service,
                                 Event::Process {
                                     node: to,
                                     from: f,
-                                    packet: p,
+                                    slot: next,
                                 },
                             );
                         }
                     }
                 }
             }
-            Event::Process { node, from, packet } => {
+            Event::Process { node, from, slot } => {
+                let Some(packet) = st.parked.claim(slot) else {
+                    return; // unreachable: the slot was parked at send time
+                };
                 // A broker that departed while the packet sat in its
                 // service queue never processes it. (Crash-down brokers
                 // already dropped the arrival; churn-absent brokers are
@@ -1025,7 +1068,9 @@ impl<'a> OverlayRuntime<'a> {
                         // room dies with it too (churn loss, not an
                         // overload shed).
                         if let Some(q) = st.pending.get_mut(node.index()) {
-                            q.clear();
+                            for (_, waiting) in q.drain(..) {
+                                st.parked.claim(waiting);
+                            }
                         }
                         if let Some(busy) = st.in_service.get_mut(node.index()) {
                             *busy = false;
@@ -1033,17 +1078,8 @@ impl<'a> OverlayRuntime<'a> {
                     }
                     return;
                 }
-                strategy.on_packet(node, from, *packet, now, &mut st.out);
-                self.execute(
-                    &mut st.out,
-                    node,
-                    now,
-                    &mut st.queue,
-                    &mut st.rng,
-                    &mut st.log,
-                    &mut st.auditor,
-                    &mut st.staging,
-                );
+                strategy.on_packet(node, from, packet, now, &mut st.out);
+                self.execute(st, node, now);
                 if let Some((service, _)) = st.overload {
                     // Serve the next waiting packet, FIFO.
                     let Some(q) = st.pending.get_mut(node.index()) else {
@@ -1054,19 +1090,19 @@ impl<'a> OverlayRuntime<'a> {
                             *busy = false;
                         }
                     } else {
-                        let (f, p) = q.remove(0);
+                        let (f, next) = q.remove(0);
                         st.queue.schedule(
                             now + service,
                             Event::Process {
                                 node,
                                 from: f,
-                                packet: p,
+                                slot: next,
                             },
                         );
                     }
                 }
             }
-            Event::AckArrival { at, to, packet } => {
+            Event::AckArrival { at, to, body, tag } => {
                 // An ACK addressed to a crash-down sender dies with its
                 // in-flight state.
                 if self.failure.chaos().is_some_and(|c| c.node_down(at, now)) {
@@ -1077,7 +1113,7 @@ impl<'a> OverlayRuntime<'a> {
                     at: now,
                     from: to,
                     to: at,
-                    packet: packet.id,
+                    packet: body.id,
                 };
                 if let Some(trace) = &mut st.log.trace {
                     trace.record(ev);
@@ -1085,17 +1121,8 @@ impl<'a> OverlayRuntime<'a> {
                 if let Some(aud) = &mut st.auditor {
                     aud.observe(&ev);
                 }
-                strategy.on_ack(at, to, &packet, now, &mut st.out);
-                self.execute(
-                    &mut st.out,
-                    at,
-                    now,
-                    &mut st.queue,
-                    &mut st.rng,
-                    &mut st.log,
-                    &mut st.auditor,
-                    &mut st.staging,
-                );
+                strategy.on_ack(at, to, &Packet::ack_view(body, tag), now, &mut st.out);
+                self.execute(st, at, now);
             }
             Event::Timer { node, key } => {
                 // A departed broker's timers die with it. Crash-down
@@ -1105,16 +1132,7 @@ impl<'a> OverlayRuntime<'a> {
                     return;
                 }
                 strategy.on_timer(node, key, now, &mut st.out);
-                self.execute(
-                    &mut st.out,
-                    node,
-                    now,
-                    &mut st.queue,
-                    &mut st.rng,
-                    &mut st.log,
-                    &mut st.auditor,
-                    &mut st.staging,
-                );
+                self.execute(st, node, now);
             }
             Event::Probe => {
                 let (Monitoring::Probing { probe_interval, .. }, Some(mon)) =
@@ -1223,16 +1241,7 @@ impl<'a> OverlayRuntime<'a> {
                         .is_some_and(|c| c.restarted_at_epoch(node, epoch));
                     if restarted {
                         strategy.on_restart(node, now, &mut st.out);
-                        self.execute(
-                            &mut st.out,
-                            node,
-                            now,
-                            &mut st.queue,
-                            &mut st.rng,
-                            &mut st.log,
-                            &mut st.auditor,
-                            &mut st.staging,
-                        );
+                        self.execute(st, node, now);
                     }
                 }
                 // Then one housekeeping tick per live broker (recovery
@@ -1244,16 +1253,7 @@ impl<'a> OverlayRuntime<'a> {
                         continue;
                     }
                     strategy.on_tick(node, now, &mut st.out);
-                    self.execute(
-                        &mut st.out,
-                        node,
-                        now,
-                        &mut st.queue,
-                        &mut st.rng,
-                        &mut st.log,
-                        &mut st.auditor,
-                        &mut st.staging,
-                    );
+                    self.execute(st, node, now);
                 }
                 let next = SimTime::from_secs(epoch + 1);
                 if next <= st.hard_stop {
@@ -1264,20 +1264,23 @@ impl<'a> OverlayRuntime<'a> {
         }
     }
 
-    /// Initial event-queue capacity, sized from the workload and topology
-    /// instead of a fixed constant: the steady state holds roughly one
+    /// An upper estimate of simultaneously pending events, from the
+    /// workload and topology instead of a fixed constant: roughly one
     /// arrival + ACK + timer triple per in-flight `(message, subscriber)`
-    /// pair plus per-node housekeeping, so large sweeps start near their
-    /// working set instead of growing the heap through repeated doublings.
-    /// A flash-crowd burst multiplies a topic's publish rate, so the
-    /// in-flight working set scales with the largest configured burst —
-    /// without this factor the estimate undersized exactly the burst
-    /// scenarios the allocs-per-hop gate runs, and the mid-run queue
-    /// reallocation was billed to the router.
+    /// pair plus per-node housekeeping. A flash-crowd burst multiplies a
+    /// topic's publish rate, so the estimate scales with the largest
+    /// configured burst. [`DeliveryLog::peak_queue_len`] reports what a run
+    /// actually reached; the estimate must stay at or above it.
+    ///
+    /// The queue reserves this much for the timer wheel's ready lane only.
+    /// That lane holds the entries of a single µs tick — pending events
+    /// wait in the wheel's slot buffers, which size themselves during the
+    /// first lap and are recycled from then on — so the reservation is a
+    /// generous one-off (the 64-broker benchmark workload peaks at 187
+    /// pending events in total), not a working set that must be hit.
     #[must_use]
     pub fn estimated_queue_len(&self) -> usize {
-        // The timer wheel's slot directory; counted once so tiny runs
-        // still start with the ready lane covering a cascade burst.
+        // The wheel's slot count, as the floor for tiny runs.
         const WHEEL_SLOTS: usize = 64 * 7;
         let subscriptions: usize = self
             .workload
@@ -1331,19 +1334,18 @@ impl<'a> OverlayRuntime<'a> {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    #[allow(clippy::too_many_arguments)]
-    fn execute(
-        &self,
-        out: &mut Actions,
-        node: NodeId,
-        now: SimTime,
-        queue: &mut EventQueue<Event>,
-        rng: &mut SmallRng,
-        log: &mut DeliveryLog,
-        auditor: &mut Option<InvariantAuditor>,
-        staging: &mut Vec<Action>,
-    ) {
+    /// Carries out the actions `node`'s callback left in `st.out`.
+    fn execute(&self, st: &mut RunState, node: NodeId, now: SimTime) {
+        let RunState {
+            out,
+            queue,
+            parked,
+            rng,
+            log,
+            auditor,
+            staging,
+            ..
+        } = st;
         // Actions may cascade only through scheduled events, so one pass
         // over the sink is complete. The staging buffer is recycled across
         // events — the hot loop would otherwise allocate one Vec per event.
@@ -1404,7 +1406,7 @@ impl<'a> OverlayRuntime<'a> {
                             Event::Arrival {
                                 to,
                                 from: node,
-                                packet: Box::new(packet),
+                                slot: parked.park(packet),
                             },
                         );
                     }
@@ -1752,6 +1754,63 @@ mod tests {
         // ACKs still arrive (Flood ignores them), just later.
         assert_eq!(log.acks_delivered, log.messages_published);
         assert!((log.delivery_ratio() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn acks_carry_the_sent_copys_id_and_tag_for_data_and_nacks() {
+        use crate::packet::PacketKind;
+
+        /// Sends every published message on as a data copy (tag = 100 +
+        /// round) and a NACK about it (own id, tag = 200 + round), and
+        /// records what each hop-by-hop ACK hands back.
+        #[derive(Default)]
+        struct AckSpy {
+            sent: Vec<(PacketId, u64)>,
+            acked: Vec<(NodeId, NodeId, PacketId, u64)>,
+        }
+        impl RoutingStrategy for AckSpy {
+            fn name(&self) -> &'static str {
+                "ack-spy"
+            }
+            fn setup(&mut self, _: &SetupContext<'_>) {}
+            fn on_publish(&mut self, node: NodeId, p: Packet, now: SimTime, out: &mut Actions) {
+                let peer = p.destinations[0];
+                let data = p.forward(node, vec![peer], 100 + p.seq);
+                let nack_id = PacketId::new((1 << 63) + p.seq);
+                let nack = Packet::nack(nack_id, p.topic, peer, now, node, vec![p.seq]).forward(
+                    node,
+                    vec![peer],
+                    200 + p.seq,
+                );
+                self.sent.push((data.id, data.tag));
+                self.sent.push((nack.id, nack.tag));
+                out.send(peer, data);
+                out.send(peer, nack);
+            }
+            fn on_packet(&mut self, _: NodeId, _: NodeId, _: Packet, _: SimTime, _: &mut Actions) {}
+            fn on_ack(&mut self, n: NodeId, to: NodeId, p: &Packet, _: SimTime, _: &mut Actions) {
+                // The view is header-less whatever was acknowledged.
+                assert_eq!(p.kind, PacketKind::Data);
+                assert!(p.destinations.is_empty() && p.path.is_empty() && p.route.is_none());
+                self.acked.push((n, to, p.id, p.tag));
+            }
+            fn on_timer(&mut self, _: NodeId, _: TimerKey, _: SimTime, _: &mut Actions) {}
+        }
+
+        let (topo, wl) = two_node_workload();
+        let failure = FailureModel::links_only(LinkFailureModel::new(0.0, 1));
+        let config = RuntimeConfig::paper(SimDuration::from_secs(3), 1);
+        let rt = OverlayRuntime::new(&topo, &wl, failure, LossModel::new(0.0), config);
+        let mut spy = AckSpy::default();
+        let log = rt.run(&mut spy);
+        assert_eq!(spy.sent.len(), 8, "4 publishes × (data + NACK)");
+        assert_eq!(log.acks_delivered, 8);
+        let expect: Vec<_> = spy
+            .sent
+            .iter()
+            .map(|&(id, tag)| (topo.node(0), topo.node(1), id, tag))
+            .collect();
+        assert_eq!(spy.acked, expect);
     }
 
     #[test]

@@ -204,7 +204,12 @@ pub trait RoutingStrategy {
     );
 
     /// The hop-by-hop ACK for a packet `node` earlier sent to `to` arrived.
-    /// `packet` is the copy as it was sent (including its `tag`).
+    /// `packet` is the [`Packet::ack_view`] of the copy that was sent: its
+    /// message identity (`id` and the rest of the shared body) and its
+    /// `tag`. An ACK echoes no routing header, so `kind` reads
+    /// [`PacketKind::Data`](crate::packet::PacketKind::Data) and the
+    /// destinations, path and route are empty; a strategy that needs them
+    /// looks its own send up by `tag`.
     fn on_ack(
         &mut self,
         node: NodeId,

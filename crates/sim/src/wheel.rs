@@ -23,6 +23,15 @@
 //!    `now=0` — it parks in level 1 — then B at `t=64` from `now=63` —
 //!    level 0; the cascade at `t=64` delivers A after B).
 //!
+//! # Allocation
+//!
+//! Slots are emptied in place and keep their buffers: a drained level-0
+//! slot moves its entries into the ready lane, a cascaded slot re-files
+//! them one by one. After the first lap around a level every push lands in
+//! a buffer that already has the capacity, so a steady schedule/pop cycle
+//! allocates nothing. (Level `k` laps in `64^(k+1)` µs; the upper levels
+//! hold a handful of far-future entries and are first touched rarely.)
+//!
 //! # Cancellation
 //!
 //! [`cancel`](TimerWheel::cancel) is lazy: the entry stays in its slot and
@@ -164,7 +173,13 @@ impl<E> TimerWheel<E> {
             });
             return seq;
         }
-        self.place(Entry { at, seq, event });
+        place(
+            &mut self.levels,
+            &mut self.occupancy,
+            &mut self.overflow,
+            self.cursor,
+            Entry { at, seq, event },
+        );
         seq
     }
 
@@ -195,7 +210,7 @@ impl<E> TimerWheel<E> {
         // current slot too: a cascade can file entries at the exact slot
         // the cursor just jumped to.
         for k in 0..LEVELS {
-            let cur = self.slot_of(self.cursor, k);
+            let cur = slot_of(self.cursor, k);
             let mask = if k == 0 {
                 mask_at_or_above(self.occupancy[k], cur)
             } else {
@@ -270,95 +285,68 @@ impl<E> TimerWheel<E> {
         self.len = 0;
     }
 
-    /// Slot index of time `t` at level `k`.
-    fn slot_of(&self, t: u64, k: usize) -> usize {
-        ((t >> (SLOT_BITS * k as u32)) & (SLOTS as u64 - 1)) as usize
-    }
-
-    /// Files an entry with `at > cursor` into its wheel slot or the
-    /// overflow heap.
-    fn place(&mut self, entry: Entry<E>) {
-        let at = entry.at;
-        for k in 0..LEVELS {
-            // Lowest level whose window (everything above the slot bits)
-            // matches the cursor: the entry's slot there is still ahead of
-            // the cursor's, so it cascades (or drains) exactly on time.
-            if at >> (SLOT_BITS * (k as u32 + 1)) == self.cursor >> (SLOT_BITS * (k as u32 + 1)) {
-                let s = self.slot_of(at, k);
-                // `k * SLOTS + s` is in bounds by construction (`k < LEVELS`,
-                // `s < SLOTS`); the degraded path parks the entry in the
-                // overflow heap, which still pops it on time.
-                let Some(slot) = self.levels.get_mut(k * SLOTS + s) else {
-                    break;
-                };
-                slot.push(entry);
-                if let Some(occ) = self.occupancy.get_mut(k) {
-                    *occ |= 1 << s;
-                }
-                return;
-            }
-        }
-        self.overflow.push(entry);
-    }
-
     /// Advances the cursor to the next occupied time and fills the ready
     /// lane from it (sorted by sequence). Returns `false` when nothing is
     /// pending.
     fn advance(&mut self) -> bool {
+        let TimerWheel {
+            levels,
+            occupancy,
+            overflow,
+            ready,
+            cursor,
+            ..
+        } = self;
         loop {
             // Finest level first: the next occupied 1 µs slot is the next
             // event time exactly. The scan includes the cursor's own slot —
             // a cascade files entries at the exact slot the cursor jumped
             // to, and a served slot can never be re-occupied (entries due
             // at `cursor` go to the ready lane, never into the wheel).
-            let cur0 = self.slot_of(self.cursor, 0);
-            let occ0 = self.occupancy.first().copied().unwrap_or(0);
+            let cur0 = slot_of(*cursor, 0);
+            let occ0 = occupancy.first().copied().unwrap_or(0);
             let mask = mask_at_or_above(occ0, cur0);
             if mask != 0 {
                 let s = mask.trailing_zeros() as usize;
-                if let Some(occ) = self.occupancy.first_mut() {
+                if let Some(occ) = occupancy.first_mut() {
                     *occ &= !(1 << s);
                 }
-                let mut drained = self
-                    .levels
-                    .get_mut(s)
-                    .map(std::mem::take)
-                    .unwrap_or_default();
-                // Equal timestamps by construction; the sequence sort
-                // restores global FIFO across direct inserts and cascades.
-                drained.sort_unstable_by_key(|e| e.seq);
-                self.cursor = (self.cursor & !(SLOTS as u64 - 1)) | s as u64;
-                debug_assert!(drained.iter().all(|e| e.at == self.cursor));
-                self.ready.extend(drained);
+                *cursor = (*cursor & !(SLOTS as u64 - 1)) | s as u64;
+                if let Some(slot) = levels.get_mut(s) {
+                    // Equal timestamps by construction; the sequence sort
+                    // restores global FIFO across direct inserts and
+                    // cascades. Draining in place leaves the slot its buffer.
+                    slot.sort_unstable_by_key(|e| e.seq);
+                    debug_assert!(slot.iter().all(|e| e.at == *cursor));
+                    ready.extend(slot.drain(..));
+                }
                 return true;
             }
             // Cascade: jump to the next occupied slot of the lowest
             // non-empty level and re-file its entries one level down.
             let mut cascaded = false;
             for k in 1..LEVELS {
-                let cur = self.slot_of(self.cursor, k);
-                let occ_k = self.occupancy.get(k).copied().unwrap_or(0);
+                let cur = slot_of(*cursor, k);
+                let occ_k = occupancy.get(k).copied().unwrap_or(0);
                 let mask = mask_above(occ_k, cur);
                 if mask == 0 {
                     continue;
                 }
                 let s = mask.trailing_zeros() as usize;
-                if let Some(occ) = self.occupancy.get_mut(k) {
+                if let Some(occ) = occupancy.get_mut(k) {
                     *occ &= !(1 << s);
                 }
                 let shift = SLOT_BITS * k as u32;
                 // Move the cursor to the slot's start (zeroing the bits
                 // below it) — still at or before every pending entry.
-                self.cursor =
-                    (self.cursor & !((1u64 << (shift + SLOT_BITS)) - 1)) | ((s as u64) << shift);
-                let refile = self
-                    .levels
-                    .get_mut(k * SLOTS + s)
-                    .map(std::mem::take)
-                    .unwrap_or_default();
-                for entry in refile {
-                    debug_assert!(entry.at >= self.cursor);
-                    self.place(entry);
+                *cursor = (*cursor & !((1u64 << (shift + SLOT_BITS)) - 1)) | ((s as u64) << shift);
+                // Every entry re-files at a lower level (its level-`k`
+                // window is now the cursor's), never back into this slot;
+                // the order it leaves in is immaterial, since only the
+                // level-0 drain's sequence sort fixes the pop order.
+                while let Some(entry) = levels.get_mut(k * SLOTS + s).and_then(Vec::pop) {
+                    debug_assert!(entry.at >= *cursor);
+                    place(levels, occupancy, overflow, *cursor, entry);
                 }
                 cascaded = true;
                 break;
@@ -367,24 +355,61 @@ impl<E> TimerWheel<E> {
                 continue;
             }
             // Wheel exhausted: promote the earliest overflow window.
-            let Some(min) = self.overflow.peek().map(|e| e.at) else {
+            let Some(min) = overflow.peek().map(|e| e.at) else {
                 return false;
             };
             let top = SLOT_BITS * LEVELS as u32;
             let base = min & !((1u64 << top) - 1);
-            self.cursor = self.cursor.max(base);
-            while self
-                .overflow
+            *cursor = (*cursor).max(base);
+            while overflow
                 .peek()
-                .is_some_and(|e| e.at >> top == self.cursor >> top)
+                .is_some_and(|e| e.at >> top == *cursor >> top)
             {
-                let Some(e) = self.overflow.pop() else {
+                let Some(e) = overflow.pop() else {
                     break;
                 };
-                self.place(e);
+                place(levels, occupancy, overflow, *cursor, e);
             }
         }
     }
+}
+
+/// Slot index of time `t` at level `k`.
+fn slot_of(t: u64, k: usize) -> usize {
+    ((t >> (SLOT_BITS * k as u32)) & (SLOTS as u64 - 1)) as usize
+}
+
+/// Files an entry with `at > cursor` into its wheel slot or the overflow
+/// heap. A free function over the wheel's parts, so `advance` can call it
+/// while it also holds the ready lane and the cursor.
+fn place<E>(
+    levels: &mut [Vec<Entry<E>>],
+    occupancy: &mut [u64; LEVELS],
+    overflow: &mut BinaryHeap<Entry<E>>,
+    cursor: u64,
+    entry: Entry<E>,
+) {
+    let at = entry.at;
+    for k in 0..LEVELS {
+        // Lowest level whose window (everything above the slot bits)
+        // matches the cursor: the entry's slot there is still ahead of
+        // the cursor's, so it cascades (or drains) exactly on time.
+        if at >> (SLOT_BITS * (k as u32 + 1)) == cursor >> (SLOT_BITS * (k as u32 + 1)) {
+            let s = slot_of(at, k);
+            // `k * SLOTS + s` is in bounds by construction (`k < LEVELS`,
+            // `s < SLOTS`); the degraded path parks the entry in the
+            // overflow heap, which still pops it on time.
+            let Some(slot) = levels.get_mut(k * SLOTS + s) else {
+                break;
+            };
+            slot.push(entry);
+            if let Some(occ) = occupancy.get_mut(k) {
+                *occ |= 1 << s;
+            }
+            return;
+        }
+    }
+    overflow.push(entry);
 }
 
 impl<E> std::fmt::Debug for TimerWheel<E> {
