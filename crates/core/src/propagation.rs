@@ -284,7 +284,7 @@ pub fn compute_tables_with_distances(
     config: &DcrdConfig,
 ) -> SubscriberTables {
     let link_stats = link_transmission_stats(topo, estimates, m);
-    compute_tables_prepared(
+    compute_tables_prepared_masked(
         topo,
         &link_stats,
         publisher,
@@ -292,6 +292,7 @@ pub fn compute_tables_with_distances(
         subscriber,
         deadline_us,
         config,
+        &NodeSet::new(),
     )
 }
 
@@ -310,34 +311,6 @@ pub fn link_transmission_stats(
             m_transmission_stats(est.alpha.as_micros() as f64, est.gamma, m)
         })
         .collect()
-}
-
-/// [`compute_tables_with_distances`] with the per-edge link statistics
-/// precomputed by [`link_transmission_stats`].
-///
-/// # Panics
-///
-/// Panics if `dist_from_publisher` was not computed from `publisher`.
-#[must_use]
-pub fn compute_tables_prepared(
-    topo: &Topology,
-    link_stats: &[LinkStats],
-    publisher: NodeId,
-    dist_from_publisher: &ShortestPaths,
-    subscriber: NodeId,
-    deadline_us: f64,
-    config: &DcrdConfig,
-) -> SubscriberTables {
-    compute_tables_prepared_masked(
-        topo,
-        link_stats,
-        publisher,
-        dist_from_publisher,
-        subscriber,
-        deadline_us,
-        config,
-        &NodeSet::new(),
-    )
 }
 
 /// Per-node `(neighbor, link stats)` adjacency minus the absent brokers, in
@@ -404,7 +377,7 @@ impl AdjacencySnapshot {
     ///
     /// Rebuild loops compute this once per subscriber (it depends only on
     /// the snapshot and the source) and feed it to
-    /// [`compute_tables_snapshot`] as the pruning bound.
+    /// [`compute_tables_snapshot_ws`] as the pruning bound.
     #[must_use]
     pub fn alpha_distances_from(&self, source: NodeId) -> Vec<f64> {
         use std::cmp::Reverse;
@@ -443,7 +416,7 @@ impl AdjacencySnapshot {
     /// turns the per-pair "does any neighbor beat the requirement?"
     /// ellipse scan into an O(1) lookup per node — rebuild loops cache
     /// the result per subscriber and hand it to
-    /// [`compute_tables_snapshot`] as the pruning bound.
+    /// [`compute_tables_snapshot_ws`] as the pruning bound.
     #[must_use]
     pub fn neighbor_min(&self, values: &[f64]) -> Vec<f64> {
         (0..self.num_nodes())
@@ -456,16 +429,17 @@ impl AdjacencySnapshot {
     }
 }
 
-/// [`compute_tables_prepared`] over the overlay minus the `absent` brokers
-/// (departed or confirmed dead): absent nodes contribute no candidates, get
-/// no sending lists, and carry `−∞` requirements. With an empty mask the
-/// result is **identical** to the unmasked computation — same float
-/// operation order, same freeze schedule — which is what lets incremental
+/// [`compute_tables_with_distances`] with the per-edge link statistics
+/// precomputed by [`link_transmission_stats`], over the overlay minus the
+/// `absent` brokers (departed or confirmed dead): absent nodes contribute
+/// no candidates, get no sending lists, and carry `−∞` requirements. An
+/// empty mask *is* the unmasked computation — one kernel, one float
+/// operation order, one freeze schedule — which is what lets incremental
 /// repair be oracle-checked against a from-scratch rebuild byte for byte.
 ///
-/// Builds a throwaway [`AdjacencySnapshot`]; rebuild loops that recompute
-/// many subscriptions against one absent set should build the snapshot once
-/// and call [`compute_tables_snapshot`] instead.
+/// Builds a throwaway [`AdjacencySnapshot`] and [`TableWorkspace`]; rebuild
+/// loops that recompute many subscriptions against one absent set should
+/// build the snapshot once and call [`compute_tables_snapshot_ws`] instead.
 ///
 /// `dist_from_publisher` should be computed with
 /// [`dijkstra_masked`](dcrd_net::paths::dijkstra_masked) over the same
@@ -489,7 +463,7 @@ pub fn compute_tables_prepared_masked(
     let snapshot = AdjacencySnapshot::build(topo, link_stats, absent);
     let spd = snapshot.alpha_distances_from(subscriber);
     let spd_bound = snapshot.neighbor_min(&spd);
-    compute_tables_snapshot(
+    compute_tables_snapshot_ws(
         &snapshot,
         publisher,
         dist_from_publisher,
@@ -498,44 +472,7 @@ pub fn compute_tables_prepared_masked(
         deadline_us,
         config,
         absent,
-    )
-}
-
-/// [`compute_tables_prepared_masked`] against a prebuilt
-/// [`AdjacencySnapshot`] — the hot entry point for table rebuild loops.
-///
-/// `spd_bound_from_subscriber` must be
-/// [`neighbor_min`](AdjacencySnapshot::neighbor_min) over
-/// [`alpha_distances_from`](AdjacencySnapshot::alpha_distances_from)`(subscriber)`
-/// on the same snapshot; rebuild loops cache it per subscriber.
-///
-/// # Panics
-///
-/// Panics if `dist_from_publisher` was not computed from `publisher`, or
-/// if `spd_bound_from_subscriber` does not cover every node.
-#[must_use]
-#[allow(clippy::too_many_arguments)] // one value per paper parameter plus the mask
-pub fn compute_tables_snapshot(
-    snapshot: &AdjacencySnapshot,
-    publisher: NodeId,
-    dist_from_publisher: &ShortestPaths,
-    subscriber: NodeId,
-    spd_bound_from_subscriber: &[f64],
-    deadline_us: f64,
-    config: &DcrdConfig,
-    absent: &NodeSet,
-) -> SubscriberTables {
-    let mut ws = TableWorkspace::default();
-    compute_tables_snapshot_ws(
-        snapshot,
-        publisher,
-        dist_from_publisher,
-        subscriber,
-        spd_bound_from_subscriber,
-        deadline_us,
-        config,
-        absent,
-        &mut ws,
+        &mut TableWorkspace::default(),
     )
 }
 
@@ -565,8 +502,22 @@ pub struct TableWorkspace {
     order_offsets: Vec<u32>,
 }
 
-/// [`compute_tables_snapshot`] with caller-owned scratch — the innermost
-/// entry point for rebuild loops.
+/// [`compute_tables_prepared_masked`] against a prebuilt
+/// [`AdjacencySnapshot`] and caller-owned scratch — the kernel every other
+/// entry point ends in, and the one table rebuild loops call directly.
+///
+/// `spd_bound_from_subscriber` must be
+/// [`neighbor_min`](AdjacencySnapshot::neighbor_min) over
+/// [`alpha_distances_from`](AdjacencySnapshot::alpha_distances_from)`(subscriber)`
+/// on the same snapshot; rebuild loops cache it per subscriber. The result
+/// does not depend on what `ws` was used for before: its buffers are
+/// cleared or rebuilt per call, and the visit permutations it keeps only
+/// change the order an exact sort *starts* from.
+///
+/// # Panics
+///
+/// Panics if `dist_from_publisher` was not computed from `publisher`, or
+/// if `spd_bound_from_subscriber` does not cover every node.
 #[must_use]
 #[allow(clippy::too_many_arguments)] // one value per paper parameter plus the mask
 pub fn compute_tables_snapshot_ws(
@@ -1154,32 +1105,51 @@ mod tests {
     }
 
     #[test]
-    fn empty_mask_is_byte_identical() {
+    fn workspace_history_never_shows_in_the_tables() {
+        // The table-build fan-out hands each worker one workspace and a
+        // worker-count-dependent subset of the pairs, so a pair's tables
+        // must not depend on which pairs its workspace served before — on
+        // the leftover buffers, the capacity hint, or the warm visit
+        // permutations. The history includes an absent subscriber (every
+        // broker unreachable, all lists empty).
         let mut rng = rng_for(11, "prop-mask");
-        let topo = random_connected(14, 4, DelayRange::PAPER, &mut rng);
+        let topo = random_connected(40, 5, DelayRange::PAPER, &mut rng);
         let est = analytic_estimates(&topo, 0.05, 1e-4);
         let stats = link_transmission_stats(&topo, &est, 1);
-        let dist = dijkstra(&topo, topo.node(0), Metric::Delay);
-        let plain = compute_tables_prepared(
-            &topo,
-            &stats,
-            topo.node(0),
-            &dist,
-            topo.node(9),
-            500.0 * MS,
-            &cfg(),
-        );
-        let masked = compute_tables_prepared_masked(
-            &topo,
-            &stats,
-            topo.node(0),
-            &dist,
-            topo.node(9),
-            500.0 * MS,
-            &cfg(),
-            &NodeSet::new(),
-        );
-        assert_eq!(plain, masked);
+        let mut absent = NodeSet::new();
+        absent.insert(topo.node(17));
+        let snapshot = AdjacencySnapshot::build(&topo, &stats, &absent);
+        let config = cfg();
+        let build = |publisher: usize, subscriber: usize, ws: &mut TableWorkspace| {
+            let dist = dcrd_net::paths::dijkstra_masked(
+                &topo,
+                topo.node(publisher),
+                Metric::Delay,
+                &absent,
+            );
+            let spd = snapshot.alpha_distances_from(topo.node(subscriber));
+            let deadline_us = dist
+                .cost_to(topo.node(subscriber))
+                .map_or(500.0 * MS, |c| 3.0 * c as f64);
+            compute_tables_snapshot_ws(
+                &snapshot,
+                topo.node(publisher),
+                &dist,
+                topo.node(subscriber),
+                &snapshot.neighbor_min(&spd),
+                deadline_us,
+                &config,
+                &absent,
+                ws,
+            )
+        };
+        let fresh = build(0, 9, &mut TableWorkspace::default());
+        assert!(fresh.params(topo.node(0)).reachable());
+        let mut used = TableWorkspace::default();
+        for (publisher, subscriber) in [(3, 30), (9, 0), (25, 4), (0, 17)] {
+            let _ = build(publisher, subscriber, &mut used);
+        }
+        assert_eq!(build(0, 9, &mut used), fresh);
     }
 
     #[test]

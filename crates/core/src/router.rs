@@ -29,9 +29,9 @@ use dcrd_pubsub::recovery::SequenceTracker;
 use dcrd_pubsub::strategy::{
     ack_timeout, Actions, RoutingStrategy, RunParams, SetupContext, TimerKey, ACK_TIMEOUT_SLACK,
 };
-use dcrd_pubsub::topic::TopicId;
+use dcrd_pubsub::topic::{Subscription, TopicId};
 use dcrd_pubsub::workload::Workload;
-use dcrd_sim::{SimDuration, SimTime};
+use dcrd_sim::{par, SimDuration, SimTime};
 
 use crate::config::{DcrdConfig, DurabilityMode, PersistenceMode, RepairMode, TimeoutPolicy};
 use crate::journal::{InFlightJournal, JournalEntry};
@@ -61,6 +61,39 @@ const BOUNCED_LEDGER_CAP: usize = 4096;
 /// has no estimate for (a bug caught by debug assertions; release builds
 /// degrade to this conservative paper-regime upper bound instead).
 const FALLBACK_ALPHA: SimDuration = SimDuration::from_millis(50);
+
+/// Table work, in `pairs × live brokers`, that earns one worker of the
+/// table-build fan-out ([`DcrdStrategy`]'s `build_pairs`): a job smaller
+/// than twice this runs inline on the calling thread.
+///
+/// One pair costs ≈ 1.7 µs per live broker on the reference host (≈ 15
+/// rounds × ≈ 108 ns per node-step), so this is ≈ 110 ms of kernel time per
+/// worker. The floor exists because a second worker is not free: it is a
+/// thread spawn plus waking a vCPU that has been idle for the whole event
+/// loop, which on 64-broker setups (≈ 20–30 ms, ≈ 30 k pair-nodes) cost
+/// more than the split saved. A 256-broker setup (≈ 400 k) is far on the
+/// parallel side.
+pub const PAIR_NODES_PER_WORKER: usize = 1 << 16;
+
+/// One `(publisher, subscriber)` fixed point to (re)compute.
+#[derive(Debug, Clone, Copy)]
+struct PairJob {
+    topic: TopicId,
+    publisher: NodeId,
+    subscriber: NodeId,
+    deadline_us: f64,
+}
+
+impl PairJob {
+    fn new(topic: TopicId, publisher: NodeId, sub: &Subscription) -> Self {
+        PairJob {
+            topic,
+            publisher,
+            subscriber: sub.subscriber,
+            deadline_us: sub.deadline.as_micros() as f64,
+        }
+    }
+}
 
 /// One outstanding transmission awaiting its hop-by-hop ACK.
 #[derive(Debug, Clone)]
@@ -431,32 +464,29 @@ impl DcrdStrategy {
         &self.absent
     }
 
-    fn rebuild_tables(&mut self, estimates: &LinkEstimates) {
+    /// From-scratch table construction: one masked shortest-path tree and
+    /// NACK climb tree per publisher, then every subscription's fixed point
+    /// through [`build_pairs`](Self::build_pairs).
+    fn rebuild_tables(&mut self) {
         debug_assert!(
-            self.topology.is_some() && self.workload.is_some(),
+            self.topology.is_some() && self.workload.is_some() && self.estimates.is_some(),
             "rebuild_tables before setup"
         );
-        let (Some(topo), Some(workload)) = (self.topology.as_ref(), self.workload.as_ref()) else {
+        let (Some(topo), Some(workload), Some(_)) = (
+            self.topology.as_ref(),
+            self.workload.as_ref(),
+            self.estimates.as_ref(),
+        ) else {
             return;
         };
         self.global_rebuilds += 1;
         self.table_version += 1;
-        let version = self.table_version;
         self.tables.clear();
         self.toward_publisher.clear();
         self.dist_cache.clear();
-        // One snapshot of per-edge m-transmission stats and one masked
-        // adjacency snapshot serve every subscription, and topics sharing a
-        // publisher share its shortest-path tree. Absent brokers are masked
-        // out of the trees, the adjacency, and the `<d, r>` fixed point.
-        let link_stats = link_transmission_stats(topo, estimates, self.params.m);
-        let snapshot = AdjacencySnapshot::build(topo, &link_stats, &self.absent);
-        // Subscriber-rooted α-distances bound the gossip's active set; a
-        // subscriber listening on several topics shares one Dijkstra pass.
-        let mut spd_cache: std::collections::BTreeMap<NodeId, Vec<f64>> =
-            std::collections::BTreeMap::new();
-        let mut ws = TableWorkspace::default();
+        let mut jobs = Vec::with_capacity(workload.num_subscriptions());
         for spec in workload.topics() {
+            // Topics sharing a publisher share its shortest-path tree.
             let dist = self.dist_cache.get_or_insert_with(spec.publisher, || {
                 dcrd_net::paths::dijkstra_masked(
                     topo,
@@ -473,27 +503,13 @@ impl DcrdStrategy {
                     self.toward_publisher.insert((spec.publisher, n), parent);
                 }
             }
-            for sub in &spec.subscriptions {
-                let spd_bound = spd_cache.entry(sub.subscriber).or_insert_with(|| {
-                    let spd = snapshot.alpha_distances_from(sub.subscriber);
-                    snapshot.neighbor_min(&spd)
-                });
-                let mut tables = compute_tables_snapshot_ws(
-                    &snapshot,
-                    spec.publisher,
-                    dist,
-                    sub.subscriber,
-                    spd_bound,
-                    sub.deadline.as_micros() as f64,
-                    &self.config,
-                    &self.absent,
-                    &mut ws,
-                );
-                tables.set_version(version);
-                self.tables
-                    .insert((spec.topic, spec.publisher, sub.subscriber), tables);
-            }
+            jobs.extend(
+                spec.subscriptions
+                    .iter()
+                    .map(|sub| PairJob::new(spec.topic, spec.publisher, sub)),
+            );
         }
+        self.build_pairs(jobs);
     }
 
     /// Incremental membership repair: re-derives each publisher's masked
@@ -506,7 +522,7 @@ impl DcrdStrategy {
     /// candidate sets and link stats are then all unchanged, so the frozen
     /// fixed point would replay identically).
     fn repair_incremental(&mut self, changed: &[NodeId]) {
-        let (Some(topo), Some(workload), Some(estimates)) = (
+        let (Some(topo), Some(workload), Some(_)) = (
             self.topology.as_ref(),
             self.workload.as_ref(),
             self.estimates.as_ref(),
@@ -515,12 +531,7 @@ impl DcrdStrategy {
         };
         self.incremental_repairs += 1;
         self.table_version += 1;
-        let version = self.table_version;
-        let link_stats = link_transmission_stats(topo, estimates, self.params.m);
-        let snapshot = AdjacencySnapshot::build(topo, &link_stats, &self.absent);
-        let mut spd_cache: std::collections::BTreeMap<NodeId, Vec<f64>> =
-            std::collections::BTreeMap::new();
-        let mut ws = TableWorkspace::default();
+        let mut jobs = Vec::with_capacity(workload.num_subscriptions());
         for spec in workload.topics() {
             let fresh = dcrd_net::paths::dijkstra_masked(
                 topo,
@@ -560,26 +571,9 @@ impl DcrdStrategy {
                                     .any(|c| changed.contains(&c.neighbor))
                         })
                     });
-                if !affected {
-                    continue;
+                if affected {
+                    jobs.push(PairJob::new(spec.topic, spec.publisher, sub));
                 }
-                let spd_bound = spd_cache.entry(sub.subscriber).or_insert_with(|| {
-                    let spd = snapshot.alpha_distances_from(sub.subscriber);
-                    snapshot.neighbor_min(&spd)
-                });
-                let mut tables = compute_tables_snapshot_ws(
-                    &snapshot,
-                    spec.publisher,
-                    &fresh,
-                    sub.subscriber,
-                    spd_bound,
-                    sub.deadline.as_micros() as f64,
-                    &self.config,
-                    &self.absent,
-                    &mut ws,
-                );
-                tables.set_version(version);
-                self.tables.insert(key, tables);
             }
             // Patch the NACK climb tree for this publisher from the fresh
             // predecessors (absent brokers lose their entry).
@@ -596,6 +590,81 @@ impl DcrdStrategy {
             }
             self.dist_cache.insert(spec.publisher, fresh);
         }
+        self.build_pairs(jobs);
+    }
+
+    /// Computes the `<d, r>` fixed point of every job against the current
+    /// `dist_cache` trees, link estimates and absent mask, and installs the
+    /// results in job order, stamped with the current table version.
+    ///
+    /// In a deployment every broker iterates on its own, per subscription
+    /// (§III-B), so nothing couples one pair to another: the pairs fan out
+    /// over [`par::map_init`] workers, one per [`PAIR_NODES_PER_WORKER`] of
+    /// `pairs × live brokers`, capped by the host's parallelism.
+    fn build_pairs(&mut self, jobs: Vec<PairJob>) {
+        let live = self
+            .topology
+            .as_ref()
+            .map_or(0, Topology::num_nodes)
+            .saturating_sub(self.absent.len());
+        let earned = jobs.len().saturating_mul(live) / PAIR_NODES_PER_WORKER;
+        self.build_pairs_with(jobs, earned.min(par::available_workers()));
+    }
+
+    /// [`build_pairs`](Self::build_pairs) with an explicit worker count.
+    /// The tables are bit-identical for every count: each pair is the same
+    /// kernel call over the same read-only inputs, and a worker's
+    /// [`TableWorkspace`] carries no value from one pair into the next.
+    fn build_pairs_with(&mut self, jobs: Vec<PairJob>, workers: usize) {
+        if jobs.is_empty() {
+            return;
+        }
+        let (Some(topo), Some(estimates)) = (self.topology.as_ref(), self.estimates.as_ref())
+        else {
+            return;
+        };
+        // Serial prelude, shared read-only by every worker: one snapshot of
+        // per-edge m-transmission stats, one masked adjacency snapshot, and
+        // one subscriber-rooted α-distance bound per distinct subscriber (a
+        // subscriber listening on several topics shares one Dijkstra pass).
+        // Absent brokers are masked out of the trees, the adjacency, and
+        // the `<d, r>` fixed point.
+        let link_stats = link_transmission_stats(topo, estimates, self.params.m);
+        let snapshot = AdjacencySnapshot::build(topo, &link_stats, &self.absent);
+        let mut spd_bounds: BTreeMap<NodeId, Vec<f64>> = BTreeMap::new();
+        for job in &jobs {
+            spd_bounds.entry(job.subscriber).or_insert_with(|| {
+                let spd = snapshot.alpha_distances_from(job.subscriber);
+                snapshot.neighbor_min(&spd)
+            });
+        }
+        let (dist_cache, config, absent) = (&self.dist_cache, &self.config, &self.absent);
+        let version = self.table_version;
+        let built = par::map_init(jobs, workers, TableWorkspace::default, |ws, job| {
+            // Both lookups were filled by the preludes; a miss would be a
+            // bug, and the degraded path leaves that pair without tables.
+            let (Some(dist), Some(spd_bound)) = (
+                dist_cache.get(job.publisher),
+                spd_bounds.get(&job.subscriber),
+            ) else {
+                debug_assert!(false, "pair job without its prelude inputs");
+                return None;
+            };
+            let mut tables = compute_tables_snapshot_ws(
+                &snapshot,
+                job.publisher,
+                dist,
+                job.subscriber,
+                spd_bound,
+                job.deadline_us,
+                config,
+                absent,
+                ws,
+            );
+            tables.set_version(version);
+            Some(((job.topic, job.publisher, job.subscriber), tables))
+        });
+        self.tables.extend(built.into_iter().flatten());
     }
 
     /// Counts one upstream reroute of packet `id` taken at `node` in the
@@ -735,11 +804,7 @@ impl DcrdStrategy {
         }
         match self.config.membership.repair {
             RepairMode::None => {}
-            RepairMode::GlobalRebuild => {
-                if let Some(estimates) = self.estimates.clone() {
-                    self.rebuild_tables(&estimates);
-                }
-            }
+            RepairMode::GlobalRebuild => self.rebuild_tables(),
             RepairMode::Incremental => self.repair_incremental(&changed),
         }
     }
@@ -1242,8 +1307,7 @@ impl RoutingStrategy for DcrdStrategy {
         self.topology = Some(ctx.topology.clone());
         self.estimates = Some(ctx.estimates.clone());
         self.workload = Some(ctx.workload.clone());
-        let estimates = ctx.estimates.clone();
-        self.rebuild_tables(&estimates);
+        self.rebuild_tables();
         // Setup is table *construction*, not a repair: the rebuild counter
         // only measures from-scratch passes the control plane fell back to
         // after the run started.
@@ -1427,8 +1491,7 @@ impl RoutingStrategy for DcrdStrategy {
 
     fn on_monitor(&mut self, estimates: &LinkEstimates, _now: SimTime) {
         self.estimates = Some(estimates.clone());
-        let estimates = estimates.clone();
-        self.rebuild_tables(&estimates);
+        self.rebuild_tables();
     }
 
     fn on_membership(&mut self, deltas: &[MembershipDelta], _now: SimTime) {
@@ -1943,6 +2006,56 @@ mod tests {
             "the subscriber delivery log is durable across restarts"
         );
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn tables_do_not_depend_on_the_worker_count() {
+        use dcrd_net::estimate::analytic_estimates;
+        use dcrd_net::topology::random_connected;
+
+        let mut rng = rng_for(13, "table-workers");
+        let topo = random_connected(96, 6, DelayRange::PAPER, &mut rng);
+        let wl = Workload::generate(&topo, &WorkloadConfig::PAPER, &mut rng);
+        let estimates = analytic_estimates(&topo, 0.05, 0.01);
+        let failure = FailureModel::links_only(LinkFailureModel::new(0.0, 1));
+        let mut strategy = DcrdStrategy::new(DcrdConfig::default());
+        strategy.setup(&SetupContext {
+            topology: &topo,
+            estimates: &estimates,
+            workload: &wl,
+            failure_oracle: &failure,
+            params: RunParams::default(),
+        });
+        // A non-empty mask: the rebuild derives the masked trees every
+        // explicit-count build below reads.
+        for gone in [5, 40, 77] {
+            strategy.absent.insert(topo.node(gone));
+        }
+        strategy.rebuild_tables();
+        let rebuilt = std::mem::take(&mut strategy.tables);
+
+        let jobs: Vec<PairJob> = wl
+            .topics()
+            .iter()
+            .flat_map(|spec| {
+                spec.subscriptions
+                    .iter()
+                    .map(|sub| PairJob::new(spec.topic, spec.publisher, sub))
+            })
+            .collect();
+        assert!(jobs.len() > 200, "only {} pairs", jobs.len());
+        strategy.build_pairs_with(jobs.clone(), 1);
+        let serial = std::mem::take(&mut strategy.tables);
+        assert_eq!(serial.len(), jobs.len());
+        assert!(serial.values().any(|t| t.rounds_used() > 10));
+        // The derived `PartialEq`: params, requirements, lists, rounds
+        // used, convergence flag and version, bit for bit.
+        assert!(rebuilt == serial, "the sized path differs from one worker");
+        for workers in [2, 3, 7] {
+            strategy.build_pairs_with(jobs.clone(), workers);
+            let fanned = std::mem::take(&mut strategy.tables);
+            assert!(fanned == serial, "{workers} workers differ from one");
+        }
     }
 
     #[test]

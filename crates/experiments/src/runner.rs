@@ -26,7 +26,7 @@ use dcrd_pubsub::strategy::{RoutingStrategy, RunParams};
 use dcrd_pubsub::workload::{Workload, WorkloadConfig};
 use dcrd_pubsub::AuditConfig;
 use dcrd_sim::rng::{derive_seed_indexed, rng_for_indexed};
-use dcrd_sim::{SimDuration, SimTime};
+use dcrd_sim::{par, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 use crate::scenario::{ControlPlane, Scenario, TopologyKind};
@@ -338,18 +338,17 @@ pub fn run_comparison(scenario: &Scenario, kinds: &[StrategyKind]) -> Vec<Aggreg
     aggs
 }
 
-/// Simple order-preserving parallel map over a work list using scoped
-/// threads (bounded by available parallelism).
+/// Order-preserving parallel map over a work list, bounded by the host's
+/// parallelism: [`dcrd_sim::par::map_init`] without per-worker state. Runs
+/// are spread across the workers, so anything a run fans out itself (the
+/// DCRD table build) stays on the run's own thread.
 pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    let threads = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(4);
-    parallel_map_with(items, threads, f)
+    parallel_map_with(items, par::available_workers(), f)
 }
 
 /// [`parallel_map`] with an explicit worker count. Results are in item
@@ -361,37 +360,7 @@ where
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    let threads = threads.min(items.len().max(1));
-    if threads <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    let jobs: Vec<(usize, T)> = items.into_iter().enumerate().collect();
-    let queue = crossbeam::queue::SegQueue::new();
-    for job in jobs {
-        queue.push(job);
-    }
-    let mut results: Vec<(usize, R)> = Vec::new();
-    crossbeam::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let queue = &queue;
-                let f = &f;
-                scope.spawn(move |_| {
-                    let mut local = Vec::new();
-                    while let Some((i, item)) = queue.pop() {
-                        local.push((i, f(item)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        for h in handles {
-            results.extend(h.join().expect("worker panicked"));
-        }
-    })
-    .expect("scope panicked");
-    results.sort_by_key(|(i, _)| *i);
-    results.into_iter().map(|(_, r)| r).collect()
+    par::map_init(items, threads, || (), |(), item| f(item))
 }
 
 #[cfg(test)]

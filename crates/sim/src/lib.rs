@@ -17,6 +17,9 @@
 //!   experiment gets an independent, deterministic random stream.
 //! * [`stats`] — online statistics (Welford mean/variance, counters,
 //!   fixed-bucket histograms and empirical CDFs) used by the metric crates.
+//! * [`par`] — the workspace's one data-parallel primitive: an
+//!   order-preserving map over scoped threads with a static job partition,
+//!   so results (and allocation counts) never depend on scheduling.
 //!
 //! # Example
 //!
@@ -35,6 +38,7 @@
 #![warn(missing_docs)]
 
 pub mod event;
+pub mod par;
 pub mod rng;
 pub mod stats;
 pub mod time;
