@@ -16,7 +16,14 @@
 //! * **no panic** anywhere in the stack;
 //! * **clean audit**: the full invariant auditor (loop bounds,
 //!   transmission budgets, duplicate deliveries, ACK discipline, churn
-//!   gates, shed justification) reports zero violations;
+//!   gates, shed justification) reports zero violations — except that a
+//!   script whose bounded queues tail-drop may carry
+//!   [`Violation::UnjustifiedShed`]s and nothing else. Its overload
+//!   branch overflows by construction, and tail drop then sheds
+//!   still-satisfiable packets while doomed ones hold seats: the very
+//!   indictment the shed gate exists to make. The report counts the
+//!   scripts the gate fired on ([`ScriptFuzzReport::flagged_tail_drops`]),
+//!   so the exemption cannot hold vacuously;
 //! * **deterministic**: a sampled subset of scripts is re-run and must
 //!   reproduce its trace digest byte-for-byte.
 //!
@@ -39,7 +46,7 @@ use dcrd_net::failure::{FailureModel, LinkFailureModel, LinkOutageModel};
 use dcrd_net::loss::LossModel;
 use dcrd_pubsub::runtime::{OverlayRuntime, RuntimeConfig, ShedPolicy};
 use dcrd_pubsub::workload::BurstConfig;
-use dcrd_pubsub::{AckTransit, AuditConfig};
+use dcrd_pubsub::{AckTransit, AuditConfig, Violation};
 use dcrd_sim::rng::{derive_seed_indexed, rng_for_indexed, SmallRng};
 use dcrd_sim::SimDuration;
 use std::fmt;
@@ -59,19 +66,23 @@ pub struct ScriptFuzzReport {
     pub digest_checks: u64,
     /// Scripts that exercised chaos (crashes, gray links or broker churn).
     pub chaotic_scripts: u64,
+    /// Tail-drop scripts whose sheds the auditor flagged as unjustified.
+    pub flagged_tail_drops: u64,
 }
 
 impl fmt::Display for ScriptFuzzReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} scripts ({} chaotic): {} messages, {} sends, {} sheds, {} digest re-runs",
+            "{} scripts ({} chaotic): {} messages, {} sends, {} sheds, {} digest re-runs, \
+             {} tail-drop scripts flagged",
             self.scripts,
             self.chaotic_scripts,
             self.messages,
             self.sends,
             self.sheds,
-            self.digest_checks
+            self.digest_checks,
+            self.flagged_tail_drops
         )
     }
 }
@@ -218,8 +229,13 @@ pub fn generate_script(seed: u64, index: u64) -> Script {
 pub struct ScriptOutcome {
     /// Trace digest (FNV-1a over the full event stream).
     pub digest: u64,
-    /// Audit violations found (must be zero).
+    /// Audit violations found: none, or only unjustified sheds in a
+    /// tail-drop script.
     pub violations: u64,
+    /// How many of them are unjustified sheds.
+    pub unjustified_sheds: u64,
+    /// Whether the bounded queues tail-drop.
+    pub tail_drop: bool,
     /// Messages published.
     pub messages: u64,
     /// Data sends attempted.
@@ -228,6 +244,34 @@ pub struct ScriptOutcome {
     pub sheds: u64,
     /// Human-readable rendering of the first violations, for diagnostics.
     pub violation_details: Vec<String>,
+}
+
+impl ScriptOutcome {
+    /// The audit oracle: zero violations, except that a tail-drop script
+    /// may carry unjustified sheds and nothing else. Checked on the total
+    /// counts, not on the recorded violations.
+    fn audit_holds(&self) -> bool {
+        let excused = if self.tail_drop {
+            self.unjustified_sheds
+        } else {
+            0
+        };
+        self.violations == excused
+    }
+
+    /// Panics, naming `(seed, index)`, unless [`audit_holds`](Self::audit_holds).
+    fn assert_audit(&self, script: &Script, seed: u64, index: u64) {
+        assert!(
+            self.audit_holds(),
+            "script audit failure at seed={seed} index={index}: \
+             {} violation(s), {} unjustified shed(s), tail drop {}: {:?}\nscenario: {:?}",
+            self.violations,
+            self.unjustified_sheds,
+            self.tail_drop,
+            self.violation_details,
+            script.scenario
+        );
+    }
 }
 
 /// Runs one script end-to-end with the full auditor and trace capture.
@@ -270,34 +314,33 @@ pub fn run_script(script: &Script) -> ScriptOutcome {
     let mut strategy = DcrdStrategy::new(script.dcrd);
     let log = runtime.run(&mut strategy);
     let audit = log.audit.as_ref().expect("auditor was configured");
+    let tail_drop = scenario.shed_policy == ShedPolicy::TailDrop;
     ScriptOutcome {
         digest: log.trace.as_ref().map_or(0, |t| t.digest()),
         violations: audit.total_violations,
+        unjustified_sheds: audit.unjustified_sheds,
+        tail_drop,
         messages: log.messages_published,
         sends: log.data_sends,
         sheds: log.sheds,
+        // Only the violations the oracle does not excuse.
         violation_details: audit
             .violations
             .iter()
+            .filter(|v| !(tail_drop && matches!(v, Violation::UnjustifiedShed { .. })))
             .take(4)
             .map(ToString::to_string)
             .collect(),
     }
 }
 
-/// Generates and runs the single script at `(seed, index)`, panicking on
-/// any audit violation — the way to replay one reported failure.
+/// Generates and runs the single script at `(seed, index)`, panicking
+/// where [`run_script_fuzz`] would — the way to replay one reported
+/// failure.
 pub fn check_script(seed: u64, index: u64) -> ScriptOutcome {
     let script = generate_script(seed, index);
     let outcome = run_script(&script);
-    assert!(
-        outcome.violations == 0,
-        "script audit failure at seed={seed} index={index}: \
-         {} violation(s): {:?}\nscenario: {:?}",
-        outcome.violations,
-        outcome.violation_details,
-        script.scenario
-    );
+    outcome.assert_audit(&script, seed, index);
     outcome
 }
 
@@ -314,14 +357,7 @@ pub fn run_script_fuzz(seed: u64, scripts: u64) -> ScriptFuzzReport {
     for i in 0..scripts {
         let script = generate_script(seed, i);
         let outcome = run_script(&script);
-        assert!(
-            outcome.violations == 0,
-            "script-fuzz audit failure at seed={seed} index={i}: \
-             {} violation(s): {:?}\nscenario: {:?}",
-            outcome.violations,
-            outcome.violation_details,
-            script.scenario
-        );
+        outcome.assert_audit(&script, seed, i);
         if i % 16 == 0 {
             let again = run_script(&script);
             assert!(
@@ -338,6 +374,7 @@ pub fn run_script_fuzz(seed: u64, scripts: u64) -> ScriptFuzzReport {
         report.sends += outcome.sends;
         report.sheds += outcome.sheds;
         report.chaotic_scripts += u64::from(script.chaotic);
+        report.flagged_tail_drops += u64::from(outcome.tail_drop && outcome.unjustified_sheds > 0);
     }
     report
 }
@@ -346,8 +383,9 @@ pub fn run_script_fuzz(seed: u64, scripts: u64) -> ScriptFuzzReport {
 mod tests {
     use super::*;
 
-    /// The acceptance gate: ≥ 1k generated scripts with zero panics, zero
-    /// audit violations, and digest-identical sampled re-runs.
+    /// The acceptance gate: ≥ 1k generated scripts with zero panics, no
+    /// audit violation beyond tail drop's unjustified sheds, and
+    /// digest-identical sampled re-runs.
     #[test]
     fn router_survives_1k_event_scripts_under_the_auditor() {
         let seed = 1;
@@ -362,6 +400,10 @@ mod tests {
             "chaos envelope under-sampled: {report}"
         );
         assert!(report.sheds > 0, "overload envelope never shed: {report}");
+        assert!(
+            report.flagged_tail_drops > 0,
+            "the tail-drop exemption held vacuously: {report}"
+        );
     }
 
     #[test]

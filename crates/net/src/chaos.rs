@@ -32,6 +32,7 @@ use dcrd_sim::{SimDuration, SimTime};
 
 use crate::failure::DEFAULT_EPOCH;
 use crate::graph::{EdgeId, NodeId, Topology};
+use crate::loss::LossModel;
 use crate::membership::BrokerChurnModel;
 
 /// Recurring network partitions: every `period`, a hash-selected region of
@@ -303,7 +304,7 @@ impl CrashRestartModel {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GrayLinkModel {
     fraction: f64,
-    extra_loss: f64,
+    extra_loss: LossModel,
     delay_factor: f64,
     seed: u64,
 }
@@ -330,7 +331,7 @@ impl GrayLinkModel {
         assert!(delay_factor >= 1.0, "gray delay factor must be ≥ 1");
         GrayLinkModel {
             fraction,
-            extra_loss,
+            extra_loss: LossModel::new(extra_loss),
             delay_factor,
             seed,
         }
@@ -346,7 +347,12 @@ impl GrayLinkModel {
     /// direction.
     #[must_use]
     pub fn extra_loss(&self) -> f64 {
-        self.extra_loss
+        self.extra_loss.pl()
+    }
+
+    /// The extra loss as the model that draws it.
+    pub(crate) fn loss(&self) -> &LossModel {
+        &self.extra_loss
     }
 
     /// Delay multiplier in the degraded direction.

@@ -11,6 +11,8 @@
 //! reproducible from its seed alone. A caller that asks on every event
 //! (the runtime, at each send and arrival) keeps a [`FailureView`]: the same
 //! answers, computed once per epoch by these functions and then read back.
+//! Its [`FailureState::fate`] is the transport's one rule for what becomes
+//! of a transmission: blocked, lost (with its [`Cause`]) or arrived.
 //!
 //! The paper's conclusion sketches **node failures** as future work; the
 //! [`NodeFailureModel`] extension implements fail-stop node outages the same
@@ -18,11 +20,12 @@
 //! down all of its incident links at once — exactly the "simultaneous link
 //! failures" scenario the paper worries about).
 
-use dcrd_sim::rng::{splitmix64, unit};
+use dcrd_sim::rng::{splitmix64, unit, SmallRng};
 use dcrd_sim::{SimDuration, SimTime};
 
 use crate::chaos::ChaosModel;
 use crate::graph::{EdgeId, NodeId, Topology};
+use crate::loss::LossModel;
 
 /// The paper's epoch length: network conditions change once per second.
 pub const DEFAULT_EPOCH: SimDuration = SimDuration::from_secs(1);
@@ -495,7 +498,7 @@ const ABSENT: u8 = 4;
 /// let t = SimTime::from_secs(3);
 /// let now = view.at(t);
 /// for e in topo.edge_ids() {
-///     assert_eq!(now.edge_blocked(&topo, e), model.edge_blocked(&topo, e, t));
+///     assert_eq!(now.blocked(&topo, e).is_some(), model.edge_blocked(&topo, e, t));
 /// }
 /// ```
 #[derive(Debug, Clone)]
@@ -560,7 +563,11 @@ impl FailureView {
             .as_ref()
             .and_then(ChaosModel::partition)
             .is_some_and(|p| p.active(at));
-        FailureState { view: self, cut }
+        FailureState {
+            view: self,
+            cut,
+            now: at,
+        }
     }
 
     /// Refills every table whose window misses `at`, and narrows `fresh` to
@@ -636,6 +643,37 @@ fn fill_bit(bits: &mut [u8], bit: u8, on: impl Fn(NodeId) -> bool) {
     }
 }
 
+/// Why a transmission did not arrive.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Cause {
+    /// The link is in a failed epoch (or burst).
+    LinkDown,
+    /// An endpoint is down: epoch-failed, crash-down or churn-absent.
+    NodeDown,
+    /// An active partition separates the endpoints.
+    Partition,
+    /// Random per-transmission loss (`Pl`).
+    Loss,
+    /// A gray link's extra loss in its degraded direction.
+    Gray,
+}
+
+/// What happens to one link transmission ([`FailureState::fate`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fate {
+    /// Reaches the receiver at `at`.
+    Arrived {
+        /// The arrival instant: send time plus the (gray-scaled) link delay.
+        at: SimTime,
+    },
+    /// Never leaves: the link or an endpoint is failed, or a partition
+    /// separates the endpoints.
+    Blocked(Cause),
+    /// Leaves but is dropped on the way ([`Cause::Loss`] or
+    /// [`Cause::Gray`]).
+    Lost(Cause),
+}
+
 /// The failure state at one instant, read from a [`FailureView`]. Each
 /// query answers what the named [`FailureModel`] or chaos function would
 /// at that instant.
@@ -644,6 +682,8 @@ pub struct FailureState<'a> {
     view: &'a FailureView,
     /// Whether a partition window is active at this instant.
     cut: bool,
+    /// The instant this state describes.
+    now: SimTime,
 }
 
 impl FailureState<'_> {
@@ -652,21 +692,70 @@ impl FailureState<'_> {
         self.view.node_bits.get(node.index()).copied().unwrap_or(0)
     }
 
-    /// [`FailureModel::edge_blocked`]: the link is out, either endpoint is
-    /// down, or the active partition separates them.
+    /// Why a transmission over `edge` is blocked, or `None` if it is not.
+    /// [`FailureModel::edge_blocked`]'s answer, clause by clause: the link
+    /// is out ([`Cause::LinkDown`]), else either endpoint is down
+    /// ([`Cause::NodeDown`]), else the active partition separates them
+    /// ([`Cause::Partition`]).
     #[inline]
     #[must_use]
-    pub fn edge_blocked(&self, topo: &Topology, edge: EdgeId) -> bool {
+    pub fn blocked(&self, topo: &Topology, edge: EdgeId) -> Option<Cause> {
         if self.view.links.get(edge.index()).copied().unwrap_or(false) {
-            return true;
+            return Some(Cause::LinkDown);
         }
         if !self.view.per_node {
-            return false;
+            return None;
         }
         let e = topo.edge(edge);
-        self.node_down(e.a())
-            || self.node_down(e.b())
-            || self.isolated(e.a()) != self.isolated(e.b())
+        if self.node_down(e.a()) || self.node_down(e.b()) {
+            Some(Cause::NodeDown)
+        } else if self.isolated(e.a()) != self.isolated(e.b()) {
+            Some(Cause::Partition)
+        } else {
+            None
+        }
+    }
+
+    /// The fate of one transmission `from` sends over `edge` at this
+    /// instant: the transport rule every data send, hop ACK and link probe
+    /// obeys.
+    ///
+    /// 1. A [`blocked`](Self::blocked) edge carries nothing and draws
+    ///    nothing from `rng`.
+    /// 2. Otherwise one `loss` draw loses it ([`Cause::Loss`]).
+    /// 3. If it survives and a gray link degrades `edge` in `from`'s
+    ///    direction, one more draw loses it with the gray extra loss
+    ///    ([`Cause::Gray`]), and a survivor's delay is scaled by the gray
+    ///    delay factor.
+    /// 4. It arrives after the link's propagation delay.
+    ///
+    /// So a transmission takes zero, one or two draws, in that order.
+    #[inline]
+    pub fn fate(
+        &self,
+        topo: &Topology,
+        edge: EdgeId,
+        from: NodeId,
+        loss: &LossModel,
+        rng: &mut SmallRng,
+    ) -> Fate {
+        if let Some(cause) = self.blocked(topo, edge) {
+            return Fate::Blocked(cause);
+        }
+        if loss.drops(rng) {
+            return Fate::Lost(Cause::Loss);
+        }
+        let mut delay = topo.delay(edge);
+        let gray = self.view.model.chaos.as_ref().and_then(ChaosModel::gray);
+        if let Some(g) = gray.filter(|g| g.degrades(topo, edge, from)) {
+            if g.loss().drops(rng) {
+                return Fate::Lost(Cause::Gray);
+            }
+            delay = delay.mul_f64(g.delay_factor());
+        }
+        Fate::Arrived {
+            at: self.now + delay,
+        }
     }
 
     /// [`FailureModel::node_down`]: epoch-failed, crash-down or absent.

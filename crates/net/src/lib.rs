@@ -18,7 +18,8 @@
 //!   overlays.
 //! * [`failure`] — the paper's failure model: once per 1-second epoch every
 //!   link independently fails with probability `Pf`; plus the node-failure
-//!   extension sketched in the paper's conclusion.
+//!   extension sketched in the paper's conclusion, and the one rule
+//!   (`FailureState::fate`) deciding each transmission's fate.
 //! * [`chaos`] — correlated fault injection beyond the paper: recurring
 //!   network partitions, crash-restart brokers (volatile state lost on
 //!   restart), and asymmetric gray links — all seed-reproducible.

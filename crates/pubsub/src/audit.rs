@@ -51,12 +51,13 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use dcrd_net::failure::Fate;
 use dcrd_net::{NodeId, NodeList, NodeSet};
 use dcrd_sim::SimTime;
 
 use crate::hotstate::dense_index;
 use crate::packet::{Packet, PacketId};
-use crate::trace::{TraceEvent, TxOutcome};
+use crate::trace::TraceEvent;
 
 /// Bounds the auditor enforces. These are livelock detectors, not tight
 /// performance bounds: set them comfortably above anything a correct
@@ -322,6 +323,9 @@ pub struct AuditReport {
     /// still-satisfiable packet over a doomed one
     /// ([`Violation::UnjustifiedShed`]).
     pub sheds_observed: u64,
+    /// How many of the `total_violations` are [`Violation::UnjustifiedShed`]
+    /// (recorded or not).
+    pub unjustified_sheds: u64,
 }
 
 impl AuditReport {
@@ -444,6 +448,9 @@ impl InvariantAuditor {
 
     fn violate(&mut self, v: Violation) {
         self.report.total_violations += 1;
+        if matches!(v, Violation::UnjustifiedShed { .. }) {
+            self.report.unjustified_sheds += 1;
+        }
         if self.report.violations.len() < MAX_RECORDED {
             self.report.violations.push(v);
         }
@@ -464,7 +471,7 @@ impl InvariantAuditor {
                 from,
                 to,
                 packet,
-                outcome,
+                fate,
                 ..
             } => {
                 let Some(row) = self.ledger.entry(packet) else {
@@ -485,7 +492,7 @@ impl InvariantAuditor {
                     return;
                 };
                 link.uses += 1;
-                if outcome == TxOutcome::Arrived {
+                if matches!(fate, Fate::Arrived { .. }) {
                     link.unacked += 1;
                 }
                 let uses = link.uses;
@@ -572,16 +579,21 @@ impl InvariantAuditor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcrd_net::failure::Cause;
     use dcrd_sim::SimTime;
 
-    fn send(from: u32, to: u32, pkt: u64, outcome: TxOutcome) -> TraceEvent {
+    const ARRIVED: Fate = Fate::Arrived { at: SimTime::ZERO };
+    const BLOCKED: Fate = Fate::Blocked(Cause::LinkDown);
+    const LOST: Fate = Fate::Lost(Cause::Loss);
+
+    fn send(from: u32, to: u32, pkt: u64, fate: Fate) -> TraceEvent {
         TraceEvent::Send {
             at: SimTime::ZERO,
             from: NodeId::new(from),
             to: NodeId::new(to),
             packet: PacketId::new(pkt),
             destinations: 1,
-            outcome,
+            fate,
         }
     }
 
@@ -707,7 +719,7 @@ mod tests {
     #[test]
     fn sheds_are_counted_but_not_violations() {
         let mut a = InvariantAuditor::new(tight());
-        a.observe(&send(0, 1, 7, TxOutcome::Arrived));
+        a.observe(&send(0, 1, 7, ARRIVED));
         a.observe(&TraceEvent::Shed {
             at: SimTime::ZERO,
             node: NodeId::new(1),
@@ -721,7 +733,7 @@ mod tests {
     #[test]
     fn clean_run_reports_clean() {
         let mut a = InvariantAuditor::new(tight());
-        a.observe(&send(0, 1, 7, TxOutcome::Arrived));
+        a.observe(&send(0, 1, 7, ARRIVED));
         a.observe(&ack(1, 0, 7));
         a.observe(&deliver(1, 7));
         let report = a.finish();
@@ -734,7 +746,7 @@ mod tests {
     fn loop_bound_flags_excess_crossings() {
         let mut a = InvariantAuditor::new(tight());
         for _ in 0..3 {
-            a.observe(&send(0, 1, 7, TxOutcome::Blocked));
+            a.observe(&send(0, 1, 7, BLOCKED));
         }
         let report = a.finish();
         assert_eq!(report.total_violations, 1);
@@ -750,10 +762,10 @@ mod tests {
         // 4 sends over distinct links: within the edge bound, over the
         // packet budget on the fifth.
         for to in 1..=4u32 {
-            a.observe(&send(0, to, 9, TxOutcome::Lost));
+            a.observe(&send(0, to, 9, LOST));
         }
         assert!(a.report.total_violations == 0);
-        a.observe(&send(0, 5, 9, TxOutcome::Lost));
+        a.observe(&send(0, 5, 9, LOST));
         let report = a.finish();
         assert_eq!(report.total_violations, 1);
         assert!(matches!(
@@ -782,10 +794,10 @@ mod tests {
         // ACK with no arrival at all.
         a.observe(&ack(1, 0, 2));
         // Blocked send does not arm an ACK either.
-        a.observe(&send(0, 1, 3, TxOutcome::Blocked));
+        a.observe(&send(0, 1, 3, BLOCKED));
         a.observe(&ack(1, 0, 3));
         // One arrival allows exactly one ACK.
-        a.observe(&send(0, 1, 4, TxOutcome::Arrived));
+        a.observe(&send(0, 1, 4, ARRIVED));
         a.observe(&ack(1, 0, 4));
         a.observe(&ack(1, 0, 4));
         let report = a.finish();
@@ -807,6 +819,25 @@ mod tests {
         assert_eq!(report.total_violations, 200);
         assert_eq!(report.violations.len(), MAX_RECORDED);
         assert!(!report.is_clean());
+    }
+
+    #[test]
+    fn unjustified_sheds_are_counted_past_the_record_cap() {
+        let mut a = InvariantAuditor::new(tight());
+        for i in 0..100u64 {
+            a.flag(Violation::UnjustifiedShed {
+                packet: PacketId::new(i),
+                node: NodeId::new(1),
+            });
+        }
+        a.flag(Violation::RouteThroughDead {
+            packet: PacketId::new(0),
+            node: NodeId::new(2),
+        });
+        let report = a.finish();
+        assert_eq!(report.total_violations, 101);
+        assert_eq!(report.unjustified_sheds, 100);
+        assert_eq!(report.violations.len(), MAX_RECORDED);
     }
 
     #[test]
@@ -937,6 +968,9 @@ mod tests {
 
         fn violate(&mut self, v: Violation) {
             self.report.total_violations += 1;
+            if matches!(v, Violation::UnjustifiedShed { .. }) {
+                self.report.unjustified_sheds += 1;
+            }
             if self.report.violations.len() < MAX_RECORDED {
                 self.report.violations.push(v);
             }
@@ -949,7 +983,7 @@ mod tests {
                     from,
                     to,
                     packet,
-                    outcome,
+                    fate,
                     ..
                 } => {
                     let uses = self.edge_uses.entry((packet, from, to)).or_insert(0);
@@ -969,7 +1003,7 @@ mod tests {
                     if sends == self.config.max_sends_per_packet + 1 {
                         self.violate(Violation::TransmissionBudget { packet, sends });
                     }
-                    if outcome == TxOutcome::Arrived {
+                    if matches!(fate, Fate::Arrived { .. }) {
                         *self.unacked_arrivals.entry((packet, from, to)).or_insert(0) += 1;
                     }
                 }
@@ -1061,12 +1095,12 @@ mod tests {
                 let event = match draw(i, "kind", 10) {
                     0..=3 => {
                         let (from, to, packet) = (node(i, "from"), node(i, "to"), packet(i, "pkt"));
-                        let outcome = match draw(i, "outcome", 3) {
-                            0 => TxOutcome::Blocked,
-                            1 => TxOutcome::Lost,
-                            _ => TxOutcome::Arrived,
+                        let fate = match draw(i, "outcome", 3) {
+                            0 => Fate::Blocked(Cause::LinkDown),
+                            1 => Fate::Lost(Cause::Loss),
+                            _ => Fate::Arrived { at },
                         };
-                        if outcome == TxOutcome::Arrived {
+                        if matches!(fate, Fate::Arrived { .. }) {
                             arrivals.push((from.index() as u32, to.index() as u32, packet.raw()));
                         }
                         TraceEvent::Send {
@@ -1075,7 +1109,7 @@ mod tests {
                             to,
                             packet,
                             destinations: 1,
-                            outcome,
+                            fate,
                         }
                     }
                     4 | 5 if !arrivals.is_empty() => {
@@ -1119,9 +1153,11 @@ mod tests {
                         },
                     },
                     _ => {
-                        let v = Violation::RouteThroughDead {
-                            packet: packet(i, "pkt"),
-                            node: node(i, "from"),
+                        let (packet, node) = (packet(i, "pkt"), node(i, "from"));
+                        let v = if draw(i, "flag", 2) == 0 {
+                            Violation::RouteThroughDead { packet, node }
+                        } else {
+                            Violation::UnjustifiedShed { packet, node }
                         };
                         ledger.flag(v);
                         reference.violate(v);
@@ -1140,6 +1176,6 @@ mod tests {
         }
         // The streams reach every check the event stream drives, plus the
         // runtime's flags.
-        assert_eq!(seen.len(), 6, "violation kinds seen: {seen:?}");
+        assert_eq!(seen.len(), 7, "violation kinds seen: {seen:?}");
     }
 }

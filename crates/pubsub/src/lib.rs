@@ -54,5 +54,5 @@ pub use recovery::SequenceTracker;
 pub use runtime::{AckTransit, DeliveryLog, Monitoring, OverlayRuntime, RuntimeConfig};
 pub use strategy::{Action, Actions, RoutingStrategy, SetupContext};
 pub use topic::{Subscription, TopicId};
-pub use trace::{Trace, TraceEvent, TxOutcome};
+pub use trace::{Trace, TraceEvent};
 pub use workload::{TopicSpec, Workload, WorkloadConfig};

@@ -3,22 +3,28 @@
 //!
 //! The runtime models exactly the paper's transport (§III, §IV-A):
 //!
-//! * Every [`Action::Send`] is one link transmission. It vanishes if the
-//!   link is in a failed epoch at send time, or with probability `Pl`
-//!   (random loss); otherwise it arrives after the link's propagation delay.
+//! * Every [`Action::Send`] is one link transmission, and
+//!   [`FailureState::fate`] decides what becomes of it: blocked if the link
+//!   or an endpoint is failed or a partition cuts it; otherwise lost with
+//!   probability `Pl` (random loss), or with a gray link's extra loss in its
+//!   degraded direction; otherwise it arrives after the link's propagation
+//!   delay (inflated in that direction). A broker that is crash-down or
+//!   churned out when the transmission arrives eats it.
 //! * On arrival the receiver immediately returns a **hop-by-hop ACK**
-//!   (Algorithm 2 line 2), which traverses the same link back and is subject
-//!   to the same failure/loss rules.
+//!   (Algorithm 2 line 2), which traverses the same link back under the
+//!   same rule; link probes ([`Monitoring::Probing`]) obey it too.
 //! * Strategies learn about losses only through their own timers — the
 //!   runtime never tells a sender that a transmission was dropped.
 //!
 //! The runtime records a complete [`DeliveryLog`]: one expectation per
 //! `(message, subscriber)` pair with its deadline and eventual delivery
 //! time, plus traffic counters. The metrics crate turns the log into the
-//! paper's three metrics.
+//! paper's three metrics; a captured [`Trace`] names each send's [`Fate`].
+//!
+//! [`FailureState::fate`]: dcrd_net::failure::FailureState::fate
 
 use dcrd_net::estimate::{analytic_estimates, EwmaMonitor, LinkEstimate, LinkEstimates};
-use dcrd_net::failure::{FailureModel, FailureView};
+use dcrd_net::failure::{FailureModel, FailureView, Fate};
 use dcrd_net::gossip::{GossipConfig, GossipOverlay};
 use dcrd_net::loss::LossModel;
 use dcrd_net::membership::{
@@ -35,7 +41,7 @@ use crate::error::{RuntimeError, MAX_RUNTIME_ERRORS};
 use crate::hotstate::PacketNodeMap;
 use crate::packet::{Packet, PacketBody, PacketId};
 use crate::strategy::{Action, Actions, RoutingStrategy, RunParams, SetupContext, TimerKey};
-use crate::trace::{Trace, TraceEvent, TxOutcome};
+use crate::trace::{Trace, TraceEvent};
 use crate::workload::Workload;
 
 /// How the strategies' link estimates are produced.
@@ -921,14 +927,12 @@ impl<'a> OverlayRuntime<'a> {
                     st.parked.claim(slot);
                     return;
                 };
-                let blocked = st.failures.at(now).edge_blocked(self.topology, edge);
-                if !blocked
-                    && !self.loss.drops(&mut st.rng)
-                    && !self.gray_drops(edge, to, &mut st.rng)
-                {
+                let failures = st.failures.at(now);
+                let fate = failures.fate(self.topology, edge, to, &self.loss, &mut st.rng);
+                if let Fate::Arrived { at } = fate {
                     let ack_at = match self.config.ack_transit {
                         AckTransit::Immediate => now,
-                        AckTransit::RoundTrip => now + self.gray_delay(edge, to),
+                        AckTransit::RoundTrip => at,
                     };
                     st.queue.schedule(
                         ack_at,
@@ -1143,10 +1147,13 @@ impl<'a> OverlayRuntime<'a> {
                 };
                 let failures = st.failures.at(now);
                 for e in self.topology.edge_ids() {
-                    let blocked = failures.edge_blocked(self.topology, e);
-                    let outcome =
-                        (!blocked && !self.loss.drops(&mut st.rng)).then(|| self.topology.delay(e));
-                    mon.observe(e, outcome);
+                    let from = self.topology.edge(e).a();
+                    let fate = failures.fate(self.topology, e, from, &self.loss, &mut st.rng);
+                    let observed = match fate {
+                        Fate::Arrived { at } => Some(at.saturating_since(now)),
+                        Fate::Blocked(_) | Fate::Lost(_) => None,
+                    };
+                    mon.observe(e, observed);
                 }
                 if now.saturating_since(SimTime::ZERO) < self.config.duration {
                     st.queue.schedule(now + PROBE_INTERVAL, Event::Probe);
@@ -1312,27 +1319,6 @@ impl<'a> OverlayRuntime<'a> {
         }
     }
 
-    /// Whether a transmission sent by `from` over `edge` is eaten by a gray
-    /// link's extra directional loss.
-    fn gray_drops(&self, edge: dcrd_net::EdgeId, from: NodeId, rng: &mut SmallRng) -> bool {
-        self.failure
-            .chaos()
-            .and_then(|c| c.gray())
-            .is_some_and(|g| {
-                g.degrades(self.topology, edge, from) && LossModel::new(g.extra_loss()).drops(rng)
-            })
-    }
-
-    /// The propagation delay for a transmission sent by `from` over `edge`,
-    /// inflated in a gray link's degraded direction.
-    fn gray_delay(&self, edge: dcrd_net::EdgeId, from: NodeId) -> SimDuration {
-        let base = self.topology.delay(edge);
-        match self.failure.chaos().and_then(|c| c.gray()) {
-            Some(g) if g.degrades(self.topology, edge, from) => base.mul_f64(g.delay_factor()),
-            _ => base,
-        }
-    }
-
     /// Carries out the actions `node`'s callback left in `st.out`.
     fn execute(&self, st: &mut RunState, node: NodeId, now: SimTime) {
         let RunState {
@@ -1370,27 +1356,24 @@ impl<'a> OverlayRuntime<'a> {
                         continue;
                     };
                     log.data_sends += 1;
-                    let outcome = if failures.edge_blocked(self.topology, edge) {
-                        log.sends_blocked += 1;
-                        TxOutcome::Blocked
-                    } else if self.loss.drops(rng) || self.gray_drops(edge, node, rng) {
-                        log.sends_lost += 1;
-                        TxOutcome::Lost
-                    } else {
-                        TxOutcome::Arrived
-                    };
+                    let fate = failures.fate(self.topology, edge, node, &self.loss, rng);
+                    match fate {
+                        Fate::Blocked(_) => log.sends_blocked += 1,
+                        Fate::Lost(_) => log.sends_lost += 1,
+                        Fate::Arrived { .. } => {}
+                    }
                     let ev = TraceEvent::Send {
                         at: now,
                         from: node,
                         to,
                         packet: packet.id,
                         destinations: packet.destinations.len() as u32,
-                        outcome,
+                        fate,
                     };
                     trace_and_audit(&mut log.trace, auditor, ev);
-                    if outcome == TxOutcome::Arrived {
+                    if let Fate::Arrived { at } = fate {
                         queue.schedule(
-                            now + self.gray_delay(edge, node),
+                            at,
                             Event::Arrival {
                                 to,
                                 from: node,
@@ -2121,6 +2104,7 @@ mod tests {
             "expected UnjustifiedShed, got {:?}",
             report.violations
         );
+        assert!(report.unjustified_sheds > 0);
         // The naive policy loses satisfiable traffic.
         assert!(log.in_slack_delivery_ratio() < 1.0);
     }
@@ -2199,45 +2183,81 @@ mod tests {
         assert_eq!(log.delivery_ratio(), 0.0);
     }
 
+    /// Each traced data send: when it left, and its fate.
+    fn send_fates(log: &DeliveryLog) -> Vec<(SimTime, Fate)> {
+        let trace = log.trace.as_ref().expect("trace captured");
+        let fates: Vec<_> = trace
+            .events()
+            .iter()
+            .filter_map(|e| match *e {
+                TraceEvent::Send { at, fate, .. } => Some((at, fate)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(fates.len() as u64, log.data_sends);
+        assert!(!fates.is_empty());
+        fates
+    }
+
     #[test]
     fn crash_down_broker_eats_packets_and_acks() {
         use dcrd_net::chaos::{ChaosModel, CrashRestartModel};
+        use dcrd_net::failure::Cause;
 
         let (topo, wl) = two_node_workload();
         // pc = 1 with mean 1: node 1 is down every epoch — all arrivals die.
         let chaos = ChaosModel::none().with_crashes(CrashRestartModel::new(1.0, 1.0, 3));
         let failure = FailureModel::links_only(LinkFailureModel::new(0.0, 1)).with_chaos(chaos);
-        let config = RuntimeConfig::paper(SimDuration::from_secs(5), 1);
+        let mut config = RuntimeConfig::paper(SimDuration::from_secs(5), 1);
+        config.capture_trace = true;
         let rt = OverlayRuntime::new(&topo, &wl, failure, LossModel::new(0.0), config);
         let log = rt.run(&mut Flood::new());
         assert_eq!(log.delivery_ratio(), 0.0);
         assert_eq!(log.acks_delivered, 0);
         // Sends are already blocked at the link because an endpoint is down.
         assert_eq!(log.sends_blocked, log.data_sends);
+        for (at, fate) in send_fates(&log) {
+            assert_eq!(fate, Fate::Blocked(Cause::NodeDown), "send at {at}");
+        }
     }
 
     #[test]
     fn gray_link_degrades_exactly_one_direction() {
         use dcrd_net::chaos::{ChaosModel, GrayLinkModel};
+        use dcrd_net::failure::Cause;
 
         let (topo, wl) = two_node_workload();
-        let gray = GrayLinkModel::new(1.0, 1.0, 1.0, 4);
         let edge = topo.edge_between(topo.node(0), topo.node(1)).unwrap();
-        let data_degraded = gray.degrades(&topo, edge, topo.node(0));
-        let chaos = ChaosModel::none().with_gray(gray);
-        let failure = FailureModel::links_only(LinkFailureModel::new(0.0, 1)).with_chaos(chaos);
-        let config = RuntimeConfig::paper(SimDuration::from_secs(5), 1);
-        let rt = OverlayRuntime::new(&topo, &wl, failure, LossModel::new(0.0), config);
-        let log = rt.run(&mut Flood::new());
-        if data_degraded {
-            // Publisher→subscriber is the bad way: nothing gets through.
-            assert_eq!(log.delivery_ratio(), 0.0);
-            assert_eq!(log.sends_lost, log.data_sends);
-        } else {
-            // Only the ACK direction is degraded: data flows, ACKs die.
-            assert!((log.delivery_ratio() - 1.0).abs() < 1e-12);
-            assert_eq!(log.acks_delivered, 0);
+        let mut seen = [false; 2];
+        for seed in 4..12 {
+            let gray = GrayLinkModel::new(1.0, 1.0, 1.0, seed);
+            let data_degraded = gray.degrades(&topo, edge, topo.node(0));
+            seen[usize::from(data_degraded)] = true;
+            let chaos = ChaosModel::none().with_gray(gray);
+            let failure = FailureModel::links_only(LinkFailureModel::new(0.0, 1)).with_chaos(chaos);
+            let mut config = RuntimeConfig::paper(SimDuration::from_secs(5), 1);
+            config.capture_trace = true;
+            let rt = OverlayRuntime::new(&topo, &wl, failure, LossModel::new(0.0), config);
+            let log = rt.run(&mut Flood::new());
+            let fates = send_fates(&log);
+            if data_degraded {
+                // Publisher→subscriber is the bad way: nothing gets through.
+                assert_eq!(log.delivery_ratio(), 0.0);
+                assert_eq!(log.sends_lost, log.data_sends);
+                for (at, fate) in fates {
+                    assert_eq!(fate, Fate::Lost(Cause::Gray), "send at {at}");
+                }
+            } else {
+                // Only the ACK direction is degraded: data flows, ACKs die.
+                assert!((log.delivery_ratio() - 1.0).abs() < 1e-12);
+                assert_eq!(log.acks_delivered, 0);
+                for (at, fate) in fates {
+                    let at = at + SimDuration::from_millis(10);
+                    assert_eq!(fate, Fate::Arrived { at });
+                }
+            }
         }
+        assert_eq!(seen, [true; 2], "seeds 4..12 must degrade both directions");
     }
 
     #[test]

@@ -1,28 +1,23 @@
 //! Per-transmission trace capture.
 //!
 //! When enabled ([`RuntimeConfig::capture_trace`]), the runtime records
-//! every link transmission with its outcome, every local delivery and every
-//! give-up. Traces make forwarding behavior inspectable: tests use them to
-//! assert loop bounds and path validity, and the examples use them to
+//! every data transmission with its [`Fate`], every local delivery, every
+//! hop ACK that reaches its sender, every give-up, suppression and shed.
+//! A send's fate names its arrival instant or the [`Cause`] that stopped
+//! it (a down link or broker, a partition, random or gray loss), so a
+//! trace answers why a copy never arrived as well as where it went. Traces
+//! make forwarding behavior inspectable: tests use them to assert loop
+//! bounds, path validity and loss accounting, and the examples use them to
 //! explain *why* a packet took the route it did.
 //!
 //! [`RuntimeConfig::capture_trace`]: crate::runtime::RuntimeConfig::capture_trace
+//! [`Cause`]: dcrd_net::failure::Cause
 
+use dcrd_net::failure::Fate;
 use dcrd_net::NodeId;
 use dcrd_sim::SimTime;
 
 use crate::packet::PacketId;
-
-/// What happened to one link transmission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TxOutcome {
-    /// Arrived at the receiver after the link delay.
-    Arrived,
-    /// Swallowed by a failed link epoch.
-    Blocked,
-    /// Randomly lost (`Pl`).
-    Lost,
-}
 
 /// One trace record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,8 +34,10 @@ pub enum TraceEvent {
         packet: PacketId,
         /// Number of destinations carried by this copy.
         destinations: u32,
-        /// The transmission's fate.
-        outcome: TxOutcome,
+        /// The transmission's fate ([`FailureState::fate`]).
+        ///
+        /// [`FailureState::fate`]: dcrd_net::failure::FailureState::fate
+        fate: Fate,
     },
     /// A local delivery to a subscriber.
     Deliver {
@@ -187,11 +184,11 @@ impl Trace {
         let mut blocked = 0;
         let mut lost = 0;
         for e in &self.events {
-            if let TraceEvent::Send { outcome, .. } = e {
-                match outcome {
-                    TxOutcome::Arrived => arrived += 1,
-                    TxOutcome::Blocked => blocked += 1,
-                    TxOutcome::Lost => lost += 1,
+            if let TraceEvent::Send { fate, .. } = e {
+                match fate {
+                    Fate::Arrived { .. } => arrived += 1,
+                    Fate::Blocked(_) => blocked += 1,
+                    Fate::Lost(_) => lost += 1,
                 }
             }
         }
@@ -201,7 +198,9 @@ impl Trace {
     /// A 64-bit FNV-1a digest over the canonical encoding of every event,
     /// in recording order. Two runs of a deterministic simulation with the
     /// same seed must produce equal digests — the determinism regression
-    /// tests compare this instead of diffing full traces.
+    /// tests compare this instead of diffing full traces. A send's fate
+    /// enters as its class only (arrived, blocked, lost): its cause and
+    /// arrival instant follow from the rest of the run.
     #[must_use]
     pub fn digest(&self) -> u64 {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -221,7 +220,7 @@ impl Trace {
                     to,
                     packet,
                     destinations,
-                    outcome,
+                    fate,
                 } => {
                     mix(1);
                     mix(at.as_micros());
@@ -229,10 +228,10 @@ impl Trace {
                     mix(to.index() as u64);
                     mix(packet.raw());
                     mix(u64::from(destinations));
-                    mix(match outcome {
-                        TxOutcome::Arrived => 0,
-                        TxOutcome::Blocked => 1,
-                        TxOutcome::Lost => 2,
+                    mix(match fate {
+                        Fate::Arrived { .. } => 0,
+                        Fate::Blocked(_) => 1,
+                        Fate::Lost(_) => 2,
                     });
                 }
                 TraceEvent::Deliver { at, node, packet } => {
@@ -286,15 +285,20 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcrd_net::failure::Cause;
 
-    fn send(at_ms: u64, from: u32, to: u32, pkt: u64, outcome: TxOutcome) -> TraceEvent {
+    const ARRIVED: Fate = Fate::Arrived {
+        at: SimTime::from_millis(40),
+    };
+
+    fn send(at_ms: u64, from: u32, to: u32, pkt: u64, fate: Fate) -> TraceEvent {
         TraceEvent::Send {
             at: SimTime::from_millis(at_ms),
             from: NodeId::new(from),
             to: NodeId::new(to),
             packet: PacketId::new(pkt),
             destinations: 1,
-            outcome,
+            fate,
         }
     }
 
@@ -302,9 +306,9 @@ mod tests {
     fn records_and_queries() {
         let mut t = Trace::new();
         assert!(t.is_empty());
-        t.record(send(0, 0, 1, 7, TxOutcome::Arrived));
-        t.record(send(5, 1, 2, 7, TxOutcome::Blocked));
-        t.record(send(9, 1, 2, 7, TxOutcome::Lost));
+        t.record(send(0, 0, 1, 7, ARRIVED));
+        t.record(send(5, 1, 2, 7, Fate::Blocked(Cause::LinkDown)));
+        t.record(send(9, 1, 2, 7, Fate::Lost(Cause::Loss)));
         t.record(TraceEvent::Deliver {
             at: SimTime::from_millis(20),
             node: NodeId::new(2),
@@ -317,7 +321,7 @@ mod tests {
 
     #[test]
     fn event_accessors() {
-        let e = send(3, 0, 1, 9, TxOutcome::Arrived);
+        let e = send(3, 0, 1, 9, ARRIVED);
         assert_eq!(e.packet(), PacketId::new(9));
         assert_eq!(e.time(), SimTime::from_millis(3));
         let g = TraceEvent::GiveUp {
@@ -341,7 +345,7 @@ mod tests {
     #[test]
     fn acks_do_not_count_as_edge_uses() {
         let mut t = Trace::new();
-        t.record(send(0, 0, 1, 7, TxOutcome::Arrived));
+        t.record(send(0, 0, 1, 7, ARRIVED));
         t.record(TraceEvent::Ack {
             at: SimTime::from_millis(1),
             from: NodeId::new(1),
@@ -358,5 +362,31 @@ mod tests {
         assert_eq!(t.max_directed_edge_uses(), 0);
         assert_eq!(t.outcome_counts(), (0, 0, 0));
         assert!(t.events().is_empty());
+    }
+
+    #[test]
+    fn digest_mixes_the_class_of_a_fate_only() {
+        let digest = |fate| {
+            let mut t = Trace::new();
+            t.record(send(0, 0, 1, 7, fate));
+            t.digest()
+        };
+        let later = Fate::Arrived {
+            at: SimTime::from_millis(90),
+        };
+        assert_eq!(digest(ARRIVED), digest(later));
+        assert_eq!(
+            digest(Fate::Blocked(Cause::LinkDown)),
+            digest(Fate::Blocked(Cause::Partition))
+        );
+        assert_eq!(
+            digest(Fate::Lost(Cause::Loss)),
+            digest(Fate::Lost(Cause::Gray))
+        );
+        assert_ne!(digest(ARRIVED), digest(Fate::Lost(Cause::Loss)));
+        assert_ne!(
+            digest(Fate::Blocked(Cause::Loss)),
+            digest(Fate::Lost(Cause::Loss))
+        );
     }
 }

@@ -2,17 +2,21 @@
 //! failure query exactly as the models it memoizes, for every combination
 //! of link, node and chaos process, at instants that walk forward across
 //! epoch, cycle and partition-window boundaries and at instants that jump
-//! backward.
+//! backward. The fate of a transmission (`FailureState::fate`) is checked
+//! the same way: blocked exactly when the models block the edge, for a
+//! cause they confirm and with no draw, and otherwise the loss and gray
+//! draws of the transport rule, in order.
 
 use dcrd::net::chaos::{ChaosModel, CrashRestartModel, GrayLinkModel, PartitionModel};
 use dcrd::net::failure::{
-    BurstFailureModel, FailureModel, FailureView, LinkFailureModel, LinkOutageModel,
+    BurstFailureModel, Cause, FailureModel, FailureView, Fate, LinkFailureModel, LinkOutageModel,
     NodeFailureModel,
 };
+use dcrd::net::loss::LossModel;
 use dcrd::net::membership::BrokerChurnModel;
 use dcrd::net::topology::{random_connected, DelayRange};
-use dcrd::net::Topology;
-use dcrd::sim::rng::{derive_seed_indexed, rng_for};
+use dcrd::net::{EdgeId, NodeId, Topology};
+use dcrd::sim::rng::{derive_seed_indexed, rng_for, rng_for_indexed, SmallRng};
 use dcrd::sim::{SimDuration, SimTime};
 
 /// Every model combination: two link processes (the second with an epoch
@@ -76,18 +80,94 @@ fn instants(case: u64) -> Vec<SimTime> {
     out.into_iter().map(SimTime::from_micros).collect()
 }
 
-fn assert_view_matches(topo: &Topology, model: FailureModel, case: u64) {
+/// The cause the models give for a blocked edge, clause by clause in
+/// `FailureModel::edge_blocked`'s order.
+fn model_cause(topo: &Topology, model: FailureModel, e: EdgeId, at: SimTime) -> Cause {
+    let (a, b) = (topo.edge(e).a(), topo.edge(e).b());
+    let n = topo.num_nodes();
+    let isolated = |v: NodeId| {
+        model
+            .chaos()
+            .and_then(|c| c.partition())
+            .is_some_and(|p| p.is_isolated(v, at, n))
+    };
+    if model.link_model().is_failed(e, at) {
+        Cause::LinkDown
+    } else if model.node_down(a, at) || model.node_down(b, at) {
+        Cause::NodeDown
+    } else {
+        assert_ne!(
+            isolated(a),
+            isolated(b),
+            "edge {e:?} blocked at {at} for no cause"
+        );
+        Cause::Partition
+    }
+}
+
+/// The transport rule for an unblocked edge, drawn from `rng` in order: one
+/// loss draw, then a gray draw only in a gray link's degraded direction.
+fn reference_fate(
+    topo: &Topology,
+    model: FailureModel,
+    (e, from, at): (EdgeId, NodeId, SimTime),
+    loss: &LossModel,
+    rng: &mut SmallRng,
+) -> Fate {
+    if loss.drops(rng) {
+        return Fate::Lost(Cause::Loss);
+    }
+    let delay = topo.delay(e);
+    match model.chaos().and_then(|c| c.gray()) {
+        Some(g) if g.degrades(topo, e, from) => {
+            if LossModel::new(g.extra_loss()).drops(rng) {
+                Fate::Lost(Cause::Gray)
+            } else {
+                Fate::Arrived {
+                    at: at + delay.mul_f64(g.delay_factor()),
+                }
+            }
+        }
+        _ => Fate::Arrived { at: at + delay },
+    }
+}
+
+/// Checks `model`'s view against the models at every instant; returns the
+/// fates it saw.
+fn assert_view_matches(topo: &Topology, model: FailureModel, case: u64) -> Vec<Fate> {
     let mut view = FailureView::new(model, topo);
     let chaos = model.chaos().copied().unwrap_or_default();
     let n = topo.num_nodes();
+    let loss = LossModel::new(0.3);
+    let mut rng = rng_for_indexed(5, "fate", case);
+    let mut fates = Vec::new();
     for at in instants(case) {
         let state = view.at(at);
         for e in topo.edge_ids() {
-            assert_eq!(
-                state.edge_blocked(topo, e),
-                model.edge_blocked(topo, e, at),
-                "case {case}, edge {e:?} at {at}"
-            );
+            let ctx = format!("case {case}, edge {e:?} at {at}");
+            let blocked = model.edge_blocked(topo, e, at);
+            let cause = state.blocked(topo, e);
+            assert_eq!(cause.is_some(), blocked, "{ctx}");
+            // Both directions: gray links degrade only one of them.
+            for from in [topo.edge(e).a(), topo.edge(e).b()] {
+                let before = rng.clone();
+                let fate = state.fate(topo, e, from, &loss, &mut rng);
+                if blocked {
+                    assert_eq!(
+                        fate,
+                        Fate::Blocked(model_cause(topo, model, e, at)),
+                        "{ctx}"
+                    );
+                    assert_eq!(cause, Some(model_cause(topo, model, e, at)), "{ctx}");
+                    assert_eq!(rng, before, "{ctx}: a blocked fate drew");
+                } else {
+                    let mut reference = before;
+                    let want = reference_fate(topo, model, (e, from, at), &loss, &mut reference);
+                    assert_eq!(fate, want, "{ctx}, from {from:?}");
+                    assert_eq!(rng, reference, "{ctx}: draws differ");
+                }
+                fates.push(fate);
+            }
         }
         for node in topo.nodes() {
             let ctx = format!("case {case}, node {node:?} at {at}");
@@ -107,6 +187,7 @@ fn assert_view_matches(topo: &Topology, model: FailureModel, case: u64) {
             );
         }
     }
+    fates
 }
 
 #[test]
@@ -114,9 +195,19 @@ fn failure_view_answers_what_the_models_answer() {
     let topo = random_connected(14, 4, DelayRange::PAPER, &mut rng_for(3, "view-topo"));
     let models = models();
     assert_eq!(models.len(), 64);
+    let mut fates = Vec::new();
     for (case, model) in models.into_iter().enumerate() {
-        assert_view_matches(&topo, model, case as u64);
+        fates.extend(assert_view_matches(&topo, model, case as u64));
     }
+    // Every cause, and a gray-slowed arrival, occurs somewhere, so the
+    // fate equivalence is not vacuous.
+    for cause in [Cause::LinkDown, Cause::NodeDown, Cause::Partition] {
+        assert!(fates.contains(&Fate::Blocked(cause)), "no {cause:?} block");
+    }
+    for cause in [Cause::Loss, Cause::Gray] {
+        assert!(fates.contains(&Fate::Lost(cause)), "no {cause:?} loss");
+    }
+    assert!(fates.iter().any(|f| matches!(f, Fate::Arrived { .. })));
 }
 
 /// The probabilities above leave every process visibly active at some

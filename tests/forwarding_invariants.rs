@@ -10,7 +10,7 @@ use dcrd::core::router::MAX_PATH_FACTOR;
 use dcrd::core::{DcrdConfig, DcrdStrategy};
 use dcrd::experiments::runner::{build_topology, build_workload};
 use dcrd::experiments::scenario::{Scenario, ScenarioBuilder};
-use dcrd::net::failure::{FailureModel, LinkFailureModel};
+use dcrd::net::failure::{Cause, FailureModel, Fate, LinkFailureModel};
 use dcrd::net::loss::LossModel;
 use dcrd::pubsub::runtime::{DeliveryLog, OverlayRuntime, RuntimeConfig};
 use dcrd::pubsub::strategy::RoutingStrategy;
@@ -33,7 +33,8 @@ fn traced_run(strategy: &mut (impl RoutingStrategy + ?Sized), pf: f64, seed: u64
     OverlayRuntime::new(&topo, &workload, failure, LossModel::PAPER_DEFAULT, config).run(strategy)
 }
 
-/// Every transmission recorded in the trace matches the traffic counter.
+/// Every transmission recorded in the trace matches the traffic counter,
+/// and the causes of the blocked and lost ones add up to the counters.
 #[test]
 fn trace_matches_traffic_counters() {
     let log = traced_run(&mut DcrdStrategy::new(DcrdConfig::default()), 0.06, 1);
@@ -43,6 +44,26 @@ fn trace_matches_traffic_counters() {
     assert_eq!(blocked, log.sends_blocked);
     assert_eq!(lost, log.sends_lost);
     assert!(arrived > 0);
+
+    let (mut blocked_by, mut lost_by) = (Vec::new(), Vec::new());
+    for e in trace.events() {
+        match e {
+            TraceEvent::Send {
+                fate: Fate::Blocked(cause),
+                ..
+            } => blocked_by.push(*cause),
+            TraceEvent::Send {
+                fate: Fate::Lost(cause),
+                ..
+            } => lost_by.push(*cause),
+            _ => {}
+        }
+    }
+    assert_eq!(blocked_by.len() as u64, log.sends_blocked);
+    assert_eq!(lost_by.len() as u64, log.sends_lost);
+    // Link outages block and `Pl` loses; this run has no other process.
+    assert!(!blocked_by.is_empty() && blocked_by.iter().all(|&c| c == Cause::LinkDown));
+    assert!(!lost_by.is_empty() && lost_by.iter().all(|&c| c == Cause::Loss));
 }
 
 /// DCRD never develops *unbounded* forwarding loops. Re-probing a blocked
