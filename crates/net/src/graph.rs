@@ -214,9 +214,9 @@ impl Topology {
         (0..self.edges.len() as u32).map(EdgeId)
     }
 
-    /// The edge with the given id. A bogus id resolves to
-    /// [`DEGENERATE_EDGE`] rather than panicking: the hot path treats a
-    /// zero-delay self-loop as an edge nothing traverses.
+    /// The edge with the given id. A bogus id resolves to a degenerate
+    /// edge (a zero-delay self-loop on node 0) rather than panicking: the
+    /// hot path treats it as an edge nothing traverses.
     #[must_use]
     pub fn edge(&self, id: EdgeId) -> &Edge {
         self.edges.get(id.index()).unwrap_or(&DEGENERATE_EDGE)

@@ -308,7 +308,7 @@ const MAX_RECORDED: usize = 64;
 /// The outcome of one audited run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AuditReport {
-    /// The first [`MAX_RECORDED`] violations, in detection order.
+    /// The first `MAX_RECORDED` (64) violations, in detection order.
     pub violations: Vec<Violation>,
     /// Total violations detected (may exceed `violations.len()`).
     pub total_violations: u64,

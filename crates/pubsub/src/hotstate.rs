@@ -71,15 +71,17 @@ fn open_row<'a>(dense: &'a mut Vec<Row>, spare: &mut Vec<Row>, i: usize) -> Opti
 
 /// Values in reused slots: a freed slot is handed to the next value, so
 /// the slab never holds more slots than the peak number of live values.
+/// It holds [`PacketNodeMap`]'s values, and the runtime's packets between
+/// their send and their receiver's routing logic.
 #[derive(Debug, Clone)]
-struct Slab<V> {
+pub(crate) struct Slab<V> {
     slots: Vec<Option<V>>,
     /// Freed slots, reused most recently freed first.
     free: Vec<u32>,
 }
 
 impl<V> Slab<V> {
-    const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         Slab {
             slots: Vec::new(),
             free: Vec::new(),
@@ -91,7 +93,7 @@ impl<V> Slab<V> {
     }
 
     /// Stores `value` and returns its slot.
-    fn put(&mut self, value: V) -> u32 {
+    pub(crate) fn put(&mut self, value: V) -> u32 {
         if let Some(slot) = self.free.pop() {
             if let Some(seat) = self.slots.get_mut(slot as usize) {
                 *seat = Some(value);
@@ -103,14 +105,14 @@ impl<V> Slab<V> {
     }
 
     /// Takes the value out of `slot` and frees the slot.
-    fn take(&mut self, slot: u32) -> Option<V> {
+    pub(crate) fn take(&mut self, slot: u32) -> Option<V> {
         let value = self.slots.get_mut(slot as usize)?.take()?;
         self.free.push(slot);
         Some(value)
     }
 
     #[inline]
-    fn get(&self, slot: u32) -> Option<&V> {
+    pub(crate) fn get(&self, slot: u32) -> Option<&V> {
         self.slots.get(slot as usize)?.as_ref()
     }
 

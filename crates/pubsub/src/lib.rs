@@ -29,15 +29,12 @@
 //! * [`recovery`] — subscriber-side sequencing for crash recovery: the
 //!   bounded [`SequenceTracker`] that detects gaps (feeding NACK-driven
 //!   recovery) and deduplicates replayed copies.
-//! * [`error`] — typed [`RuntimeError`] diagnostics the runtime records
-//!   instead of panicking.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod audit;
 pub mod codec;
-pub mod error;
 pub mod hotstate;
 pub mod packet;
 pub mod recovery;
@@ -48,7 +45,6 @@ pub mod trace;
 pub mod workload;
 
 pub use audit::{AuditConfig, AuditReport, InvariantAuditor, Violation};
-pub use error::RuntimeError;
 pub use packet::{Packet, PacketId, PacketKind};
 pub use recovery::SequenceTracker;
 pub use runtime::{AckTransit, DeliveryLog, Monitoring, OverlayRuntime, RuntimeConfig};

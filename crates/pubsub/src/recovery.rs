@@ -21,7 +21,7 @@
 //! growing without bound — the trade the paper's aggressive state deletion
 //! makes everywhere else.
 //!
-//! [`Packet::seq`]: crate::packet::Packet::seq
+//! [`Packet::seq`]: crate::packet::PacketBody::seq
 
 use std::collections::BTreeSet;
 

@@ -19,30 +19,46 @@
 //! The runtime records a complete [`DeliveryLog`]: one expectation per
 //! `(message, subscriber)` pair with its deadline and eventual delivery
 //! time, plus traffic counters. The metrics crate turns the log into the
-//! paper's three metrics; a captured [`Trace`] names each send's [`Fate`].
+//! paper's three metrics; a captured [`Trace`] names each send's
+//! [`Fate`](dcrd_net::failure::Fate).
+//!
+//! The runtime's per-event `tick` only dispatches each event to the
+//! strategy and to four stages, one file each, that own their state:
+//!
+//! * `Transport` — loss stream, failure view, parked packets: sends, `Arrival`, `AckArrival`.
+//! * `Service` — per-broker processing (instant, serial or bounded): admission, sheds, `Process`.
+//! * `Ledger` — packet ids and the [`DeliveryLog`]: `Publish`; `Deliver`, `GiveUp`, `Suppress`.
+//! * `Control` — link monitor, churn, SWIM detector, gossip: `Probe`, `Monitor`, `ChaosTick`.
+//!
+//! Every stage reports to one trace/auditor pair (`Sinks`), and a stage
+//! handed the event queue reads the clock from it.
 //!
 //! [`FailureState::fate`]: dcrd_net::failure::FailureState::fate
 
-use dcrd_net::estimate::{analytic_estimates, EwmaMonitor, LinkEstimate, LinkEstimates};
-use dcrd_net::failure::{FailureModel, FailureView, Fate};
-use dcrd_net::gossip::{GossipConfig, GossipOverlay};
+mod control;
+mod ledger;
+mod service;
+mod transport;
+
+pub use ledger::{DeliveryLog, Expectation};
+
+use dcrd_net::estimate::{analytic_estimates, LinkEstimates};
+use dcrd_net::failure::FailureModel;
+use dcrd_net::gossip::GossipConfig;
 use dcrd_net::loss::LossModel;
-use dcrd_net::membership::{
-    BrokerChurnModel, GroundTruth, MembershipDelta, SwimConfig, SwimDetector,
-};
-use dcrd_net::paths::{dijkstra, Metric, ShortestPaths};
-use dcrd_net::{NodeId, NodeList, Topology};
-use dcrd_sim::rng::{rng_for, SmallRng};
+use dcrd_net::{EdgeId, NodeId, Topology};
 use dcrd_sim::{EventQueue, SimDuration, SimTime};
 use std::sync::Arc;
 
-use crate::audit::{AuditConfig, AuditReport, InvariantAuditor, Violation};
-use crate::error::{RuntimeError, MAX_RUNTIME_ERRORS};
-use crate::hotstate::PacketNodeMap;
-use crate::packet::{Packet, PacketBody, PacketId};
+use crate::audit::{AuditConfig, InvariantAuditor, Violation};
+use crate::packet::{Packet, PacketBody};
 use crate::strategy::{Action, Actions, RoutingStrategy, RunParams, SetupContext, TimerKey};
 use crate::trace::{Trace, TraceEvent};
 use crate::workload::Workload;
+use control::Control;
+use ledger::Ledger;
+use service::Service;
+use transport::Transport;
 
 /// How the strategies' link estimates are produced.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -56,16 +72,6 @@ pub enum Monitoring {
     /// interval).
     Probing,
 }
-
-/// Interval between probes of each link under [`Monitoring::Probing`].
-const PROBE_INTERVAL: SimDuration = SimDuration::from_secs(5);
-
-/// EWMA weight of each new probe under [`Monitoring::Probing`].
-const EWMA_WEIGHT: f64 = 0.05;
-
-/// Interval between [`RoutingStrategy::on_monitor`] pushes under
-/// [`Monitoring::Probing`] (the paper's 5 minutes).
-const MONITOR_INTERVAL: SimDuration = SimDuration::from_secs(300);
 
 /// Extra simulated time after the last publish during which in-flight
 /// packets may still complete before the run is cut off.
@@ -99,7 +105,8 @@ pub enum Dissemination {
     /// "global broadcast" idealization all pre-gossip runs used.
     #[default]
     Oracle,
-    /// Deltas spread epidemically through a [`GossipOverlay`]: each one
+    /// Deltas spread epidemically through a
+    /// [`GossipOverlay`](dcrd_net::gossip::GossipOverlay): each one
     /// becomes a rumor at its witness broker and reaches the strategy
     /// (via [`RoutingStrategy::on_gossip`]) only once every present
     /// broker has learned it. Partitions stall convergence; anti-entropy
@@ -154,7 +161,7 @@ pub struct RuntimeConfig {
     /// instantly.
     pub processing_time: Option<SimDuration>,
     /// Run the online invariant auditor over the transmission stream and
-    /// attach its [`AuditReport`] to the log. Off by default.
+    /// attach its [`AuditReport`](crate::audit::AuditReport) to the log. Off by default.
     pub audit: Option<AuditConfig>,
     /// Bounded per-broker service queue: at most this many packets may wait
     /// for service at one broker (the packet in service is not counted).
@@ -197,299 +204,35 @@ impl RuntimeConfig {
     }
 }
 
-/// The fate of one `(message, subscriber)` pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Expectation {
-    /// When the message was published.
-    pub published: SimTime,
-    /// The subscription's delay requirement.
-    pub deadline: SimDuration,
-    /// When (if ever) the message reached this subscriber.
-    pub delivered: Option<SimTime>,
-    /// Whether the strategy explicitly gave up on this pair.
-    pub gave_up: bool,
-    /// Whether an overloaded broker shed a copy of this message at a point
-    /// where this pair's requirement was already unsatisfiable (even
-    /// immediate service plus best-case remaining transit would miss the
-    /// deadline). Such pairs are excluded from
-    /// [`DeliveryLog::in_slack_delivery_ratio`].
-    pub shed_doomed: bool,
+/// A packet copy between the wire and its receiver's routing logic: the
+/// broker that sent it, and the transport slot that holds it while parked.
+#[derive(Debug, Clone, Copy)]
+struct Inbound {
+    from: NodeId,
+    slot: u32,
 }
 
-impl Expectation {
-    /// Whether the message was delivered within its deadline.
-    #[must_use]
-    pub fn on_time(&self) -> bool {
-        self.delivered
-            .is_some_and(|at| at.saturating_since(self.published) <= self.deadline)
-    }
-
-    /// `actual delay ÷ deadline` for a delivered message (Fig. 7's x-axis),
-    /// or `None` if undelivered.
-    #[must_use]
-    pub fn lateness_ratio(&self) -> Option<f64> {
-        let at = self.delivered?;
-        let actual = at.saturating_since(self.published).as_micros() as f64;
-        let deadline = self.deadline.as_micros().max(1) as f64;
-        Some(actual / deadline)
-    }
-}
-
-/// The complete record of one run.
-#[derive(Debug, Clone, Default)]
-pub struct DeliveryLog {
-    expectations: PacketNodeMap<Expectation>,
-    /// Number of published messages.
-    pub messages_published: u64,
-    /// Data-packet transmissions attempted (the paper's traffic metric
-    /// numerator).
-    pub data_sends: u64,
-    /// Data transmissions that hit a failed link epoch.
-    pub sends_blocked: u64,
-    /// Data transmissions randomly lost.
-    pub sends_lost: u64,
-    /// ACKs that made it back to the sender.
-    pub acks_delivered: u64,
-    /// Deliver actions for pairs already delivered (Multipath's second
-    /// copy, or duplicates born from lost ACKs) — deduplicated, so they
-    /// never inflate the ratios.
-    pub duplicate_deliveries: u64,
-    /// `Send` actions naming a node with no link to the sender. These are
-    /// strategy bugs; the runtime drops the send and counts it here instead
-    /// of aborting, so an injected fault that trips a latent bug surfaces
-    /// as a diagnostic, not a crashed experiment.
-    pub invalid_sends: u64,
-    /// `Deliver` actions on a node that is not a subscriber of the message
-    /// (same diagnostic treatment as `invalid_sends`).
-    pub invalid_delivers: u64,
-    /// Duplicate copies absorbed by subscriber dedup windows (recovery
-    /// mode: crash replay or NACK re-sends racing the original delivery).
-    /// Benign by construction.
-    pub suppressed: u64,
-    /// Total internal runtime inconsistencies survived (see
-    /// [`RuntimeError`]); may exceed `errors.len()`.
-    pub runtime_errors: u64,
-    /// The first [`MAX_RUNTIME_ERRORS`] runtime errors, in detection order.
-    pub errors: Vec<RuntimeError>,
-    /// Packets shed by overloaded brokers (bounded service queues only).
-    pub sheds: u64,
-    /// Sheds per broker, indexed by node (empty unless
-    /// [`RuntimeConfig::queue_limit`] is set).
-    pub sheds_by_node: Vec<u64>,
-    /// Sheds whose every undelivered destination was already past help —
-    /// the traffic delay-cognizant shedding is *supposed* to drop.
-    pub doomed_sheds: u64,
-    /// Deepest any broker's bounded service queue got (post-shed, so never
-    /// above the configured budget). Zero without a queue limit.
-    pub max_queue_depth: usize,
-    /// Gossip dissemination only: eager rumor pushes attempted by the
-    /// membership gossip overlay (lost and blocked pushes included).
-    pub rumors_sent: u64,
-    /// Gossip dissemination only: anti-entropy digest-exchange rounds run
-    /// by the gossip overlay.
-    pub anti_entropy_rounds: u64,
-    /// Gossip dissemination only: membership deltas whose rumors finished
-    /// their epidemic spread and were applied via
-    /// [`RoutingStrategy::on_gossip`].
-    pub gossip_deltas_applied: u64,
-    /// Gossip dissemination only: rumors transferred by anti-entropy to a
-    /// broker the eager push had missed — each one a stale-entry
-    /// reconciliation that pure rumor spreading would have left divergent.
-    pub stale_reconciliations: u64,
-    /// Whether the run hit the event cap and was truncated.
-    pub truncated: bool,
-    /// Total simulation events processed by the run loop (the macro
-    /// benchmark's throughput denominator).
-    pub events_processed: u64,
-    /// Events whose requested timestamp lay strictly in the past and were
-    /// clamped to the clock by the event queue. A correct run reports
-    /// zero; anything else is a scheduling caller computing stale
-    /// deadlines (also an auditor [`Violation::PastEventClamp`] when the
-    /// clamped event was a strategy timer).
-    pub clamped_events: u64,
-    /// High-water mark of the central event queue — what
-    /// [`OverlayRuntime::estimated_queue_len`] must stay at or above.
-    pub peak_queue_len: usize,
-    /// Full transmission trace (only with `capture_trace`).
-    pub trace: Option<Trace>,
-    /// Invariant-audit outcome (only with [`RuntimeConfig::audit`]).
-    pub audit: Option<AuditReport>,
-}
-
-impl DeliveryLog {
-    /// Records one survived runtime inconsistency.
-    fn note_error(&mut self, err: RuntimeError) {
-        self.runtime_errors += 1;
-        if self.errors.len() < MAX_RUNTIME_ERRORS {
-            self.errors.push(err);
-        }
-    }
-
-    /// Iterates over all `(message, subscriber)` expectations in ascending
-    /// key order.
-    pub fn expectations(&self) -> impl Iterator<Item = ((PacketId, NodeId), &Expectation)> {
-        self.expectations.iter()
-    }
-
-    /// Number of `(message, subscriber)` pairs.
-    #[must_use]
-    pub fn num_expectations(&self) -> usize {
-        self.expectations.len()
-    }
-
-    /// The expectation for one `(message, subscriber)` pair.
-    #[must_use]
-    pub fn expectation(&self, id: PacketId, subscriber: NodeId) -> Option<&Expectation> {
-        self.expectations.get(&(id, subscriber))
-    }
-
-    /// Fraction of pairs delivered (late deliveries included).
-    #[must_use]
-    pub fn delivery_ratio(&self) -> f64 {
-        if self.expectations.is_empty() {
-            return 0.0;
-        }
-        let hit = self
-            .expectations
-            .values()
-            .filter(|e| e.delivered.is_some())
-            .count();
-        hit as f64 / self.expectations.len() as f64
-    }
-
-    /// Fraction of pairs delivered within their deadline.
-    #[must_use]
-    pub fn qos_delivery_ratio(&self) -> f64 {
-        if self.expectations.is_empty() {
-            return 0.0;
-        }
-        let hit = self.expectations.values().filter(|e| e.on_time()).count();
-        hit as f64 / self.expectations.len() as f64
-    }
-
-    /// Fraction of *in-slack* pairs delivered: pairs whose requirement was
-    /// still satisfiable whenever overload shedding touched them. A pair a
-    /// broker shed while it was already doomed (deadline unreachable even
-    /// with immediate service and best-case transit) leaves the
-    /// denominator; shedding a pair that still had slack keeps it counted
-    /// and so shows up as lost delivery. Equals
-    /// [`delivery_ratio`](DeliveryLog::delivery_ratio) when nothing was
-    /// shed.
-    #[must_use]
-    pub fn in_slack_delivery_ratio(&self) -> f64 {
-        let mut pairs = 0usize;
-        let mut hit = 0usize;
-        for e in self.expectations.values() {
-            if e.shed_doomed && e.delivered.is_none() {
-                continue;
-            }
-            pairs += 1;
-            if e.delivered.is_some() {
-                hit += 1;
-            }
-        }
-        if pairs == 0 {
-            return 0.0;
-        }
-        hit as f64 / pairs as f64
-    }
-
-    /// Data transmissions per `(message, subscriber)` pair — the paper's
-    /// "Packets Sent / Subscribers".
-    #[must_use]
-    pub fn packets_per_subscriber(&self) -> f64 {
-        if self.expectations.is_empty() {
-            return 0.0;
-        }
-        self.data_sends as f64 / self.expectations.len() as f64
-    }
-}
-
-/// A queued packet's remaining delay slack at a broker, in microseconds:
-/// `deadline − (now + service + best-case remaining transit)`, maximized
-/// over its undelivered destinations. Positive means some destination can
-/// still be reached in time. Packets carrying no live expectation (control
-/// traffic such as NACKs) price at `i128::MAX` so they are shed only as a
-/// last resort — silently dropping recovery traffic costs more than the
-/// seat it frees.
-fn shed_slack(
-    log: &DeliveryLog,
-    sp: &ShortestPaths,
-    packet: &Packet,
-    now: SimTime,
-    service: SimDuration,
-) -> i128 {
-    let eta_base = now.as_micros() as i128 + service.as_micros() as i128;
-    let mut best: Option<i128> = None;
-    for &d in &packet.destinations {
-        let Some(exp) = log.expectations.get(&(packet.id, d)) else {
-            continue;
-        };
-        if exp.delivered.is_some() {
-            continue;
-        }
-        let deadline_at = exp.published.as_micros() as i128 + exp.deadline.as_micros() as i128;
-        let slack = match sp.cost_to(d) {
-            Some(cost) => deadline_at - eta_base - cost as i128,
-            // Unreachable destination: fully doomed for this pair.
-            None => i128::MIN / 2,
-        };
-        best = Some(best.map_or(slack, |b| b.max(slack)));
-    }
-    best.unwrap_or(i128::MAX)
-}
-
-/// Marks the shed packet's undelivered pairs that were already past help
-/// (deadline unreachable even with immediate service and best-case
-/// transit). Returns `(had_live_pairs, any_still_satisfiable)`.
-fn mark_shed_pairs(
-    log: &mut DeliveryLog,
-    sp: &ShortestPaths,
-    packet: &Packet,
-    now: SimTime,
-    service: SimDuration,
-) -> (bool, bool) {
-    let eta_base = now.as_micros() as i128 + service.as_micros() as i128;
-    let mut had_pairs = false;
-    let mut any_sat = false;
-    for &d in &packet.destinations {
-        let Some(exp) = log.expectations.get_mut(&(packet.id, d)) else {
-            continue;
-        };
-        if exp.delivered.is_some() {
-            continue;
-        }
-        had_pairs = true;
-        let deadline_at = exp.published.as_micros() as i128 + exp.deadline.as_micros() as i128;
-        let sat = sp
-            .cost_to(d)
-            .is_some_and(|cost| deadline_at >= eta_base + cost as i128);
-        if sat {
-            any_sat = true;
-        } else {
-            exp.shed_doomed = true;
-        }
-    }
-    (had_pairs, any_sat)
-}
+/// The run's event queue, whose clock is the run's clock.
+type Queue = EventQueue<Event>;
 
 enum Event {
+    /// Round `round` of the workload's `topic`-th topic.
     Publish {
-        topic_index: usize,
+        topic: usize,
         round: u64,
     },
     // Packets do not ride the queue: the wheel moves an entry on every
-    // cascade, so events carry a 4-byte `ParkedPackets` slot where an
-    // inline `Packet` would drag up to 128 bytes through each move.
+    // cascade, so events carry a 4-byte parked-packet slot where an
+    // inline `Packet` would drag up to 128 bytes through each move. The
+    // link is the one the send resolved; the hop ACK returns over it.
     Arrival {
         to: NodeId,
-        from: NodeId,
-        slot: u32,
+        edge: EdgeId,
+        copy: Inbound,
     },
     Process {
         node: NodeId,
-        from: NodeId,
-        slot: u32,
+        copy: Inbound,
     },
     // An ACK echoes no routing header: the shared body (message identity)
     // and the acknowledged copy's tag are all a sender reads from it.
@@ -512,68 +255,85 @@ enum Event {
     },
 }
 
-/// Packets between their `Send` and the receiving broker's routing logic:
-/// on the wire, or waiting for a busy broker. A claimed slot is reused by
-/// the next send, so the steady state allocates nothing per transmission.
-#[derive(Default)]
-struct ParkedPackets {
-    slots: Vec<Option<Packet>>,
-    free: Vec<u32>,
+/// The run's trace (when captured) and auditor (when one runs): every
+/// stage reports what it did to this one pair.
+struct Sinks {
+    trace: Option<Trace>,
+    auditor: Option<InvariantAuditor>,
 }
 
-impl ParkedPackets {
-    /// Parks `packet` and returns its slot.
-    fn park(&mut self, packet: Packet) -> u32 {
-        if let Some(slot) = self.free.pop() {
-            if let Some(seat) = self.slots.get_mut(slot as usize) {
-                *seat = Some(packet);
-            }
-            slot
-        } else {
-            self.slots.push(Some(packet));
-            (self.slots.len() - 1) as u32
+impl Sinks {
+    /// Records `ev` in the trace, then shows it to the auditor, which it
+    /// returns so the caller can flag a verdict on the same event.
+    #[inline]
+    fn trace_and_audit(&mut self, ev: TraceEvent) -> Option<&mut InvariantAuditor> {
+        if let Some(trace) = &mut self.trace {
+            trace.record(ev);
         }
+        let aud = self.auditor.as_mut()?;
+        aud.observe(&ev);
+        Some(aud)
     }
 
-    /// The packet parked in `slot`.
-    fn peek(&self, slot: u32) -> Option<&Packet> {
-        self.slots.get(slot as usize)?.as_ref()
-    }
-
-    /// Takes the packet out of `slot` and frees the slot.
-    fn claim(&mut self, slot: u32) -> Option<Packet> {
-        let packet = self.slots.get_mut(slot as usize)?.take()?;
-        self.free.push(slot);
-        Some(packet)
+    /// Flags a violation the runtime itself detected.
+    fn flag(&mut self, v: Violation) {
+        if let Some(aud) = &mut self.auditor {
+            aud.flag(v);
+        }
     }
 }
 
 /// The mutable state of one run, threaded through every
-/// [`OverlayRuntime::tick`] call: the event queue, the delivery log under
-/// construction, the optional chaos/gossip machinery, and the per-broker
-/// service/overload bookkeeping. One named struct keeps the per-event hot
-/// path a single function the analyzer can anchor on.
-struct RunState {
-    rng: SmallRng,
-    log: DeliveryLog,
-    auditor: Option<InvariantAuditor>,
-    /// Every failure query of the loop goes through this per-epoch memo.
-    failures: FailureView,
-    queue: EventQueue<Event>,
-    parked: ParkedPackets,
-    next_packet_id: u64,
-    monitor: Option<EwmaMonitor>,
-    churn: Option<BrokerChurnModel>,
-    detector: Option<SwimDetector>,
-    gossip: Option<GossipOverlay>,
-    hard_stop: SimTime,
+/// [`OverlayRuntime::tick`]: the queue, the action sink, the sinks, the stages.
+struct RunState<'a> {
+    queue: Queue,
     out: Actions,
-    node_free: Vec<SimTime>,
-    overload: Option<(SimDuration, usize)>,
-    /// Per-broker waiting room (bounded-queue mode): `(sender, slot)`.
-    pending: Vec<Vec<(NodeId, u32)>>,
-    in_service: Vec<bool>,
-    sp_cache: Vec<Option<ShortestPaths>>,
+    sinks: Sinks,
+    transport: Transport<'a>,
+    service: Service,
+    ledger: Ledger,
+    control: Control<'a>,
+}
+
+impl RunState<'_> {
+    /// Routes each action `node`'s callback left in `out` to its stage.
+    fn execute(&mut self, node: NodeId, now: SimTime) {
+        // Churn invariant: a departed broker can neither transmit nor
+        // deliver. The event gates make this unreachable for a correct
+        // strategy; if it fires anyway, the auditor records it and the
+        // action dies.
+        let departed = self.transport.failures.at(now).absent(node);
+        let (queue, sinks, ledger) = (&mut self.queue, &mut self.sinks, &mut self.ledger);
+        let transport = &mut self.transport;
+        // Actions may cascade only through scheduled events, so one pass
+        // over the sink is complete. Draining moves each action straight out
+        // of the sink's recycled buffer.
+        for action in self.out.drain() {
+            match action {
+                Action::Send { packet, .. } if departed => {
+                    let packet = packet.id;
+                    sinks.flag(Violation::RouteThroughDead { packet, node });
+                }
+                Action::Deliver { packet } if departed => {
+                    sinks.flag(Violation::DeliveryToDeparted { packet, node });
+                }
+                Action::Send { to, packet } => {
+                    transport.send(queue, &mut ledger.log, sinks, node, to, packet);
+                }
+                Action::SetTimer { at, key } => {
+                    // The queue clamps a strictly-past instant to `now` and
+                    // reports it; a `now + 0` timer is legitimate. A clamp
+                    // means a strategy computed a stale deadline — an
+                    // auditor violation, not a silent reorder.
+                    if queue.schedule(at, Event::Timer { node, key }) {
+                        sinks.flag(Violation::PastEventClamp { node, at, now });
+                    }
+                }
+                // Deliveries, suppressions and give-ups.
+                action => ledger.record(sinks, node, action, now),
+            }
+        }
+    }
 }
 
 /// Runs one strategy over one topology + workload and returns the delivery
@@ -661,609 +421,142 @@ impl<'a> OverlayRuntime<'a> {
     /// [`DeliveryLog::invalid_sends`] / [`DeliveryLog::invalid_delivers`]
     /// rather than aborting the run.
     pub fn run<S: RoutingStrategy + ?Sized>(&self, strategy: &mut S) -> DeliveryLog {
-        let rng = rng_for(self.config.seed, "runtime");
-        let mut log = DeliveryLog {
-            trace: self.config.capture_trace.then(Trace::new),
-            ..DeliveryLog::default()
-        };
-        let auditor = self.config.audit.map(InvariantAuditor::new);
+        let config = &self.config;
         // Sized here, before the strategy's setup, so the event loop never
-        // allocates for it.
-        let failures = FailureView::new(self.failure, self.topology);
-        let mut queue: EventQueue<Event> = EventQueue::with_capacity(self.estimated_queue_len());
-        let next_packet_id: u64 = 0;
-
-        let initial_estimates = self.initial_estimates();
-        let monitor = match self.config.monitoring {
-            Monitoring::Analytic => None,
-            Monitoring::Probing => {
-                // The prior assumes healthy links with their configured
-                // delay: what a broker knows before any measurement.
-                let prior_gamma = 1.0;
-                let mut mon = EwmaMonitor::new(
-                    self.topology.num_edges(),
-                    LinkEstimate::new(SimDuration::from_millis(30), prior_gamma),
-                    EWMA_WEIGHT,
-                );
-                // Give each edge its true delay as the alpha prior (delays
-                // are measurable instantly from one successful probe).
-                for e in self.topology.edge_ids() {
-                    mon.observe(e, Some(self.topology.delay(e)));
-                }
-                Some(mon)
-            }
+        // allocates for them.
+        let transport = Transport::new(self);
+        let mut queue = Queue::with_capacity(self.estimated_queue_len());
+        let mut ledger = Ledger::new(config.duration);
+        let sinks = Sinks {
+            trace: config.capture_trace.then(Trace::new),
+            auditor: config.audit.map(InvariantAuditor::new),
         };
-
-        {
-            // The configured publish duration IS the workload's publish
-            // horizon; inject it so strategies (e.g. recovery sweeps) never
-            // expect sequence numbers that were never published.
-            let params = RunParams {
-                horizon: self.config.duration,
-                ..self.config.params
-            };
-            let ctx = SetupContext {
-                topology: self.topology,
-                estimates: &initial_estimates,
-                workload: self.workload,
-                failure_oracle: &self.failure,
-                params,
-            };
-            strategy.setup(&ctx);
-        }
-
-        // Seed the publish schedule and monitoring ticks.
-        for (i, t) in self.workload.topics().iter().enumerate() {
-            let first = t.publish_time(0);
-            if first.saturating_since(SimTime::ZERO) <= self.config.duration {
-                queue.schedule(
-                    first,
-                    Event::Publish {
-                        topic_index: i,
-                        round: 0,
-                    },
-                );
-            }
-        }
-        if self.config.monitoring == Monitoring::Probing {
-            queue.schedule(SimTime::ZERO + PROBE_INTERVAL, Event::Probe);
-            queue.schedule(SimTime::ZERO + MONITOR_INTERVAL, Event::Monitor);
-        }
-        // Crash-restart and churn sweeps run at every epoch boundary (1 s,
-        // matching the chaos models' epoch) so restarted brokers lose their
-        // volatile router state at the moment they come back and the
-        // failure detector probes once per epoch.
-        if self
-            .failure
-            .chaos()
-            .is_some_and(|c| c.crashes().is_some() || c.churn().is_some())
-        {
-            queue.schedule(SimTime::from_secs(1), Event::ChaosTick { epoch: 1 });
-        }
-        // With broker churn, a SWIM-style failure detector turns ground-
-        // truth probe outcomes into membership deltas for the strategy.
-        // Absent from the start when churn is off, so crash-only runs are
-        // byte-identical to their pre-churn behavior.
-        let churn: Option<BrokerChurnModel> = self.failure.chaos().and_then(|c| c.churn()).copied();
-        let detector = churn.as_ref().map(|ch| {
-            SwimDetector::new(
-                self.topology.num_nodes(),
-                |n| ch.present_in_epoch(n, 0),
-                SwimConfig {
-                    seed: self.config.seed,
-                    ..SwimConfig::default()
-                },
-            )
+        // The configured publish duration IS the workload's publish
+        // horizon; inject it so strategies (e.g. recovery sweeps) never
+        // expect sequence numbers that were never published.
+        let params = RunParams {
+            horizon: config.duration,
+            ..config.params
+        };
+        strategy.setup(&SetupContext {
+            topology: self.topology,
+            estimates: &self.initial_estimates(),
+            workload: self.workload,
+            failure_oracle: &self.failure,
+            params,
         });
-        // Gossip dissemination interposes an epidemic overlay between the
-        // detector and the strategy; Oracle and None need no state.
-        let gossip: Option<GossipOverlay> = match self.config.dissemination {
-            Dissemination::Gossip(cfg) if detector.is_some() => {
-                Some(GossipOverlay::new(self.topology.num_nodes(), cfg))
-            }
-            _ => None,
-        };
 
-        let hard_stop = SimTime::ZERO + self.config.duration + DRAIN_GRACE;
-        let out = Actions::new();
-        let node_free: Vec<SimTime> = vec![SimTime::ZERO; self.topology.num_nodes()];
-
-        // Overload mode (bounded service queues): per-broker FIFO of
-        // waiting packets, an in-service flag, and a lazy per-broker
-        // shortest-path cache that prices best-case remaining transit when
-        // computing shed slack. All Vec-indexed by node: deterministic.
-        let overload = match (self.config.processing_time, self.config.queue_limit) {
-            (Some(service), Some(limit)) => Some((service, limit)),
-            _ => None,
-        };
-        let mut pending: Vec<Vec<(NodeId, u32)>> = Vec::new();
-        let mut in_service: Vec<bool> = Vec::new();
-        let mut sp_cache: Vec<Option<ShortestPaths>> = Vec::new();
-        if overload.is_some() {
-            pending.resize_with(self.topology.num_nodes(), Vec::new);
-            in_service.resize(self.topology.num_nodes(), false);
-            sp_cache.resize_with(self.topology.num_nodes(), || None);
-            log.sheds_by_node = vec![0; self.topology.num_nodes()];
+        // Seed the publish schedule, then the control plane's ticks.
+        for (i, spec) in self.workload.topics().iter().enumerate() {
+            ledger.schedule(&mut queue, spec, i, 0);
         }
-
+        let hard_stop = SimTime::ZERO + config.duration + DRAIN_GRACE;
         let mut st = RunState {
-            rng,
-            log,
-            auditor,
-            failures,
+            control: Control::start(&mut queue, self, hard_stop),
+            service: Service::new(config, &mut ledger.log, self.topology.num_nodes()),
             queue,
-            parked: ParkedPackets::default(),
-            next_packet_id,
-            monitor,
-            churn,
-            detector,
-            gossip,
-            hard_stop,
-            out,
-            node_free,
-            overload,
-            pending,
-            in_service,
-            sp_cache,
+            out: Actions::new(),
+            sinks,
+            transport,
+            ledger,
         };
         while let Some((now, event)) = st.queue.pop() {
-            if now > st.hard_stop {
+            if now > hard_stop {
                 break;
             }
             if st.queue.events_processed() > MAX_EVENTS {
-                st.log.truncated = true;
+                st.ledger.log.truncated = true;
                 break;
             }
             self.tick(&mut st, strategy, now, event);
         }
-        let RunState {
-            mut log,
-            auditor,
-            queue,
-            gossip,
-            ..
-        } = st;
-        if let Some(overlay) = &gossip {
-            log.rumors_sent = overlay.rumors_sent();
-            log.anti_entropy_rounds = overlay.anti_entropy_rounds();
-            log.gossip_deltas_applied = overlay.deltas_converged();
-            log.stale_reconciliations = overlay.stale_reconciliations();
-        }
-        log.events_processed = queue.events_processed();
-        log.clamped_events = queue.clamped();
-        log.peak_queue_len = queue.peak_len();
-        log.audit = auditor.map(InvariantAuditor::finish);
+        let mut log = st.ledger.log;
+        st.control.finish(&mut log);
+        log.events_processed = st.queue.events_processed();
+        log.clamped_events = st.queue.clamped();
+        log.peak_queue_len = st.queue.peak_len();
+        log.trace = st.sinks.trace;
+        log.audit = st.sinks.auditor.map(InvariantAuditor::finish);
         log
     }
 
-    /// Processes one event: the body of [`OverlayRuntime::run`]'s event
-    /// loop, factored out so the per-event hot path is one named function
+    /// Processes one event of [`OverlayRuntime::run`]'s loop by dispatching
+    /// it to the stages and the strategy: the one named per-event function
     /// the analyzer's `PANIC001` pass anchors its reachability walk on.
     fn tick<S: RoutingStrategy + ?Sized>(
         &self,
-        st: &mut RunState,
+        st: &mut RunState<'_>,
         strategy: &mut S,
         now: SimTime,
         event: Event,
     ) {
         match event {
-            Event::Publish { topic_index, round } => {
-                let Some(spec) = self.workload.topics().get(topic_index) else {
+            Event::Publish { topic, round } => {
+                let Some(spec) = self.workload.topics().get(topic) else {
                     return; // unreachable: publishes are scheduled per topic
                 };
-                let id = PacketId::new(st.next_packet_id);
-                st.next_packet_id += 1;
-                st.log.messages_published += 1;
-                // Churn extension: only subscriptions active at publish
-                // time receive (and are accounted for) this message.
-                let active = spec.active_subscriptions(now);
-                let subscribers = active.clone().count();
-                st.log.expectations.reserve_row(id, subscribers);
-                for sub in active.clone() {
-                    st.log.expectations.insert(
-                        (id, sub.subscriber),
-                        Expectation {
-                            published: now,
-                            deadline: sub.deadline,
-                            delivered: None,
-                            gave_up: false,
-                            shed_doomed: false,
-                        },
-                    );
-                }
-                if subscribers > 0 {
-                    // The publish round doubles as the per-(topic,
-                    // publisher) sequence number subscribers use for gap
-                    // detection.
-                    let packet = Packet::new(
-                        id,
-                        spec.topic,
-                        spec.publisher,
-                        now,
-                        active.fold(NodeList::with_capacity(subscribers), |mut list, s| {
-                            list.push(s.subscriber);
-                            list
-                        }),
-                    )
-                    .with_seq(round);
-                    if let Some(aud) = &mut st.auditor {
-                        aud.observe_publish(&packet);
-                    }
+                if let Some(packet) = st.ledger.publish(&mut st.sinks, spec, round, now) {
                     strategy.on_publish(spec.publisher, packet, now, &mut st.out);
-                    self.execute(st, spec.publisher, now);
+                    st.execute(spec.publisher, now);
                 }
-
-                let next = spec.publish_time(round + 1);
-                if next.saturating_since(SimTime::ZERO) <= self.config.duration {
-                    st.queue.schedule(
-                        next,
-                        Event::Publish {
-                            topic_index,
-                            round: round + 1,
-                        },
-                    );
+                st.ledger.schedule(&mut st.queue, spec, topic, round + 1);
+            }
+            Event::Arrival { to, edge, copy } => {
+                if !st.transport.arrive(&mut st.queue, to, edge, copy) {
+                    return;
+                }
+                let (queue, transport) = (&mut st.queue, &mut st.transport);
+                let (ledger, sinks) = (&mut st.ledger, &mut st.sinks);
+                if let Some(packet) = st.service.admit(queue, transport, ledger, sinks, to, copy) {
+                    strategy.on_packet(to, copy.from, packet, now, &mut st.out);
+                    st.execute(to, now);
                 }
             }
-            Event::Arrival { to, from, slot } => {
-                // A broker that crashed while the packet was in flight
-                // loses it: no ACK, no processing. (The epoch-failure
-                // node model only blocks transmissions at send time;
-                // the crash model also eats arrivals.)
-                if st.failures.at(now).chaos_down(to) {
-                    st.parked.claim(slot);
-                    return;
-                }
-                let Some(packet) = st.parked.peek(slot) else {
-                    return; // unreachable: every send parks its packet
-                };
-                // Hop-by-hop ACK, generated before processing
-                // (Algorithm 2 line 2). Subject to the same link rules.
-                let Some(edge) = self.topology.edge_between(to, from) else {
-                    st.log.note_error(RuntimeError::ArrivalWithoutLink {
-                        from,
-                        to,
-                        packet: packet.id,
-                    });
-                    st.parked.claim(slot);
-                    return;
-                };
-                let failures = st.failures.at(now);
-                let fate = failures.fate(self.topology, edge, to, &self.loss, &mut st.rng);
-                if let Fate::Arrived { at } = fate {
-                    let ack_at = match self.config.ack_transit {
-                        AckTransit::Immediate => now,
-                        AckTransit::RoundTrip => at,
-                    };
-                    st.queue.schedule(
-                        ack_at,
-                        Event::AckArrival {
-                            at: from,
-                            to,
-                            body: Arc::clone(&packet.body),
-                            tag: packet.tag,
-                        },
-                    );
-                }
-                match (self.config.processing_time, st.overload) {
-                    (None, _) => {
-                        let Some(packet) = st.parked.claim(slot) else {
-                            return;
-                        };
-                        strategy.on_packet(to, from, packet, now, &mut st.out);
-                        self.execute(st, to, now);
-                    }
-                    (Some(service), None) => {
-                        // Serial per-broker service: the packet waits
-                        // for the broker to free up, then takes
-                        // `service` before the routing logic runs.
-                        let Some(free) = st.node_free.get_mut(to.index()) else {
-                            return; // unreachable: sized to num_nodes
-                        };
-                        let start = (*free).max(now);
-                        let done = start + service;
-                        *free = done;
-                        st.queue.schedule(
-                            done,
-                            Event::Process {
-                                node: to,
-                                from,
-                                slot,
-                            },
-                        );
-                    }
-                    (Some(_), Some((service, limit))) => {
-                        // Bounded queue: enqueue, shed the policy's
-                        // victim on overflow, start service if idle.
-                        let Some(q) = st.pending.get_mut(to.index()) else {
-                            return; // unreachable: sized to num_nodes
-                        };
-                        q.push((from, slot));
-                        if q.len() > limit {
-                            let Some(cache) = st.sp_cache.get_mut(to.index()) else {
-                                return;
-                            };
-                            let sp = cache
-                                .get_or_insert_with(|| dijkstra(self.topology, to, Metric::Delay));
-                            let slacks: Vec<i128> = q
-                                .iter()
-                                .map(|&(_, waiting)| {
-                                    st.parked.peek(waiting).map_or(i128::MAX, |p| {
-                                        shed_slack(&st.log, sp, p, now, service)
-                                    })
-                                })
-                                .collect();
-                            let victim = match self.config.shed_policy {
-                                // Newest arrival, regardless of slack.
-                                ShedPolicy::TailDrop => q.len() - 1,
-                                // First index of minimum slack: ties
-                                // break toward the oldest arrival.
-                                ShedPolicy::LeastSlack => {
-                                    let mut best = 0;
-                                    let mut best_slack = i128::MAX;
-                                    for (i, s) in slacks.iter().enumerate() {
-                                        if *s < best_slack {
-                                            best = i;
-                                            best_slack = *s;
-                                        }
-                                    }
-                                    best
-                                }
-                            };
-                            let (_, shed) = q.remove(victim);
-                            let Some(shed) = st.parked.claim(shed) else {
-                                return;
-                            };
-                            let kept_doomed = slacks
-                                .iter()
-                                .enumerate()
-                                .any(|(i, s)| i != victim && *s < 0);
-                            let (_, any_sat) =
-                                mark_shed_pairs(&mut st.log, sp, &shed, now, service);
-                            st.log.sheds += 1;
-                            if let Some(n) = st.log.sheds_by_node.get_mut(to.index()) {
-                                *n += 1;
-                            }
-                            if !any_sat {
-                                st.log.doomed_sheds += 1;
-                            }
-                            let ev = TraceEvent::Shed {
-                                at: now,
-                                node: to,
-                                packet: shed.id,
-                            };
-                            if let Some(aud) =
-                                trace_and_audit(&mut st.log.trace, &mut st.auditor, ev)
-                            {
-                                // Delay-cognizance gate: overload may
-                                // only claim traffic that is past help
-                                // while doomed packets hold seats.
-                                if any_sat && kept_doomed {
-                                    aud.flag(Violation::UnjustifiedShed {
-                                        packet: shed.id,
-                                        node: to,
-                                    });
-                                }
-                            }
-                        }
-                        let depth = q.len();
-                        st.log.max_queue_depth = st.log.max_queue_depth.max(depth);
-                        let Some(busy) = st.in_service.get_mut(to.index()) else {
-                            return;
-                        };
-                        if !*busy && !q.is_empty() {
-                            let (f, next) = q.remove(0);
-                            *busy = true;
-                            st.queue.schedule(
-                                now + service,
-                                Event::Process {
-                                    node: to,
-                                    from: f,
-                                    slot: next,
-                                },
-                            );
-                        }
-                    }
-                }
-            }
-            Event::Process { node, from, slot } => {
-                let Some(packet) = st.parked.claim(slot) else {
-                    return; // unreachable: the slot was parked at send time
-                };
-                // A broker that departed while the packet sat in its
-                // service queue never processes it. (Crash-down brokers
-                // already dropped the arrival; churn-absent brokers are
-                // gone for good, so their queue dies with them.)
-                if st.failures.at(now).absent(node) {
-                    if st.overload.is_some() {
-                        // Bounded mode: the departed broker's waiting
-                        // room dies with it too (churn loss, not an
-                        // overload shed).
-                        if let Some(q) = st.pending.get_mut(node.index()) {
-                            for (_, waiting) in q.drain(..) {
-                                st.parked.claim(waiting);
-                            }
-                        }
-                        if let Some(busy) = st.in_service.get_mut(node.index()) {
-                            *busy = false;
-                        }
-                    }
-                    return;
-                }
-                strategy.on_packet(node, from, packet, now, &mut st.out);
-                self.execute(st, node, now);
-                if let Some((service, _)) = st.overload {
-                    // Serve the next waiting packet, FIFO.
-                    let Some(q) = st.pending.get_mut(node.index()) else {
-                        return; // unreachable: sized to num_nodes
-                    };
-                    if q.is_empty() {
-                        if let Some(busy) = st.in_service.get_mut(node.index()) {
-                            *busy = false;
-                        }
-                    } else {
-                        let (f, next) = q.remove(0);
-                        st.queue.schedule(
-                            now + service,
-                            Event::Process {
-                                node,
-                                from: f,
-                                slot: next,
-                            },
-                        );
-                    }
+            Event::Process { node, copy } => {
+                if let Some(packet) = st.service.serve(&mut st.transport, node, copy.slot, now) {
+                    strategy.on_packet(node, copy.from, packet, now, &mut st.out);
+                    st.execute(node, now);
+                    st.service.next(&mut st.queue, node);
                 }
             }
             Event::AckArrival { at, to, body, tag } => {
-                // An ACK addressed to a crash-down sender dies with its
-                // in-flight state.
-                if st.failures.at(now).chaos_down(at) {
-                    return;
+                let log = &mut st.ledger.log;
+                if st.transport.ack(log, &mut st.sinks, at, to, body.id, now) {
+                    strategy.on_ack(at, to, &Packet::ack_view(body, tag), now, &mut st.out);
+                    st.execute(at, now);
                 }
-                st.log.acks_delivered += 1;
-                let ev = TraceEvent::Ack {
-                    at: now,
-                    from: to,
-                    to: at,
-                    packet: body.id,
-                };
-                trace_and_audit(&mut st.log.trace, &mut st.auditor, ev);
-                strategy.on_ack(at, to, &Packet::ack_view(body, tag), now, &mut st.out);
-                self.execute(st, at, now);
             }
+            // A departed broker's timers die with it. Crash-down brokers
+            // keep theirs: stale timers fire into wiped state and no-op.
             Event::Timer { node, key } => {
-                // A departed broker's timers die with it. Crash-down
-                // brokers keep their timers (PR 3 semantics: stale
-                // timers fire into wiped state and no-op).
-                if st.failures.at(now).absent(node) {
-                    return;
-                }
-                strategy.on_timer(node, key, now, &mut st.out);
-                self.execute(st, node, now);
-            }
-            Event::Probe => {
-                let Some(mon) = st.monitor.as_mut() else {
-                    st.log.note_error(RuntimeError::MonitorMissing);
-                    return;
-                };
-                let failures = st.failures.at(now);
-                for e in self.topology.edge_ids() {
-                    let from = self.topology.edge(e).a();
-                    let fate = failures.fate(self.topology, e, from, &self.loss, &mut st.rng);
-                    let observed = match fate {
-                        Fate::Arrived { at } => Some(at.saturating_since(now)),
-                        Fate::Blocked(_) | Fate::Lost(_) => None,
-                    };
-                    mon.observe(e, observed);
-                }
-                if now.saturating_since(SimTime::ZERO) < self.config.duration {
-                    st.queue.schedule(now + PROBE_INTERVAL, Event::Probe);
+                if !st.transport.failures.at(now).absent(node) {
+                    strategy.on_timer(node, key, now, &mut st.out);
+                    st.execute(node, now);
                 }
             }
-            Event::Monitor => {
-                let Some(mon) = st.monitor.as_ref() else {
-                    st.log.note_error(RuntimeError::MonitorMissing);
-                    return;
-                };
-                strategy.on_monitor(&mon.estimates(), now);
-                if now.saturating_since(SimTime::ZERO) < self.config.duration {
-                    st.queue.schedule(now + MONITOR_INTERVAL, Event::Monitor);
-                }
-            }
+            Event::Probe => st.control.probe(&mut st.queue, &mut st.transport),
+            Event::Monitor => st.control.monitor(&mut st.queue, strategy),
+            // Failure detection first, so repair and custody handoff are in
+            // place when restarted brokers replay their custody, and those
+            // replay before any broker's housekeeping tick.
             Event::ChaosTick { epoch } => {
-                // Failure detection first: the detector probes the
-                // epoch's ground truth and hands any membership deltas
-                // to the strategy, so repair and custody handoff are in
-                // place before restarts replay and ticks sweep.
-                if let (Some(det), Some(ch)) = (st.detector.as_mut(), st.churn.as_ref()) {
-                    // The tick runs at the epoch's first instant, so
-                    // `chaos_down` (churn-absent or crash-down) is the
-                    // models' answer for `epoch`.
-                    let failures = st.failures.at(now);
-                    let deltas = det.tick(epoch, |n| {
-                        if ch.departed_in_epoch(n, epoch) {
-                            GroundTruth::Departed
-                        } else if failures.chaos_down(n) {
-                            GroundTruth::Down
-                        } else {
-                            GroundTruth::Up
-                        }
-                    });
-                    if let Some(overlay) = st.gossip.as_mut() {
-                        // Epidemic dissemination: each delta becomes a
-                        // rumor at its witness broker. Self-announced
-                        // events (joins, leaves, refutations) start at
-                        // the node they are about; a confirmed death
-                        // needs a live spokesbroker — the lowest-index
-                        // up-and-present broker other than the corpse.
-                        let up = |x: NodeId| !failures.chaos_down(x);
-                        for &d in &deltas {
-                            let witness = match d {
-                                MembershipDelta::ConfirmDead { .. } => {
-                                    (0..self.topology.num_nodes())
-                                        .map(|i| self.topology.node(i))
-                                        .find(|&x| x != d.node() && up(x))
-                                        .unwrap_or_else(|| d.node())
-                                }
-                                _ => d.node(),
-                            };
-                            overlay.submit(d, witness, epoch);
-                        }
-                        // Control-plane connectivity: two brokers can
-                        // exchange gossip when both are up and no
-                        // active partition separates them. Partitions
-                        // therefore stall convergence until they heal.
-                        let split =
-                            |a: NodeId, b: NodeId| failures.isolated(a) != failures.isolated(b);
-                        let tick = overlay.tick(epoch, |a, b| up(a) && up(b) && !split(a, b), up);
-                        if !tick.converged.is_empty() {
-                            strategy.on_gossip(&tick.converged, now);
-                        }
-                        if let Some(aud) = &mut st.auditor {
-                            for s in &tick.stale {
-                                aud.flag(Violation::StaleRouteAfterConvergence {
-                                    node: s.node,
-                                    rounds: s.rounds,
-                                });
-                            }
-                        }
-                    } else if self.config.dissemination == Dissemination::Oracle
-                        && !deltas.is_empty()
-                    {
-                        strategy.on_membership(&deltas, now);
-                    }
-                    // Dissemination::None drops detector output: the
-                    // strategy routes on stale membership forever.
-                }
-                // All restarts first: a broker that came back this epoch
-                // replays its custody before any node's housekeeping
-                // tick reacts to the new state.
-                for i in 0..self.topology.num_nodes() {
-                    let node = self.topology.node(i);
-                    let restarted = self
-                        .failure
-                        .chaos()
-                        .is_some_and(|c| c.restarted_at_epoch(node, epoch));
-                    if restarted {
+                let (failures, sinks) = (st.transport.failures.at(now), &mut st.sinks);
+                st.control.detect(epoch, failures, sinks, strategy, now);
+                for node in self.topology.nodes() {
+                    if st.control.restarted(node, epoch) {
                         strategy.on_restart(node, now, &mut st.out);
-                        self.execute(st, node, now);
+                        st.execute(node, now);
                     }
                 }
-                // Then one housekeeping tick per live broker (recovery
-                // strategies run their gap-detection sweep here). A
-                // crashed broker cannot sweep.
-                for i in 0..self.topology.num_nodes() {
-                    let node = self.topology.node(i);
-                    if st.failures.at(now).chaos_down(node) {
-                        continue;
+                // Recovery strategies sweep for gaps here; a crashed
+                // broker cannot sweep.
+                for node in self.topology.nodes() {
+                    if !st.transport.failures.at(now).chaos_down(node) {
+                        strategy.on_tick(node, now, &mut st.out);
+                        st.execute(node, now);
                     }
-                    strategy.on_tick(node, now, &mut st.out);
-                    self.execute(st, node, now);
                 }
-                let next = SimTime::from_secs(epoch + 1);
-                if next <= st.hard_stop {
-                    st.queue
-                        .schedule(next, Event::ChaosTick { epoch: epoch + 1 });
-                }
+                st.control.next_epoch(&mut st.queue, epoch);
             }
         }
     }
@@ -1276,14 +569,10 @@ impl<'a> OverlayRuntime<'a> {
     /// configured burst. [`DeliveryLog::peak_queue_len`] reports what a run
     /// actually reached; the estimate must stay at or above it.
     ///
-    /// The queue reserves this much for the timer wheel's ready lane only.
-    /// That lane holds the entries of a single µs tick — pending events
-    /// wait in the wheel's slot buffers, which size themselves during the
-    /// first lap and are recycled from then on — so the reservation is a
-    /// generous one-off (the 64-broker benchmark workload peaks at 187
-    /// pending events in total). Only its first few entries are ever
-    /// touched: the lane restarts at the buffer's start each time it
-    /// empties, instead of walking its ring through the whole reservation.
+    /// The queue reserves this much for the timer wheel's ready lane only,
+    /// which holds a single µs tick's entries (pending events wait in the
+    /// wheel's recycled slot buffers), so the reservation is a generous
+    /// one-off: the 64-broker benchmark workload peaks at 187 pending events.
     #[must_use]
     pub fn estimated_queue_len(&self) -> usize {
         // The wheel's slot count, as the floor for tiny runs.
@@ -1318,159 +607,16 @@ impl<'a> OverlayRuntime<'a> {
             Monitoring::Probing => analytic_estimates(self.topology, 0.0, 0.0),
         }
     }
-
-    /// Carries out the actions `node`'s callback left in `st.out`.
-    fn execute(&self, st: &mut RunState, node: NodeId, now: SimTime) {
-        let RunState {
-            out,
-            queue,
-            parked,
-            rng,
-            log,
-            auditor,
-            failures,
-            ..
-        } = st;
-        let failures = failures.at(now);
-        // Actions may cascade only through scheduled events, so one pass
-        // over the sink is complete. Draining moves each action straight out
-        // of the sink's recycled buffer.
-        for action in out.drain() {
-            match action {
-                Action::Send { to, packet } => {
-                    // Churn invariant: a departed broker cannot transmit.
-                    // The event gates make this unreachable for a correct
-                    // strategy; if it fires anyway, the auditor records a
-                    // routing loop through a dead broker and the send dies.
-                    if failures.absent(node) {
-                        if let Some(aud) = auditor {
-                            aud.flag(Violation::RouteThroughDead {
-                                packet: packet.id,
-                                node,
-                            });
-                        }
-                        continue;
-                    }
-                    let Some(edge) = self.topology.edge_between(node, to) else {
-                        log.invalid_sends += 1;
-                        continue;
-                    };
-                    log.data_sends += 1;
-                    let fate = failures.fate(self.topology, edge, node, &self.loss, rng);
-                    match fate {
-                        Fate::Blocked(_) => log.sends_blocked += 1,
-                        Fate::Lost(_) => log.sends_lost += 1,
-                        Fate::Arrived { .. } => {}
-                    }
-                    let ev = TraceEvent::Send {
-                        at: now,
-                        from: node,
-                        to,
-                        packet: packet.id,
-                        destinations: packet.destinations.len() as u32,
-                        fate,
-                    };
-                    trace_and_audit(&mut log.trace, auditor, ev);
-                    if let Fate::Arrived { at } = fate {
-                        queue.schedule(
-                            at,
-                            Event::Arrival {
-                                to,
-                                from: node,
-                                slot: parked.park(packet),
-                            },
-                        );
-                    }
-                }
-                Action::Deliver { packet } => {
-                    // Churn invariant: no delivery on a departed subscriber.
-                    if failures.absent(node) {
-                        if let Some(aud) = auditor {
-                            aud.flag(Violation::DeliveryToDeparted { packet, node });
-                        }
-                        continue;
-                    }
-                    let Some(exp) = log.expectations.get_mut(&(packet, node)) else {
-                        log.invalid_delivers += 1;
-                        continue;
-                    };
-                    if exp.delivered.is_none() {
-                        exp.delivered = Some(now);
-                    } else {
-                        log.duplicate_deliveries += 1;
-                    }
-                    let ev = TraceEvent::Deliver {
-                        at: now,
-                        node,
-                        packet,
-                    };
-                    trace_and_audit(&mut log.trace, auditor, ev);
-                }
-                Action::SetTimer { at, key } => {
-                    // The queue clamps a strictly-past instant to `now` and
-                    // reports it; a `now + 0` timer is legitimate and does
-                    // not trip the clamp. A flagged clamp means a strategy
-                    // computed a stale deadline — an auditor violation, not
-                    // a silent reorder.
-                    if queue.schedule(at, Event::Timer { node, key }) {
-                        if let Some(aud) = auditor {
-                            aud.flag(Violation::PastEventClamp { node, at, now });
-                        }
-                    }
-                }
-                Action::Suppress { packet } => {
-                    log.suppressed += 1;
-                    let ev = TraceEvent::Suppress {
-                        at: now,
-                        node,
-                        packet,
-                    };
-                    trace_and_audit(&mut log.trace, auditor, ev);
-                }
-                Action::GiveUp {
-                    packet,
-                    destination,
-                } => {
-                    if let Some(exp) = log.expectations.get_mut(&(packet, destination)) {
-                        exp.gave_up = true;
-                    }
-                    let ev = TraceEvent::GiveUp {
-                        at: now,
-                        node,
-                        packet,
-                        destination,
-                    };
-                    trace_and_audit(&mut log.trace, auditor, ev);
-                }
-            }
-        }
-    }
-}
-
-/// Records `ev` in the trace (when one is captured), then shows it to the
-/// auditor (when one runs); returns the auditor so the caller can flag a
-/// verdict on the same event after the auditor has seen it.
-#[inline]
-fn trace_and_audit<'a>(
-    trace: &mut Option<Trace>,
-    auditor: &'a mut Option<InvariantAuditor>,
-    ev: TraceEvent,
-) -> Option<&'a mut InvariantAuditor> {
-    if let Some(trace) = trace {
-        trace.record(ev);
-    }
-    let aud = auditor.as_mut()?;
-    aud.observe(&ev);
-    Some(aud)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packet::PacketId;
     use crate::strategy::ack_timeout;
     use crate::topic::{Subscription, TopicId};
     use crate::workload::TopicSpec;
-    use dcrd_net::failure::LinkFailureModel;
+    use dcrd_net::failure::{Fate, LinkFailureModel};
     use dcrd_net::topology::line;
 
     /// Minimal flooding strategy used to exercise the runtime: forwards
@@ -1535,6 +681,13 @@ mod tests {
             burst: None,
         };
         (topo, Workload::from_topics(vec![spec]))
+    }
+
+    #[test]
+    fn events_stay_32_bytes() {
+        // An arrival carries the link its send resolved without growing the
+        // entry every wheel move drags along.
+        assert_eq!(std::mem::size_of::<Event>(), 32);
     }
 
     #[test]
