@@ -13,7 +13,6 @@
 //! | `DET003` | `partial_cmp` inside sort comparators |
 //! | `SAFE001` | `unwrap()`/`expect()` in hot-path crates |
 //! | `SAFE002` | unchecked arithmetic in `SimTime` construction and counters |
-//! | `SAFE003` | unclamped capacity hints in wire-codec files |
 //! | `PURE001` | ambient IO/threads/async runtimes in the sans-io crates |
 //! | `PURE002` | wall clocks and `std::io` in the sans-io crates |
 //! | `PURE003` | `std::sync` shared-mutation primitives (Arc is allowed) |
@@ -80,13 +79,14 @@ pub fn load_config(root: &Path) -> io::Result<AnalyzerConfig> {
 /// Walks the workspace under `root` and runs every pass: the per-file
 /// lexical rules over each non-test `.rs` file, then the graph passes
 /// (`PANIC001` over the symbol graph, `LAYER001` over the manifests).
+/// A file that a `#[cfg(test)] mod name;` pulls in is test code, as is
+/// every module below it: it is scanned fully masked.
 /// Diagnostics come back sorted by `(path, line, col, rule)`.
 pub fn analyze_workspace(root: &Path) -> io::Result<Vec<Diagnostic>> {
     let cfg = load_config(root)?;
     let mut files: Vec<PathBuf> = Vec::new();
     collect_files(root, &mut files)?;
     files.sort();
-    let mut diags = Vec::new();
     // path → (original, masked) for every scanned `.rs` file; the graph
     // passes reuse the masking work done for the lexical rules.
     let mut texts: BTreeMap<String, (String, String)> = BTreeMap::new();
@@ -102,15 +102,24 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Vec<Diagnostic>> {
             .replace('\\', "/");
         if rel.ends_with("Cargo.toml") {
             manifests.insert(rel, source);
-            continue;
+        } else {
+            let masked = mask::mask_source(&source);
+            texts.insert(rel, (source, masked));
         }
-        let masked = mask::strip_test_regions(&mask::mask_source(&source));
-        let mut file_diags = rules::scan_file(&rel, &source, &masked);
+    }
+    let test_modules = out_of_line_test_files(&texts);
+    let mut diags = Vec::new();
+    for (rel, (source, masked)) in &mut texts {
+        *masked = if test_modules.contains(rel) {
+            mask::blank_all(masked)
+        } else {
+            mask::strip_test_regions(masked)
+        };
+        let mut file_diags = rules::scan_file(rel, source, masked);
         if cfg.pure_exempt.iter().any(|p| rel.starts_with(p.as_str())) {
             file_diags.retain(|d| !d.rule.starts_with("PURE"));
         }
         diags.extend(file_diags);
-        texts.insert(rel, (source, masked));
     }
 
     let masked_files: Vec<(String, String)> = texts
@@ -136,6 +145,33 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Vec<Diagnostic>> {
 
     diags.sort_by(|a, b| (&a.path, a.line, a.col, a.rule).cmp(&(&b.path, b.line, b.col, b.rule)));
     Ok(diags)
+}
+
+/// The files under `texts` (path → masked source) that some
+/// `#[cfg(test)] mod name;` pulls in: `name.rs` or `name/mod.rs` beside a
+/// `lib.rs`, `main.rs` or `mod.rs`, under `parent/` beside any other
+/// `parent.rs`, together with every file below `name/`.
+fn out_of_line_test_files(texts: &BTreeMap<String, (String, String)>) -> BTreeSet<String> {
+    let mut test_files = BTreeSet::new();
+    for (path, (_, masked)) in texts {
+        let module_dir = match path.rsplit_once('/') {
+            Some((dir, "lib.rs" | "main.rs" | "mod.rs")) => dir,
+            _ => path.strip_suffix(".rs").unwrap_or(path),
+        };
+        for name in mask::out_of_line_test_modules(masked) {
+            let module = format!("{module_dir}/{name}");
+            let below = format!("{module}/");
+            test_files.extend(
+                texts
+                    .keys()
+                    .filter(|p| {
+                        p.strip_suffix(".rs") == Some(module.as_str()) || p.starts_with(&below)
+                    })
+                    .cloned(),
+            );
+        }
+    }
+    test_files
 }
 
 /// Collects the `.rs` sources and `Cargo.toml` manifests the passes need.

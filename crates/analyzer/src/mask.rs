@@ -87,24 +87,9 @@ pub fn mask_source(src: &str) -> String {
 pub fn strip_test_regions(masked: &str) -> String {
     let mut out = masked.as_bytes().to_vec();
     let bytes = masked.as_bytes();
-    let needle = b"#[cfg(test)]";
     let mut from = 0;
-    while let Some(pos) = find(bytes, needle, from) {
-        let mut i = pos + needle.len();
-        // Skip whitespace and any further attributes before the item.
-        loop {
-            while i < bytes.len() && bytes[i].is_ascii_whitespace() {
-                i += 1;
-            }
-            if bytes.get(i) == Some(&b'#') && bytes.get(i + 1) == Some(&b'[') {
-                while i < bytes.len() && bytes[i] != b']' {
-                    i += 1;
-                }
-                i += 1;
-            } else {
-                break;
-            }
-        }
+    while let Some(pos) = find(bytes, CFG_TEST, from) {
+        let i = test_item_start(bytes, pos);
         // Blank through the item's braced body (or to `;` for a
         // body-less declaration).
         let mut end = i;
@@ -134,6 +119,67 @@ pub fn strip_test_regions(masked: &str) -> String {
         from = end.max(pos + 1);
     }
     String::from_utf8(out).unwrap_or_default()
+}
+
+/// Blanks every byte of `masked` but its newlines: the mask of a file that
+/// is test code throughout.
+#[must_use]
+pub fn blank_all(masked: &str) -> String {
+    let mut out = masked.as_bytes().to_vec();
+    blank(&mut out, 0, masked.len());
+    String::from_utf8(out).unwrap_or_default()
+}
+
+/// Names of the `#[cfg(test)] mod name;` declarations in a masked source:
+/// test modules kept in a file of their own, which
+/// [`strip_test_regions`] cannot see into.
+#[must_use]
+pub fn out_of_line_test_modules(masked: &str) -> Vec<&str> {
+    let bytes = masked.as_bytes();
+    let mut names = Vec::new();
+    let mut from = 0;
+    while let Some(pos) = find(bytes, CFG_TEST, from) {
+        from = pos + CFG_TEST.len();
+        let item = &masked[test_item_start(bytes, pos)..];
+        let item = ["pub(crate)", "pub"]
+            .iter()
+            .find_map(|vis| item.strip_prefix(vis))
+            .unwrap_or(item)
+            .trim_start();
+        let Some(rest) = item.strip_prefix("mod") else {
+            continue;
+        };
+        if !rest.starts_with(|c: char| c.is_ascii_whitespace()) {
+            continue;
+        }
+        let name = rest.trim_start();
+        let len = name.bytes().take_while(|&b| is_ident(b)).count();
+        if len > 0 && name[len..].trim_start().starts_with(';') {
+            names.push(&name[..len]);
+        }
+    }
+    names
+}
+
+const CFG_TEST: &[u8] = b"#[cfg(test)]";
+
+/// Start of the item a `#[cfg(test)]` at `pos` annotates: past the
+/// attribute, whitespace and any further attributes.
+fn test_item_start(bytes: &[u8], pos: usize) -> usize {
+    let mut i = pos + CFG_TEST.len();
+    loop {
+        while i < bytes.len() && bytes[i].is_ascii_whitespace() {
+            i += 1;
+        }
+        if bytes.get(i) == Some(&b'#') && bytes.get(i + 1) == Some(&b'[') {
+            while i < bytes.len() && bytes[i] != b']' {
+                i += 1;
+            }
+            i += 1;
+        } else {
+            return i.min(bytes.len());
+        }
+    }
 }
 
 fn blank(out: &mut [u8], from: usize, to: usize) {
@@ -317,6 +363,16 @@ mod tests {
         let stripped = strip_test_regions(&mask_source(src));
         assert!(stripped.contains("unwrap_me"));
         assert!(!stripped.contains(".unwrap()"));
+    }
+
+    #[test]
+    fn out_of_line_test_modules_are_named() {
+        let src = "#[cfg(test)]\nmod tests;\n#[cfg(test)]\n#[allow(dead_code)]\npub(crate) mod \
+                   helpers ;\n#[cfg(test)]\nmod inline {}\nmod plain;\n#[cfg(test)]\nfn modx() {}\n";
+        assert_eq!(
+            out_of_line_test_modules(&mask_source(src)),
+            ["tests", "helpers"]
+        );
     }
 
     #[test]

@@ -89,13 +89,6 @@ pub const RULES: &[RuleInfo] = &[
                 net/src/gossip.rs, sim/src/stats.rs",
     },
     RuleInfo {
-        id: "SAFE003",
-        summary: "no with_capacity/reserve in wire-codec files sized by an \
-                  unclamped (possibly attacker-controlled) length prefix; \
-                  clamp the hint with .min(..) against the bytes present",
-        scope: "codec files in sim-facing crates, non-test code",
-    },
-    RuleInfo {
         id: "PURE001",
         summary: "no ambient IO, threads or async runtimes (std::{net,thread,\
                   fs,process}, tokio, async-std, mio) in the sans-io crates; \
@@ -119,9 +112,8 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "PANIC001",
         summary: "no panic source (panic-family macro, unwrap/expect, \
-                  indexing) transitively reachable from Router::process, \
-                  OverlayRuntime::tick, or the codec entry points, by \
-                  call-graph over-approximation",
+                  indexing) transitively reachable from Router::process \
+                  or OverlayRuntime::tick, by call-graph over-approximation",
         scope: "workspace call graph from the hot-path entry points",
     },
     RuleInfo {
@@ -348,12 +340,6 @@ pub fn scan_file(path: &str, original: &str, masked: &str) -> Vec<Diagnostic> {
         }
     }
 
-    if in_scope(path, SIM_FACING) && is_codec_file(path) {
-        for pos in safe003_positions(masked) {
-            push(&mut out, "SAFE003", path, original, masked, pos);
-        }
-    }
-
     out.sort_by(|a, b| (a.line, a.col, a.rule).cmp(&(b.line, b.col, b.rule)));
     out
 }
@@ -505,6 +491,38 @@ const PURE003_WORDS: &[&str] = &[
     "rayon",
 ];
 
+/// PURE002's wall clocks: `Instant` or `SystemTime` qualified as
+/// `time::X`, used as a path root (`X::now()`), or imported in a
+/// `time::{..}` group. Elsewhere the bare name is some other item, such as
+/// an enum variant `Mode::Instant`.
+fn wall_clock_positions(masked: &str) -> Vec<usize> {
+    let groups: Vec<(usize, usize)> = word_positions(masked, "time")
+        .into_iter()
+        .filter(|&pos| masked[pos..].starts_with("time::{"))
+        .map(|pos| {
+            let open = pos + "time::{".len();
+            let close = masked[open..].find('}').map_or(masked.len(), |c| open + c);
+            (open, close)
+        })
+        .collect();
+    let mut hits = Vec::new();
+    for word in ["Instant", "SystemTime"] {
+        for pos in word_positions(masked, word) {
+            let qualified = masked[..pos]
+                .strip_suffix("time::")
+                .is_some_and(|before| !before.bytes().last().is_some_and(is_ident));
+            let path_root = masked[pos + word.len()..].starts_with("::");
+            let imported = groups
+                .iter()
+                .any(|&(open, close)| open <= pos && pos < close);
+            if qualified || path_root || imported {
+                hits.push(pos);
+            }
+        }
+    }
+    hits
+}
+
 /// The sans-io purity scans (PURE001–003) over one masked file.
 fn pure_positions(masked: &str) -> Vec<(&'static str, usize)> {
     let mut hits: Vec<(&'static str, usize)> = Vec::new();
@@ -524,10 +542,8 @@ fn pure_positions(masked: &str) -> Vec<(&'static str, usize)> {
     for pos in qualified_positions(masked, "std::io") {
         hits.push(("PURE002", pos));
     }
-    for word in ["Instant", "SystemTime"] {
-        for pos in word_positions(masked, word) {
-            hits.push(("PURE002", pos));
-        }
+    for pos in wall_clock_positions(masked) {
+        hits.push(("PURE002", pos));
     }
     for word in PURE003_WORDS {
         for pos in word_positions(masked, word) {
@@ -552,52 +568,6 @@ fn pure_positions(masked: &str) -> Vec<(&'static str, usize)> {
         }
     }
     hits.sort_unstable_by_key(|&(_, pos)| pos);
-    hits
-}
-
-/// Whether `path` names a wire-codec source file (SAFE003 scope).
-fn is_codec_file(path: &str) -> bool {
-    path.rsplit('/')
-        .next()
-        .is_some_and(|file| file.contains("codec"))
-}
-
-/// SAFE003: a `with_capacity(..)` or `.reserve(..)` call in a wire-codec
-/// file whose argument is not visibly clamped. Lengths in codec files come
-/// off the wire, so an unclamped capacity hint lets a tiny hostile datagram
-/// demand a huge allocation. Spans whose argument contains `.min(` (clamped
-/// against the bytes actually present) or is a bare numeric literal are
-/// exempt.
-fn safe003_positions(masked: &str) -> Vec<usize> {
-    let mut hits = Vec::new();
-    for call in ["with_capacity", "reserve"] {
-        for pos in word_positions(masked, call) {
-            let open = pos + call.len();
-            if masked.as_bytes().get(open) != Some(&b'(') {
-                continue;
-            }
-            // `reserve` must be a method call; a fn named `reserve` being
-            // *defined* here is not an allocation site.
-            if call == "reserve" && (pos == 0 || masked.as_bytes()[pos - 1] != b'.') {
-                continue;
-            }
-            let close = match matching_paren(masked.as_bytes(), open) {
-                Some(c) => c,
-                None => masked.len(),
-            };
-            let span = &masked[open + 1..close.min(masked.len())];
-            let literal_only = !span.trim().is_empty()
-                && span
-                    .bytes()
-                    .all(|b| b.is_ascii_digit() || b == b'_' || b.is_ascii_whitespace());
-            if span.contains(".min(") || literal_only {
-                continue;
-            }
-            hits.push(pos);
-        }
-    }
-    hits.sort_unstable();
-    hits.dedup();
     hits
 }
 
@@ -681,36 +651,29 @@ mod tests {
     }
 
     #[test]
-    fn safe003_flags_unclamped_capacity_in_codec_files() {
-        let bad = "let v: Vec<u32> = Vec::with_capacity(count);";
-        let hits = scan("crates/pubsub/src/codec.rs", bad);
-        assert_eq!(hits.iter().filter(|d| d.rule == "SAFE003").count(), 1);
-        let bad_reserve = "out.reserve(len * 4);";
-        let hits = scan("crates/pubsub/src/codec.rs", bad_reserve);
-        assert_eq!(hits.iter().filter(|d| d.rule == "SAFE003").count(), 1);
-    }
-
-    #[test]
-    fn safe003_exempts_clamped_and_literal_capacities() {
-        for good in [
-            "let v = Vec::with_capacity(count.min(buf.remaining() / 4));",
-            "let v: Vec<u8> = Vec::with_capacity(64);",
-            "fn reserve(n: usize) {}", // a definition, not a call site
+    fn pure002_flags_wall_clocks_not_their_namesakes() {
+        let pure002 = |src: &str| {
+            scan("crates/net/src/x.rs", src)
+                .iter()
+                .filter(|d| d.rule == "PURE002")
+                .count()
+        };
+        for clock in [
+            "use std::time::{Duration, Instant};",
+            "use std::time::Instant;",
+            "let t = Instant::now();",
+            "let t: Option<std::time::SystemTime> = None;",
         ] {
-            assert!(
-                scan("crates/pubsub/src/codec.rs", good).is_empty(),
-                "{good}"
-            );
+            assert_eq!(pure002(clock), 1, "{clock}");
         }
-    }
-
-    #[test]
-    fn safe003_is_scoped_to_codec_files_in_sim_facing_crates() {
-        let bad = "let v: Vec<u32> = Vec::with_capacity(count);";
-        // Same crate, non-codec file: quiet.
-        assert!(scan("crates/pubsub/src/packet.rs", bad).is_empty());
-        // Codec file outside the sim-facing crates: quiet.
-        assert!(scan("crates/experiments/src/codec.rs", bad).is_empty());
+        for namesake in [
+            "enum Mode { Instant, Later }",
+            "match m { Mode::Instant => 0, Mode::Later => 1 }",
+            "use crate::mode::Mode::SystemTime;",
+            "let t = datetime::Instant;",
+        ] {
+            assert_eq!(pure002(namesake), 0, "{namesake}");
+        }
     }
 
     #[test]

@@ -14,14 +14,11 @@ use crate::graph::SymbolGraph;
 use crate::rules::Diagnostic;
 
 /// The functions that must be panic-free together with everything they
-/// can reach: the Theorem-1 router hot path, the runtime's per-event
-/// tick, and both codec directions (attacker-facing on decode, invariant
-/// on encode). `(crate dir, owner type, fn name)`.
+/// can reach: the Theorem-1 router hot path and the runtime's per-event
+/// tick. `(crate dir, owner type, fn name)`.
 pub const PANIC_ENTRY_POINTS: &[(&str, Option<&str>, &str)] = &[
     ("core", Some("DcrdStrategy"), "process"),
     ("pubsub", Some("OverlayRuntime"), "tick"),
-    ("pubsub", None, "decode_packet"),
-    ("pubsub", None, "encode_packet"),
 ];
 
 /// `PANIC001`: every potential panic site inside a function transitively

@@ -143,28 +143,6 @@ fn safe002_ignores_saturating_and_checked_construction() {
     assert_quiet(&rules, "SAFE002", "safe002_neg.rs");
 }
 
-// --------------------------------------------------------------- SAFE003
-
-#[test]
-fn safe003_flags_unclamped_capacity_in_codec_files() {
-    let rules = scan("safe003_pos.rs", "crates/pubsub/src/codec.rs");
-    // One unclamped with_capacity + one unclamped reserve.
-    assert_fires(&rules, "SAFE003", 2, "safe003_pos.rs");
-}
-
-#[test]
-fn safe003_ignores_clamped_hints_and_constants() {
-    let rules = scan("safe003_neg.rs", "crates/pubsub/src/codec.rs");
-    assert_quiet(&rules, "SAFE003", "safe003_neg.rs");
-}
-
-#[test]
-fn safe003_is_scoped_to_codec_files() {
-    // The same bait elsewhere in the crate is out of scope.
-    let rules = scan("safe003_pos.rs", "crates/pubsub/src/runtime.rs");
-    assert_quiet(&rules, "SAFE003", "safe003_pos.rs (runtime scope)");
-}
-
 // ------------------------------------------------- masking regressions
 
 #[test]
@@ -208,6 +186,12 @@ fn pure_rules_allow_owned_state_and_arc() {
     for rule in ["PURE001", "PURE002", "PURE003"] {
         assert_quiet(&rules, rule, "pure_neg.rs");
     }
+}
+
+#[test]
+fn pure002_ignores_variants_that_share_a_clock_name() {
+    let rules = scan("pure002_variant_neg.rs", "crates/pubsub/src/fixture.rs");
+    assert_quiet(&rules, "PURE002", "pure002_variant_neg.rs");
 }
 
 #[test]
@@ -272,6 +256,30 @@ fn fixture_workspace_honours_pure_exempt_paths() {
             .any(|d| d.rule == "PURE001" && d.path == "crates/core/src/lib.rs"),
         "non-exempt socket bait did not fire PURE001"
     );
+}
+
+/// `router/tests.rs` is pulled in by `#[cfg(test)] mod tests;`, so its
+/// `unwrap` is test code; the same body in `helpers.rs`, a plain module,
+/// is production code the router reaches.
+#[test]
+fn out_of_line_test_modules_are_test_code() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/ws_test_modules");
+    let diags = analyze_workspace(&root).expect("fixture workspace scans");
+    let at = |path: &str| -> Vec<&str> {
+        diags
+            .iter()
+            .filter(|d| d.path == path)
+            .map(|d| d.rule)
+            .collect()
+    };
+    assert!(
+        at("crates/core/src/router/tests.rs").is_empty(),
+        "test module linted as production code: {diags:?}"
+    );
+    let helpers = at("crates/core/src/helpers.rs");
+    for rule in ["SAFE001", "PANIC001"] {
+        assert!(helpers.contains(&rule), "{rule} missing: {diags:?}");
+    }
 }
 
 // ----------------------------------------------- JSON schema golden file

@@ -1,0 +1,3 @@
+pub fn first(v: Option<u32>) -> u32 {
+    v.unwrap()
+}

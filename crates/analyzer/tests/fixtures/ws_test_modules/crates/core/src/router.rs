@@ -1,0 +1,12 @@
+use crate::helpers::first;
+
+pub struct DcrdStrategy;
+
+impl DcrdStrategy {
+    pub fn process(&mut self, v: Option<u32>) -> u32 {
+        first(v)
+    }
+}
+
+#[cfg(test)]
+mod tests;

@@ -1,7 +1,7 @@
 //! CI smoke driver for the deterministic fuzzers.
 //!
 //! ```text
-//! fuzz-smoke [bytes|scripts|callbacks|all] [iterations] [seed]
+//! fuzz-smoke [scripts|callbacks|all] [iterations] [seed]
 //! ```
 //!
 //! Runs a budgeted pass of the selected fuzzer(s) and prints the seed and
@@ -9,7 +9,7 @@
 //! index)` pair, so a red CI job is a one-line repro. Defaults: `all`,
 //! a CI-sized budget, seed 1.
 
-use dcrd_fuzz_harness::{run_byte_fuzz, run_callback_fuzz, run_script_fuzz};
+use dcrd_fuzz_harness::{run_callback_fuzz, run_script_fuzz};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -25,11 +25,6 @@ fn main() {
 
     let pick = |default: u64| if iterations == 0 { default } else { iterations };
     match mode {
-        "bytes" => {
-            let n = pick(100_000);
-            println!("byte-fuzz: seed={seed} iterations={n}");
-            println!("  {}", run_byte_fuzz(seed, n));
-        }
         "scripts" => {
             let n = pick(200);
             println!("script-fuzz: seed={seed} scripts={n}");
@@ -41,9 +36,6 @@ fn main() {
             println!("  {}", run_callback_fuzz(seed, n, 128));
         }
         "all" => {
-            let n = pick(50_000);
-            println!("byte-fuzz: seed={seed} iterations={n}");
-            println!("  {}", run_byte_fuzz(seed, n));
             let s = pick(100).min(1_000);
             println!("script-fuzz: seed={seed} scripts={s}");
             println!("  {}", run_script_fuzz(seed, s));
@@ -52,7 +44,7 @@ fn main() {
             println!("  {}", run_callback_fuzz(seed, c, 128));
         }
         other => {
-            eprintln!("unknown mode {other:?}; use bytes|scripts|callbacks|all");
+            eprintln!("unknown mode {other:?}; use scripts|callbacks|all");
             std::process::exit(2);
         }
     }

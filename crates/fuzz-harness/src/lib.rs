@@ -1,13 +1,7 @@
 //! # dcrd-fuzz-harness — deterministic in-tree fuzzing
 //!
-//! Structured fuzzing for the two attack surfaces a deployed broker
-//! exposes:
+//! Structured fuzzing of the overlay runtime and the router:
 //!
-//! * [`bytes_fuzz`] — arbitrary and mutated datagrams through
-//!   [`dcrd_pubsub::codec::decode_packet`]. The oracle is strict: decoding
-//!   must never panic, a successful decode must re-encode to the exact
-//!   input bytes, and no decoded collection may be larger than the input
-//!   could have carried (the codec's no-over-allocation guarantee).
 //! * [`script_fuzz`] — arbitrary-but-valid *event scripts*: seeded random
 //!   scenarios (topology, workload, loss, failures, chaos, bounded queues,
 //!   flash crowds) run end-to-end through the overlay runtime with the
@@ -20,16 +14,14 @@
 //!
 //! Everything is seeded: every failure message names the `(seed, index)`
 //! pair that reproduces it, so a fuzz finding is a deterministic unit test
-//! away from a fix. The `fuzz-smoke` binary runs a budgeted pass of all
-//! three fuzzers for CI.
+//! away from a fix. The `fuzz-smoke` binary runs a budgeted pass of both
+//! fuzzers for CI.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bytes_fuzz;
 pub mod callback_fuzz;
 pub mod script_fuzz;
 
-pub use bytes_fuzz::{check_decode, run_byte_fuzz, ByteFuzzReport};
 pub use callback_fuzz::{run_callback_fuzz, CallbackFuzzReport};
 pub use script_fuzz::{check_script, run_script_fuzz, ScriptFuzzReport};

@@ -24,7 +24,5 @@
 pub mod plot;
 pub mod report;
 pub mod summary;
-pub mod timeline;
 
 pub use summary::{AggregateMetrics, RunMetrics};
-pub use timeline::Timeline;

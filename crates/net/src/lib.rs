@@ -14,8 +14,6 @@
 //!   selection rule (fewest overlapping links among the top-5).
 //! * [`disjoint`] — Bhandari's minimum-cost edge-disjoint path pairs (the
 //!   principled alternative to the paper's multipath heuristic).
-//! * [`diagnostics`] — diameter/eccentricity summaries of generated
-//!   overlays.
 //! * [`failure`] — the paper's failure model: once per 1-second epoch every
 //!   link independently fails with probability `Pf`; plus the node-failure
 //!   extension sketched in the paper's conclusion, and the one rule
@@ -56,7 +54,6 @@
 #![warn(missing_docs)]
 
 pub mod chaos;
-pub mod diagnostics;
 pub mod disjoint;
 pub mod estimate;
 pub mod failure;

@@ -327,6 +327,34 @@ mod tests {
     }
 
     #[test]
+    fn bigger_networks_have_bigger_diameters_at_fixed_degree() {
+        // The paper's Fig. 5 argument: fixed degree + more nodes ⇒ larger
+        // diameter ⇒ more hops per delivery.
+        use crate::paths::{all_pairs_costs, Metric};
+        // (mean, max) over every ordered pair of distinct brokers.
+        let hops = |t: &Topology| {
+            let costs: Vec<u64> = all_pairs_costs(t, Metric::Hops)
+                .into_iter()
+                .flatten()
+                .map(|c| c.expect("generated overlays are connected"))
+                .filter(|&c| c > 0)
+                .collect();
+            let mean = costs.iter().sum::<u64>() as f64 / costs.len() as f64;
+            (mean, costs.into_iter().max().unwrap_or(0))
+        };
+        let mut rng = rng_for(2, "diag");
+        let small = random_connected(20, 8, DelayRange::PAPER, &mut rng);
+        let large = random_connected(160, 8, DelayRange::PAPER, &mut rng);
+        let (small_mean, small_diameter) = hops(&small);
+        let (large_mean, large_diameter) = hops(&large);
+        assert!(
+            large_mean > small_mean,
+            "mean hops must grow with size: {large_mean} vs {small_mean}"
+        );
+        assert!(large_diameter >= small_diameter);
+    }
+
+    #[test]
     fn random_connected_is_deterministic_per_seed() {
         let a = random_connected(15, 4, DelayRange::PAPER, &mut rng_for(7, "t"));
         let b = random_connected(15, 4, DelayRange::PAPER, &mut rng_for(7, "t"));

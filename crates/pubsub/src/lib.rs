@@ -17,7 +17,6 @@
 //! * [`strategy`] — the [`RoutingStrategy`]
 //!   trait: event-driven callbacks (`on_publish`, `on_packet`, `on_ack`,
 //!   `on_timer`) producing [`Action`]s.
-//! * [`codec`] — the binary wire format packets take on a real socket.
 //! * [`runtime`] — the overlay runtime binding a topology, failure/loss
 //!   models and a strategy into one deterministic discrete-event run,
 //!   modeling per-hop transmissions and hop-by-hop ACKs, and recording a
@@ -34,7 +33,6 @@
 #![warn(missing_docs)]
 
 pub mod audit;
-pub mod codec;
 pub mod hotstate;
 pub mod packet;
 pub mod recovery;

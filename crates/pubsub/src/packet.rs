@@ -11,12 +11,11 @@
 //! # Hot-path layout
 //!
 //! Forwarding fans one packet out into many per-hop copies, so [`Packet`]
-//! splits into an [`Arc`]-shared immutable [`PacketBody`] (message identity,
-//! kind and payload — identical across every copy) and a small mutable
-//! per-copy header (destinations, path record, route, tag).
-//! [`Packet::forward`] bumps the body's refcount instead of cloning the
-//! payload or a NACK's sequence list, and a pinned route is an `Arc<[_]>`
-//! shared the same way.
+//! splits into an [`Arc`]-shared immutable [`PacketBody`] (message identity
+//! and kind — identical across every copy) and a small mutable per-copy
+//! header (destinations, path record, route, tag). [`Packet::forward`]
+//! bumps the body's refcount instead of cloning a NACK's sequence list, and
+//! a pinned route is an `Arc<[_]>` shared the same way.
 //!
 //! The destinations are a [`NodeList`] and the path a [`PathRecord`], both
 //! holding 8 ids inline, so **a forwarded copy allocates nothing** while it
@@ -89,7 +88,7 @@ pub enum PacketKind {
 
 /// The immutable identity of a published message, shared by every in-flight
 /// copy via [`Arc`]. Forwarding a packet clones the header around this body
-/// without touching the payload.
+/// without touching it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PacketBody {
     /// The logical message this copy belongs to.
@@ -104,8 +103,6 @@ pub struct PacketBody {
     /// the k-th message a publisher emits on a topic carries `seq = k`.
     /// Subscribers use it for gap detection and replay deduplication.
     pub seq: u64,
-    /// Application payload.
-    pub payload: Box<[u8]>,
     /// Data or recovery control (see [`PacketKind`]). Every copy of a
     /// message is the same kind, and every copy of a NACK asks for the same
     /// sequence numbers, so the kind is shared with the rest of the body.
@@ -113,16 +110,13 @@ pub struct PacketBody {
 }
 
 impl PacketBody {
-    /// Assembles a data body from its parts (codec decode, tests); see
-    /// [`with_kind`](Self::with_kind) for control traffic.
-    #[must_use]
-    pub fn new(
+    fn new(
         id: PacketId,
         topic: TopicId,
         publisher: NodeId,
         published_at: SimTime,
         seq: u64,
-        payload: Box<[u8]>,
+        kind: PacketKind,
     ) -> Self {
         PacketBody {
             id,
@@ -130,16 +124,8 @@ impl PacketBody {
             publisher,
             published_at,
             seq,
-            payload,
-            kind: PacketKind::Data,
+            kind,
         }
-    }
-
-    /// The same body with `kind` (builder style).
-    #[must_use]
-    pub fn with_kind(mut self, kind: PacketKind) -> Self {
-        self.kind = kind;
-        self
     }
 }
 
@@ -401,7 +387,7 @@ impl<'a> IntoIterator for &'a PathRecord {
 /// ([`Packet::with_seq`], [`Packet::with_kind`]) since it may be shared.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Packet {
-    /// The shared immutable message identity, kind and payload.
+    /// The shared immutable message identity and kind.
     pub body: Arc<PacketBody>,
     /// Subscribers this copy is responsible for reaching.
     pub destinations: NodeList,
@@ -436,29 +422,20 @@ impl Packet {
         destinations: impl Into<NodeList>,
     ) -> Self {
         Packet::from_body(
-            PacketBody::new(id, topic, publisher, published_at, 0, Box::default()),
+            PacketBody::new(id, topic, publisher, published_at, 0, PacketKind::Data),
             destinations,
-            PathRecord::new(),
-            None,
-            0,
         )
     }
 
-    /// Assembles a packet around an existing body (codec decode, tests).
-    #[must_use]
-    pub fn from_body(
-        body: PacketBody,
-        destinations: impl Into<NodeList>,
-        path: PathRecord,
-        route: Option<Arc<[NodeId]>>,
-        tag: u64,
-    ) -> Self {
+    /// A fresh copy of `body` addressed to `destinations`, with an empty
+    /// path, no route and tag 0.
+    fn from_body(body: PacketBody, destinations: impl Into<NodeList>) -> Self {
         Packet {
             body: Arc::new(body),
             destinations: destinations.into(),
-            path,
-            route,
-            tag,
+            path: PathRecord::new(),
+            route: None,
+            tag: 0,
         }
     }
 
@@ -473,20 +450,12 @@ impl Packet {
     /// This copy with its kind replaced (builder style), e.g. a relayed
     /// NACK asking for fewer sequence numbers than it arrived with. The
     /// body may be shared, so the copy gets a fresh one holding the same
-    /// message identity and payload: one allocation, and the old kind is
-    /// never cloned.
+    /// message identity: one allocation, and the old kind is never cloned.
     #[must_use]
     pub fn with_kind(mut self, kind: PacketKind) -> Self {
         let b = &self.body;
-        let body = PacketBody::new(
-            b.id,
-            b.topic,
-            b.publisher,
-            b.published_at,
-            b.seq,
-            b.payload.clone(),
-        );
-        self.body = Arc::new(body.with_kind(kind));
+        let body = PacketBody::new(b.id, b.topic, b.publisher, b.published_at, b.seq, kind);
+        self.body = Arc::new(body);
         self
     }
 
@@ -503,18 +472,13 @@ impl Packet {
         subscriber: NodeId,
         missing: Vec<u64>,
     ) -> Self {
-        let body = PacketBody::new(id, topic, publisher, now, 0, Box::default()).with_kind(
-            PacketKind::Nack {
-                subscriber,
-                missing,
-            },
-        );
+        let kind = PacketKind::Nack {
+            subscriber,
+            missing,
+        };
         Packet::from_body(
-            body,
+            PacketBody::new(id, topic, publisher, now, 0, kind),
             NodeList::from_slice(&[publisher]),
-            PathRecord::new(),
-            None,
-            0,
         )
     }
 

@@ -5,7 +5,7 @@
 
 use dcrd::core::propagation::SubscriberTables;
 use dcrd::core::{DcrdConfig, DcrdStrategy};
-use dcrd::metrics::{AggregateMetrics, RunMetrics, Timeline};
+use dcrd::metrics::{AggregateMetrics, RunMetrics};
 use dcrd::net::estimate::{LinkEstimate, LinkEstimates};
 use dcrd::net::failure::{BurstFailureModel, FailureModel, LinkFailureModel};
 use dcrd::net::{EdgeId, NodeId, Topology};
@@ -30,7 +30,6 @@ fn shared_types_are_send_and_sync() {
     assert_send_sync::<Trace>();
     assert_send_sync::<RunMetrics>();
     assert_send_sync::<AggregateMetrics>();
-    assert_send_sync::<Timeline>();
     assert_send_sync::<SubscriberTables>();
     assert_send_sync::<DcrdStrategy>();
     assert_send_sync::<dcrd::experiments::Scenario>();
