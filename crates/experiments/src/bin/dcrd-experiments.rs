@@ -371,14 +371,14 @@ fn sum(
 }
 
 fn violations(series: &[FigureSeries], arm: &str) -> Option<String> {
-    sum(series, Some(arm), AggregateMetrics::audit_violations)
+    sum(series, Some(arm), |a| a.audit_violations())
 }
 
-const AUDIT: Hole = |s| sum(s, None, AggregateMetrics::audit_violations);
-const RUMORS: Hole = |s| sum(s, None, AggregateMetrics::rumors_sent);
-const ANTI_ENTROPY: Hole = |s| sum(s, None, AggregateMetrics::anti_entropy_rounds);
-const DELTAS: Hole = |s| sum(s, None, AggregateMetrics::gossip_deltas_applied);
-const STALE: Hole = |s| sum(s, None, AggregateMetrics::stale_reconciliations);
+const AUDIT: Hole = |s| sum(s, None, |a| a.audit_violations());
+const RUMORS: Hole = |s| sum(s, None, |a| a.rumors_sent());
+const ANTI_ENTROPY: Hole = |s| sum(s, None, |a| a.anti_entropy_rounds());
+const DELTAS: Hole = |s| sum(s, None, |a| a.gossip_deltas_applied());
+const STALE: Hole = |s| sum(s, None, |a| a.stale_reconciliations());
 
 const ALL: Layout = Layout {
     tables: &[MetricKind::Delivery, MetricKind::Qos, MetricKind::Traffic],
@@ -456,7 +456,7 @@ const HOSTILE: Layout = Layout {
         |s| violations(s, "DCRD-least-slack"),
         |s| violations(s, "DCRD-unbounded"),
         |s| violations(s, "DCRD-tail-drop"),
-        |s| sum(s, None, AggregateMetrics::sheds),
+        |s| sum(s, None, |a| a.sheds()),
         |s| {
             let crowd = s.iter().flat_map(|s| &s.points).find(|p| p.x == 4.0)?;
             let arm = crowd.strategies.first()?;

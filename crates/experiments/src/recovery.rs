@@ -86,7 +86,6 @@ pub fn recovery_crashes(quality: Quality) -> FigureSeries {
 mod tests {
     use super::*;
     use dcrd_metrics::report::MetricKind;
-    use dcrd_metrics::AggregateMetrics;
 
     /// One smoke pass over the whole sweep: shape, a clean end-to-end
     /// audit for the recovery arm, and the acceptance comparison — with
@@ -101,7 +100,7 @@ mod tests {
             ["DCRD-recovery", "DCRD-volatile", "R-Tree"]
         );
         assert_eq!(
-            series.total(None, AggregateMetrics::audit_violations),
+            series.total(None, |a| a.audit_violations()),
             0,
             "sequence gaps or duplicate deliveries survived recovery"
         );

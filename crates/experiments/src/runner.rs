@@ -21,7 +21,7 @@ use dcrd_net::loss::LossModel;
 use dcrd_net::membership::{BrokerChurnModel, ChurnEvent};
 use dcrd_net::topology::{full_mesh, geo_tiered, random_connected, DelayRange};
 use dcrd_net::Topology;
-use dcrd_pubsub::runtime::{Dissemination, OverlayRuntime, RuntimeConfig};
+use dcrd_pubsub::runtime::{DeliveryLog, Dissemination, OverlayRuntime, RuntimeConfig};
 use dcrd_pubsub::strategy::{RoutingStrategy, RunParams};
 use dcrd_pubsub::workload::{Workload, WorkloadConfig};
 use dcrd_pubsub::AuditConfig;
@@ -220,7 +220,8 @@ pub fn confine_to_churn(workload: &Workload, churn: &BrokerChurnModel) -> Worklo
 /// Runs one `(scenario, strategy, repetition)` triple.
 #[must_use]
 pub fn run_once(scenario: &Scenario, kind: StrategyKind, rep: u32) -> RunMetrics {
-    run_with(scenario, kind, rep, false).0
+    let mut strategy = kind.instantiate(&scenario.dcrd);
+    RunMetrics::from_log(&simulate(scenario, rep, strategy.as_mut(), false))
 }
 
 /// Like [`run_once`] but with trace capture on, returning the run's
@@ -228,15 +229,24 @@ pub fn run_once(scenario: &Scenario, kind: StrategyKind, rep: u32) -> RunMetrics
 /// triple and require the digests byte-identical.
 #[must_use]
 pub fn run_traced(scenario: &Scenario, kind: StrategyKind, rep: u32) -> (RunMetrics, u64) {
-    run_with(scenario, kind, rep, true)
+    let mut strategy = kind.instantiate(&scenario.dcrd);
+    let log = simulate(scenario, rep, strategy.as_mut(), true);
+    let digest = log.trace.as_ref().map_or(0, |t| t.digest());
+    (RunMetrics::from_log(&log), digest)
 }
 
-fn run_with(
+/// Runs repetition `rep` of `scenario` with `strategy` and returns the
+/// full delivery log: the one assembly of topology, workload, failures,
+/// chaos, broker churn, control plane and auditor from a [`Scenario`].
+/// The strategy is borrowed, so a caller can read its counters after the
+/// run.
+#[must_use]
+pub fn simulate(
     scenario: &Scenario,
-    kind: StrategyKind,
     rep: u32,
+    strategy: &mut (impl RoutingStrategy + ?Sized),
     capture_trace: bool,
-) -> (RunMetrics, u64) {
+) -> DeliveryLog {
     let topo = build_topology(scenario, rep);
     let workload = build_workload(scenario, &topo, rep);
     let broker_churn = build_broker_churn(scenario, &workload, rep);
@@ -293,11 +303,7 @@ fn run_with(
         }),
         capture_trace,
     };
-    let runtime = OverlayRuntime::new(&topo, &workload, failure, loss, config);
-    let mut strategy = kind.instantiate(&scenario.dcrd);
-    let log = runtime.run(strategy.as_mut());
-    let digest = log.trace.as_ref().map_or(0, |t| t.digest());
-    (RunMetrics::from_log(&log), digest)
+    OverlayRuntime::new(&topo, &workload, failure, loss, config).run(strategy)
 }
 
 /// Runs all repetitions of one strategy and pools them.

@@ -5,7 +5,6 @@
 use dcrd_experiments::churn::{churn_rates, CHURN_RATE_SWEEP};
 use dcrd_experiments::scenario::Quality;
 use dcrd_metrics::report::MetricKind;
-use dcrd_metrics::AggregateMetrics;
 
 /// Margin the incremental arm may trail the global-rebuild oracle by
 /// (pure noise budget — the repairs are equivalence-tested at the table
@@ -24,7 +23,7 @@ fn churn_sweep_is_clean_and_incremental_tracks_the_oracle() {
         ["DCRD-incremental", "DCRD-global", "DCRD-no-repair"]
     );
     assert_eq!(
-        series.total(None, AggregateMetrics::audit_violations),
+        series.total(None, |a| a.audit_violations()),
         0,
         "auditor flagged deliveries to departed brokers or routes through dead ones"
     );

@@ -6,7 +6,6 @@
 use dcrd_experiments::gossip::{gossip_loss, GOSSIP_LOSS_SWEEP};
 use dcrd_experiments::scenario::Quality;
 use dcrd_metrics::report::MetricKind;
-use dcrd_metrics::AggregateMetrics;
 
 /// One pass over the whole sweep: shape, a clean audit, and live
 /// control-plane counters — the gossip arm must have pushed rumors, run
@@ -20,20 +19,20 @@ fn gossip_sweep_is_clean_and_the_epidemic_path_carries_deltas() {
         ["DCRD-gossip", "DCRD-oracle", "DCRD-static"]
     );
     assert_eq!(
-        series.total(None, AggregateMetrics::audit_violations),
+        series.total(None, |a| a.audit_violations()),
         0,
         "auditor flagged a violation (possibly the staleness clause)"
     );
     assert!(
-        series.total(None, AggregateMetrics::rumors_sent) > 0,
+        series.total(None, |a| a.rumors_sent()) > 0,
         "gossip arm pushed no rumors"
     );
     assert!(
-        series.total(None, AggregateMetrics::anti_entropy_rounds) > 0,
+        series.total(None, |a| a.anti_entropy_rounds()) > 0,
         "anti-entropy never ran despite recurring partitions"
     );
     assert!(
-        series.total(None, AggregateMetrics::gossip_deltas_applied) > 0,
+        series.total(None, |a| a.gossip_deltas_applied()) > 0,
         "no membership delta ever converged through the epidemic path"
     );
     for point in &series.points {

@@ -11,7 +11,6 @@ use dcrd_experiments::hostile::{
 use dcrd_experiments::runner::run_traced;
 use dcrd_experiments::scenario::{Quality, Scenario};
 use dcrd_experiments::StrategyKind;
-use dcrd_metrics::AggregateMetrics;
 use dcrd_pubsub::runtime::ShedPolicy;
 
 /// In-slack delivery (delivery among pairs whose deadline was still
@@ -43,7 +42,7 @@ fn hostile_sweep_sheds_gracefully_under_the_flash_crowd() {
     // unbounded control sheds nothing, so both must audit clean. The
     // tail-drop arm is *expected* dirty: the auditor indicting the
     // slack-blind policy with `UnjustifiedShed` is the ablation's result.
-    let violations = |arm| series.total(Some(arm), AggregateMetrics::audit_violations);
+    let violations = |arm| series.total(Some(arm), |a| a.audit_violations());
     assert_eq!(
         violations("DCRD-least-slack"),
         0,
@@ -59,7 +58,7 @@ fn hostile_sweep_sheds_gracefully_under_the_flash_crowd() {
         "tail-drop shed under a 4x flash crowd without the auditor noticing"
     );
     assert!(
-        series.total(None, AggregateMetrics::sheds) > 0,
+        series.total(None, |a| a.sheds()) > 0,
         "the sweep never overflowed a queue"
     );
 

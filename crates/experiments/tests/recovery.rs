@@ -15,18 +15,12 @@
 //!   journal strictly out-delivers the volatile router.
 
 use dcrd_core::{DcrdConfig, DcrdStrategy};
-use dcrd_experiments::runner::{
-    build_chaos, build_topology, build_workload, run_once, StrategyKind,
-};
+use dcrd_experiments::runner::{run_once, simulate, StrategyKind};
 use dcrd_experiments::scenario::{CrashSpec, Quality, Scenario, ScenarioBuilder};
-use dcrd_net::failure::{FailureModel, LinkFailureModel, LinkOutageModel};
-use dcrd_net::loss::LossModel;
 use dcrd_net::NodeId;
-use dcrd_pubsub::audit::AuditConfig;
 use dcrd_pubsub::packet::PacketId;
-use dcrd_pubsub::runtime::{DeliveryLog, OverlayRuntime, RuntimeConfig};
-use dcrd_pubsub::strategy::RunParams;
-use dcrd_sim::rng::{cases, derive_seed_indexed};
+use dcrd_pubsub::runtime::DeliveryLog;
+use dcrd_sim::rng::cases;
 use dcrd_sim::SimTime;
 
 /// The clean-link crash scenario the recovery study sweeps (see
@@ -50,37 +44,12 @@ fn crash_scenario(rate: f64, seed: u64) -> Scenario {
         .build()
 }
 
-/// Drives one repetition through the runtime directly, returning the full
+/// Runs repetition `rep` through `runner::simulate`, returning the full
 /// delivery log and the strategy (for journal/tracker inspection) rather
 /// than the pooled metrics `run_once` reduces to.
 fn run_with_log(scenario: &Scenario, rep: u32) -> (DeliveryLog, DcrdStrategy) {
-    let topo = build_topology(scenario, rep);
-    let workload = build_workload(scenario, &topo, rep);
-    let link_seed = derive_seed_indexed(scenario.seed, "failures", u64::from(rep));
-    let links = LinkOutageModel::Epoch(LinkFailureModel::new(scenario.pf, link_seed));
-    let failure = FailureModel::new(links, None).with_chaos(build_chaos(scenario, rep));
-    let config = RuntimeConfig {
-        duration: scenario.duration,
-        params: RunParams {
-            m: scenario.m,
-            ack_timeout_factor: scenario.ack_timeout_factor,
-            ..RunParams::default()
-        },
-        seed: derive_seed_indexed(scenario.seed, "runtime", u64::from(rep)),
-        monitoring: scenario.monitoring,
-        ack_transit: scenario.ack_transit,
-        audit: Some(AuditConfig::for_overlay(scenario.nodes, 64).with_sequence_check()),
-        ..RuntimeConfig::paper(scenario.duration, 0)
-    };
-    let runtime = OverlayRuntime::new(
-        &topo,
-        &workload,
-        failure,
-        LossModel::new(scenario.pl),
-        config,
-    );
     let mut strategy = DcrdStrategy::new(scenario.dcrd);
-    let log = runtime.run(&mut strategy);
+    let log = simulate(scenario, rep, &mut strategy, false);
     (log, strategy)
 }
 

@@ -5,7 +5,7 @@
 //! possibly with subscriber churn), link loss and failure epochs, chaos
 //! (crash-restarts, gray links, broker membership churn) and broker
 //! overload (bounded service queues with either shed policy). Running it
-//! end-to-end through [`OverlayRuntime`] exercises every event kind the
+//! end-to-end through [`simulate`] exercises every event kind the
 //! router reacts to — publishes, arrivals, hop-by-hop ACKs and their
 //! timeouts, NACK recovery sweeps, duplicate and stale copies raced
 //! through lossy links, and membership deltas — in adversarial
@@ -37,16 +37,11 @@
 //! corpus is the regression gate that keeps it fixed.
 
 use dcrd_core::{DcrdConfig, DcrdStrategy};
-use dcrd_experiments::runner::{
-    build_broker_churn, build_chaos, build_topology, build_workload, confine_to_churn,
-    PUBLISH_INTERVAL,
-};
+use dcrd_experiments::runner::{simulate, PUBLISH_INTERVAL};
 use dcrd_experiments::scenario::{BrokerChurnSpec, CrashSpec, GraySpec, Scenario, ScenarioBuilder};
-use dcrd_net::failure::{FailureModel, LinkFailureModel, LinkOutageModel};
-use dcrd_net::loss::LossModel;
-use dcrd_pubsub::runtime::{OverlayRuntime, RuntimeConfig, ShedPolicy};
+use dcrd_pubsub::runtime::ShedPolicy;
 use dcrd_pubsub::workload::BurstConfig;
-use dcrd_pubsub::{AckTransit, AuditConfig, Violation};
+use dcrd_pubsub::{AckTransit, Violation};
 use dcrd_sim::rng::{derive_seed_indexed, rng_for_indexed, SmallRng};
 use dcrd_sim::SimDuration;
 use std::fmt;
@@ -278,41 +273,7 @@ impl ScriptOutcome {
 #[must_use]
 pub fn run_script(script: &Script) -> ScriptOutcome {
     let scenario = &script.scenario;
-    let rep = 0;
-    let topo = build_topology(scenario, rep);
-    let workload = build_workload(scenario, &topo, rep);
-    let broker_churn = build_broker_churn(scenario, &workload, rep);
-    let workload = match &broker_churn {
-        Some(churn) => confine_to_churn(&workload, churn),
-        None => workload,
-    };
-    let link_seed = derive_seed_indexed(scenario.seed, "failures", u64::from(rep));
-    let links = LinkOutageModel::Epoch(LinkFailureModel::new(scenario.pf, link_seed));
-    let mut chaos = build_chaos(scenario, rep);
-    if let Some(churn) = broker_churn {
-        chaos = chaos.with_churn(churn);
-    }
-    let failure = FailureModel::new(links, None).with_chaos(chaos);
-    let loss = LossModel::new(scenario.pl);
-    let config = RuntimeConfig {
-        duration: scenario.duration,
-        seed: derive_seed_indexed(scenario.seed, "runtime", u64::from(rep)),
-        ack_transit: scenario.ack_transit,
-        processing_time: scenario.service_time,
-        queue_limit: scenario.queue_limit,
-        shed_policy: scenario.shed_policy,
-        capture_trace: true,
-        audit: Some(AuditConfig::for_overlay(scenario.nodes, 64)),
-        params: dcrd_pubsub::strategy::RunParams {
-            m: scenario.m,
-            ack_timeout_factor: scenario.ack_timeout_factor,
-            ..Default::default()
-        },
-        ..RuntimeConfig::paper(scenario.duration, 0)
-    };
-    let runtime = OverlayRuntime::new(&topo, &workload, failure, loss, config);
-    let mut strategy = DcrdStrategy::new(script.dcrd);
-    let log = runtime.run(&mut strategy);
+    let log = simulate(scenario, 0, &mut DcrdStrategy::new(script.dcrd), true);
     let audit = log.audit.as_ref().expect("auditor was configured");
     let tail_drop = scenario.shed_policy == ShedPolicy::TailDrop;
     ScriptOutcome {

@@ -5,7 +5,7 @@ use std::fmt::Write as _;
 
 use dcrd_sim::stats::{Histogram, Ratio, Welford};
 
-use crate::summary::AggregateMetrics;
+use crate::summary::{AggregateMetrics, RunMetrics};
 
 /// Which of the paper's metrics a column reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -287,15 +287,19 @@ fn aggregate(agg: &AggregateMetrics) -> Json<'_> {
     let AggregateMetrics {
         name,
         runs,
-        delivered,
-        on_time,
-        data_sends,
-        gave_up,
-        lateness,
-        delay_ms,
         delivery_spread,
         qos_spread,
         traffic_spread,
+        pooled,
+    } = agg;
+    let RunMetrics {
+        delivered,
+        on_time,
+        data_sends,
+        messages: _,
+        gave_up,
+        lateness,
+        delay_ms,
         audit_violations,
         sheds,
         doomed_sheds,
@@ -304,7 +308,7 @@ fn aggregate(agg: &AggregateMetrics) -> Json<'_> {
         anti_entropy_rounds,
         gossip_deltas_applied,
         stale_reconciliations,
-    } = agg;
+    } = pooled;
     Json::Object(vec![
         ("name", Json::Str(name)),
         ("runs", Json::Int(u64::from(*runs))),
@@ -403,7 +407,6 @@ mod tests {
 
     #[test]
     fn total_sums_all_arms_or_one() {
-        use crate::summary::RunMetrics;
         use dcrd_pubsub::runtime::DeliveryLog;
         let run = |sheds| {
             let mut log = DeliveryLog::default();
@@ -418,10 +421,10 @@ mod tests {
             point.strategies[1].add(&run(1));
             s.points.push(point);
         }
-        assert_eq!(s.total(None, AggregateMetrics::sheds), 16);
-        assert_eq!(s.total(Some("DCRD"), AggregateMetrics::sheds), 4);
+        assert_eq!(s.total(None, |a| a.sheds()), 16);
+        assert_eq!(s.total(Some("DCRD"), |a| a.sheds()), 4);
         assert_eq!(s.total(Some("R-Tree"), |a| u64::from(a.runs())), 4);
-        assert_eq!(s.total(Some("absent"), AggregateMetrics::sheds), 0);
+        assert_eq!(s.total(Some("absent"), |a| a.sheds()), 0);
     }
 
     #[test]
@@ -552,15 +555,15 @@ mod tests {
     fn one_series_is_written_as_an_object() {
         let mut agg = AggregateMetrics::new("DCRD");
         agg.runs = 1;
-        agg.delivered.record(true);
-        agg.delivered.record(true);
-        agg.delivered.record(false);
-        agg.data_sends = 7;
-        agg.lateness = Histogram::new(1.0, 2.0, 2);
-        agg.lateness.push(1.25);
-        agg.lateness.push(7.0);
-        agg.delay_ms.push(2.0);
-        agg.delay_ms.push(4.0);
+        agg.pooled.delivered.record(true);
+        agg.pooled.delivered.record(true);
+        agg.pooled.delivered.record(false);
+        agg.pooled.data_sends = 7;
+        agg.pooled.lateness = Histogram::new(1.0, 2.0, 2);
+        agg.pooled.lateness.push(1.25);
+        agg.pooled.lateness.push(7.0);
+        agg.pooled.delay_ms.push(2.0);
+        agg.pooled.delay_ms.push(4.0);
         let mut s = FigureSeries::new("golden", "Failure \"Pf\"");
         s.points.push(SeriesPoint {
             x: 2.5e-6,

@@ -1,5 +1,7 @@
 //! Per-run and pooled metric summaries.
 
+use std::ops::Deref;
+
 use dcrd_pubsub::runtime::DeliveryLog;
 use dcrd_sim::stats::{Histogram, Ratio, Welford};
 
@@ -9,24 +11,25 @@ const LATENESS_LO: f64 = 1.0;
 const LATENESS_HI: f64 = 5.0;
 const LATENESS_BUCKETS: usize = 160;
 
-/// The paper's three metrics (plus the lateness CDF) for a single run.
+/// The paper's three metrics (plus the lateness CDF) for a single run, or
+/// for several runs pooled with [`merge`](Self::merge).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunMetrics {
-    delivered: Ratio,
-    on_time: Ratio,
-    data_sends: u64,
-    messages: u64,
-    gave_up: u64,
-    lateness: Histogram,
-    delay_ms: Welford,
-    audit_violations: u64,
-    sheds: u64,
-    doomed_sheds: u64,
-    in_slack: Ratio,
-    rumors_sent: u64,
-    anti_entropy_rounds: u64,
-    gossip_deltas_applied: u64,
-    stale_reconciliations: u64,
+    pub(crate) delivered: Ratio,
+    pub(crate) on_time: Ratio,
+    pub(crate) data_sends: u64,
+    pub(crate) messages: u64,
+    pub(crate) gave_up: u64,
+    pub(crate) lateness: Histogram,
+    pub(crate) delay_ms: Welford,
+    pub(crate) audit_violations: u64,
+    pub(crate) sheds: u64,
+    pub(crate) doomed_sheds: u64,
+    pub(crate) in_slack: Ratio,
+    pub(crate) rumors_sent: u64,
+    pub(crate) anti_entropy_rounds: u64,
+    pub(crate) gossip_deltas_applied: u64,
+    pub(crate) stale_reconciliations: u64,
 }
 
 impl RunMetrics {
@@ -78,6 +81,44 @@ impl RunMetrics {
             gossip_deltas_applied: log.gossip_deltas_applied,
             stale_reconciliations: log.stale_reconciliations,
         }
+    }
+
+    /// Pools `other` into `self`: ratios pool by counts, counters add,
+    /// and the lateness histogram and delay statistics merge.
+    pub fn merge(&mut self, other: &RunMetrics) {
+        // Destructured in full so that a new field cannot be left out.
+        let RunMetrics {
+            delivered,
+            on_time,
+            data_sends,
+            messages,
+            gave_up,
+            lateness,
+            delay_ms,
+            audit_violations,
+            sheds,
+            doomed_sheds,
+            in_slack,
+            rumors_sent,
+            anti_entropy_rounds,
+            gossip_deltas_applied,
+            stale_reconciliations,
+        } = other;
+        self.delivered.merge(delivered);
+        self.on_time.merge(on_time);
+        self.data_sends += data_sends;
+        self.messages += messages;
+        self.gave_up += gave_up;
+        self.audit_violations += audit_violations;
+        self.sheds += sheds;
+        self.doomed_sheds += doomed_sheds;
+        self.in_slack.merge(in_slack);
+        self.rumors_sent += rumors_sent;
+        self.anti_entropy_rounds += anti_entropy_rounds;
+        self.gossip_deltas_applied += gossip_deltas_applied;
+        self.stale_reconciliations += stale_reconciliations;
+        self.lateness.merge(lateness);
+        self.delay_ms.merge(delay_ms);
     }
 
     /// Statistics of the end-to-end delay (in milliseconds) of delivered
@@ -190,29 +231,16 @@ impl RunMetrics {
 }
 
 /// Metrics pooled over repetitions (the paper averages 10 topologies per
-/// point). Ratios pool by total counts; per-run spreads are tracked for
-/// error reporting.
+/// point). The pooled [`RunMetrics`] (ratios by total counts) is read
+/// through `Deref`; per-run spreads are tracked for error reporting.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AggregateMetrics {
     pub(crate) name: String,
     pub(crate) runs: u32,
-    pub(crate) delivered: Ratio,
-    pub(crate) on_time: Ratio,
-    pub(crate) data_sends: u64,
-    pub(crate) gave_up: u64,
-    pub(crate) lateness: Histogram,
-    pub(crate) delay_ms: Welford,
     pub(crate) delivery_spread: Welford,
     pub(crate) qos_spread: Welford,
     pub(crate) traffic_spread: Welford,
-    pub(crate) audit_violations: u64,
-    pub(crate) sheds: u64,
-    pub(crate) doomed_sheds: u64,
-    pub(crate) in_slack: Ratio,
-    pub(crate) rumors_sent: u64,
-    pub(crate) anti_entropy_rounds: u64,
-    pub(crate) gossip_deltas_applied: u64,
-    pub(crate) stale_reconciliations: u64,
+    pub(crate) pooled: RunMetrics,
 }
 
 impl AggregateMetrics {
@@ -222,43 +250,17 @@ impl AggregateMetrics {
         AggregateMetrics {
             name: name.into(),
             runs: 0,
-            delivered: Ratio::new(),
-            on_time: Ratio::new(),
-            data_sends: 0,
-            gave_up: 0,
-            lateness: Histogram::new(LATENESS_LO, LATENESS_HI, LATENESS_BUCKETS),
-            delay_ms: Welford::new(),
             delivery_spread: Welford::new(),
             qos_spread: Welford::new(),
             traffic_spread: Welford::new(),
-            audit_violations: 0,
-            sheds: 0,
-            doomed_sheds: 0,
-            in_slack: Ratio::new(),
-            rumors_sent: 0,
-            anti_entropy_rounds: 0,
-            gossip_deltas_applied: 0,
-            stale_reconciliations: 0,
+            pooled: RunMetrics::from_log(&DeliveryLog::default()),
         }
     }
 
     /// Adds one run.
     pub fn add(&mut self, run: &RunMetrics) {
         self.runs = self.runs.saturating_add(1);
-        self.delivered.merge(&run.delivered);
-        self.on_time.merge(&run.on_time);
-        self.data_sends += run.data_sends;
-        self.gave_up += run.gave_up;
-        self.audit_violations += run.audit_violations;
-        self.sheds += run.sheds;
-        self.doomed_sheds += run.doomed_sheds;
-        self.in_slack.merge(&run.in_slack);
-        self.rumors_sent += run.rumors_sent;
-        self.anti_entropy_rounds += run.anti_entropy_rounds;
-        self.gossip_deltas_applied += run.gossip_deltas_applied;
-        self.stale_reconciliations += run.stale_reconciliations;
-        self.lateness.merge(&run.lateness);
-        self.delay_ms.merge(&run.delay_ms);
+        self.pooled.merge(run);
         self.delivery_spread.push(run.delivery_ratio());
         self.qos_spread.push(run.qos_delivery_ratio());
         self.traffic_spread.push(run.packets_per_subscriber());
@@ -276,99 +278,18 @@ impl AggregateMetrics {
         self.runs
     }
 
-    /// Pooled delivery ratio.
-    #[must_use]
-    pub fn delivery_ratio(&self) -> f64 {
-        self.delivered.value()
-    }
-
-    /// Pooled QoS delivery ratio.
-    #[must_use]
-    pub fn qos_delivery_ratio(&self) -> f64 {
-        self.on_time.value()
-    }
-
-    /// Pooled traffic metric.
-    #[must_use]
-    pub fn packets_per_subscriber(&self) -> f64 {
-        if self.delivered.total() == 0 {
-            return 0.0;
-        }
-        self.data_sends as f64 / self.delivered.total() as f64
-    }
-
     /// Standard deviation of the per-run QoS ratio.
     #[must_use]
     pub fn qos_std_dev(&self) -> f64 {
         self.qos_spread.std_dev()
     }
+}
 
-    /// Pooled lateness histogram (Fig. 7).
-    #[must_use]
-    pub fn lateness(&self) -> &Histogram {
-        &self.lateness
-    }
+impl Deref for AggregateMetrics {
+    type Target = RunMetrics;
 
-    /// Pooled end-to-end delay statistics (ms) of delivered pairs.
-    #[must_use]
-    pub fn delay_stats(&self) -> &Welford {
-        &self.delay_ms
-    }
-
-    /// Total pairs across all runs.
-    #[must_use]
-    pub fn pairs(&self) -> u64 {
-        self.delivered.total()
-    }
-
-    /// Total invariant violations across all audited runs.
-    #[must_use]
-    pub fn audit_violations(&self) -> u64 {
-        self.audit_violations
-    }
-
-    /// Total packets shed by bounded service queues across all runs.
-    #[must_use]
-    pub fn sheds(&self) -> u64 {
-        self.sheds
-    }
-
-    /// Total doomed-packet sheds across all runs.
-    #[must_use]
-    pub fn doomed_sheds(&self) -> u64 {
-        self.doomed_sheds
-    }
-
-    /// Pooled delivery ratio over pairs that still had slack (doomed
-    /// sheds excluded from the denominator).
-    #[must_use]
-    pub fn in_slack_delivery_ratio(&self) -> f64 {
-        self.in_slack.value()
-    }
-
-    /// Total membership rumors pushed across all runs (0 under the
-    /// oracle control plane).
-    #[must_use]
-    pub fn rumors_sent(&self) -> u64 {
-        self.rumors_sent
-    }
-
-    /// Total anti-entropy digest exchanges across all runs.
-    #[must_use]
-    pub fn anti_entropy_rounds(&self) -> u64 {
-        self.anti_entropy_rounds
-    }
-
-    /// Total converged membership deltas applied via gossip.
-    #[must_use]
-    pub fn gossip_deltas_applied(&self) -> u64 {
-        self.gossip_deltas_applied
-    }
-
-    /// Total stale gaps closed by anti-entropy reconciliation.
-    #[must_use]
-    pub fn stale_reconciliations(&self) -> u64 {
-        self.stale_reconciliations
+    fn deref(&self) -> &RunMetrics {
+        &self.pooled
     }
 }
 
@@ -524,6 +445,27 @@ mod tests {
         // No auditing was enabled, so no violations are counted.
         assert_eq!(good.audit_violations(), 0);
         assert_eq!(agg.audit_violations(), 0);
+    }
+
+    #[test]
+    fn merge_pools_counts_and_sums_counters() {
+        let good = RunMetrics::from_log(&tiny_log(true, false));
+        let bad = RunMetrics::from_log(&tiny_log(false, false));
+        let mut merged = good.clone();
+        merged.merge(&bad);
+        assert_eq!(merged.pairs(), 2);
+        assert!((merged.delivery_ratio() - 0.5).abs() < 1e-12);
+        assert_eq!(merged.messages(), good.messages() + bad.messages());
+        assert_eq!(merged.data_sends, good.data_sends + bad.data_sends);
+        assert_eq!(merged.delay_stats().count(), 1);
+        // Pooling the same two runs reads the same values, plus spreads.
+        let mut agg = AggregateMetrics::new("pool");
+        agg.add(&good);
+        agg.add(&bad);
+        assert_eq!(*agg, merged);
+        for spread in [&agg.delivery_spread, &agg.qos_spread, &agg.traffic_spread] {
+            assert_eq!(spread.count(), 2);
+        }
     }
 
     #[test]

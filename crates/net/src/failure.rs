@@ -340,26 +340,6 @@ impl FailureModel {
         }
     }
 
-    /// Bursty link outages only (persistent-failure extension).
-    #[must_use]
-    pub fn bursty(links: BurstFailureModel) -> Self {
-        FailureModel {
-            links: LinkOutageModel::Burst(links),
-            nodes: None,
-            chaos: None,
-        }
-    }
-
-    /// Link plus node failures (the paper's future-work extension).
-    #[must_use]
-    pub fn with_node_failures(links: LinkFailureModel, nodes: NodeFailureModel) -> Self {
-        FailureModel {
-            links: LinkOutageModel::Epoch(links),
-            nodes: Some(nodes),
-            chaos: None,
-        }
-    }
-
     /// Any link-outage process combined with optional node failures.
     #[must_use]
     pub fn new(links: LinkOutageModel, nodes: Option<NodeFailureModel>) -> Self {
@@ -887,7 +867,7 @@ mod tests {
         let topo = full_mesh(4, DelayRange::PAPER, &mut rng);
         let links = LinkFailureModel::new(0.0, 1);
         let nodes = NodeFailureModel::new(1.0, 1); // every node always failed
-        let fm = FailureModel::with_node_failures(links, nodes);
+        let fm = FailureModel::new(LinkOutageModel::Epoch(links), Some(nodes));
         for e in topo.edge_ids() {
             assert!(fm.edge_blocked(&topo, e, SimTime::ZERO));
         }
@@ -1017,7 +997,7 @@ mod tests {
         let topo = full_mesh(5, DelayRange::PAPER, &mut rng);
         let links = LinkFailureModel::new(0.0, 1);
         let nodes = NodeFailureModel::new(0.5, 77);
-        let fm = FailureModel::with_node_failures(links, nodes);
+        let fm = FailureModel::new(LinkOutageModel::Epoch(links), Some(nodes));
         let victim = topo.node(2);
         // Find an epoch where the victim is down and the next is up.
         let (down_epoch, up_epoch) = (0..200u64)

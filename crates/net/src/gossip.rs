@@ -8,18 +8,20 @@
 //!
 //! * **Bounded partial views** (HyParView-style): every broker gossips
 //!   with a small deterministic partner set — its two ring neighbors
-//!   (which keep the view graph connected by construction) plus
-//!   hash-picked shortcuts up to [`GossipConfig::view_size`].
+//!   (which keep the view graph connected while every broker is present)
+//!   plus hash-picked shortcuts up to [`GossipConfig::view_size`].
 //! * **Eager push** (Plumtree-style): each round, every broker that knows
 //!   a live rumor pushes it to [`GossipConfig::fanout`] view partners.
 //!   Pushes are individually lossy ([`GossipConfig::loss`]) and blocked
 //!   across partitions.
 //! * **Anti-entropy**: every [`GossipConfig::anti_entropy_interval`]
-//!   rounds, ring-adjacent brokers exchange FNV digests of their known
-//!   rumor sets and transfer whatever the other side is missing. This is
-//!   the lazy-pull backstop that reconciles divergence after partitions
-//!   heal, and the transfer count surfaces as *stale-entry
-//!   reconciliations*.
+//!   rounds, each present broker and its ring successor among the
+//!   present brokers exchange FNV digests of their known rumor sets and
+//!   transfer whatever the other side is missing. Absent brokers are
+//!   skipped, so a broker whose ring neighbours are both absent is still
+//!   reconciled. This is the lazy-pull backstop that reconciles
+//!   divergence after partitions heal, and the transfer count surfaces
+//!   as *stale-entry reconciliations*.
 //!
 //! The simulation keeps one logical routing-table store, so a rumor is
 //! handed to the router only once **every present broker** has learned it
@@ -228,9 +230,10 @@ impl GossipOverlay {
         h
     }
 
-    /// The bounded partial view of `node`: both ring neighbors (keeps the
-    /// view graph connected) plus hash-picked shortcuts up to
-    /// `view_size`, self and duplicates excluded.
+    /// The bounded partial view of `node`: both ring neighbors (which
+    /// keep the view graph connected only while every broker is present)
+    /// plus hash-picked shortcuts up to `view_size`, self and duplicates
+    /// excluded.
     #[must_use]
     pub fn view(&self, node: NodeId) -> Vec<NodeId> {
         let n = self.num_nodes as u32;
@@ -345,21 +348,22 @@ impl GossipOverlay {
             }
         }
 
-        // Anti-entropy: ring-adjacent present brokers exchange digests
-        // and transfer every rumor exactly one side knows. Modeled as a
+        // Anti-entropy: each present broker exchanges digests with the
+        // next present broker on the ring and they transfer every rumor
+        // exactly one side knows. Skipping absent brokers keeps the
+        // pairing a single cycle over whoever is present. Modeled as a
         // reliable request/response (no loss draw) but still blocked by
-        // partitions and absent peers.
+        // partitions.
         let interval = self.config.anti_entropy_interval;
         if interval > 0 && epoch.is_multiple_of(interval) && n >= 2 {
             self.anti_entropy_rounds = self.anti_entropy_rounds.saturating_add(1);
-            for i in 0..n {
-                let u = NodeId::new(i as u32);
-                let v = NodeId::new(((i + 1) % n) as u32);
-                if u == v
-                    || !present_set.contains(u)
-                    || !present_set.contains(v)
-                    || !reachable(u, v)
-                {
+            let ring: Vec<NodeId> = (0..n)
+                .map(|i| NodeId::new(i as u32))
+                .filter(|&u| present_set.contains(u))
+                .collect();
+            for (k, &u) in ring.iter().enumerate() {
+                let v = ring[(k + 1) % ring.len()];
+                if u == v || !reachable(u, v) {
                     continue;
                 }
                 for r in self.rumors.values_mut() {
@@ -604,6 +608,25 @@ mod tests {
         let present = |n: NodeId| n != NodeId::new(3) && n != NodeId::new(5);
         let (converged, _) = drive(&mut overlay, 0, 12, |_, _| true, present);
         assert_eq!(converged, vec![dead(3)]);
+    }
+
+    #[test]
+    fn anti_entropy_pairs_across_absent_ring_neighbours() {
+        // A view of two holds only the ring neighbours, so no push ever
+        // targets broker 5 once 4 and 6 are absent: only anti-entropy
+        // with the next present brokers (3 and 7) can reach it.
+        let config = GossipConfig {
+            view_size: 2,
+            ..GossipConfig::default()
+        };
+        let mut overlay = GossipOverlay::new(16, config);
+        overlay.submit(dead(4), NodeId::new(0), 0);
+        let present = |n: NodeId| n != NodeId::new(4) && n != NodeId::new(6);
+        let bound = config.staleness_rounds;
+        let (converged, stale) = drive(&mut overlay, 0, bound, |_, _| true, present);
+        assert_eq!(converged, vec![dead(4)], "broker 5 never learned the rumor");
+        let (_, later) = drive(&mut overlay, bound, bound + 1, |_, _| true, present);
+        assert!(stale.is_empty() && later.is_empty(), "{stale:?} {later:?}");
     }
 
     #[test]

@@ -9,7 +9,6 @@ use dcrd::experiments::runner::{
     build_chaos, build_topology, build_workload, run_scenario, StrategyKind,
 };
 use dcrd::experiments::scenario::{PartitionSpec, Quality, Scenario, ScenarioBuilder};
-use dcrd::metrics::AggregateMetrics;
 use dcrd::net::failure::{FailureModel, LinkFailureModel};
 use dcrd::net::loss::LossModel;
 use dcrd::pubsub::runtime::{OverlayRuntime, RuntimeConfig};
@@ -77,7 +76,7 @@ fn chaos_sweep_reports_zero_violations() {
     assert_eq!(ids, ["chaos-partition", "chaos-crashes", "chaos-gray"]);
     let violations: u64 = all
         .iter()
-        .map(|s| s.total(None, AggregateMetrics::audit_violations))
+        .map(|s| s.total(None, |a| a.audit_violations()))
         .sum();
     assert_eq!(
         violations, 0,

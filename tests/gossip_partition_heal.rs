@@ -13,19 +13,11 @@
 //! last departures, the detector's suspicion lag and a few gossip rounds.
 
 use dcrd::core::{DcrdConfig, DcrdStrategy};
-use dcrd::experiments::runner::{
-    build_broker_churn, build_chaos, build_topology, build_workload, confine_to_churn,
-};
+use dcrd::experiments::runner::simulate;
 use dcrd::experiments::scenario::{
     BrokerChurnSpec, ControlPlane, PartitionSpec, Scenario, ScenarioBuilder,
 };
-use dcrd::net::failure::{FailureModel, LinkFailureModel, LinkOutageModel};
-use dcrd::net::gossip::GossipConfig;
-use dcrd::net::loss::LossModel;
-use dcrd::pubsub::audit::AuditConfig;
-use dcrd::pubsub::runtime::{DeliveryLog, Dissemination, OverlayRuntime, RuntimeConfig};
-use dcrd::pubsub::strategy::RunParams;
-use dcrd::sim::rng::derive_seed_indexed;
+use dcrd::pubsub::runtime::DeliveryLog;
 use dcrd::sim::SimTime;
 
 /// One partition window covering the whole churn burst, healed with 25 s
@@ -53,50 +45,11 @@ fn heal_scenario(plane: ControlPlane, seed: u64) -> Scenario {
         .build()
 }
 
-/// Mirrors `run_once`'s deterministic assembly (partition chaos + broker
-/// churn + the scenario's control plane) but returns the full delivery
-/// log and the strategy for counter inspection.
+/// Runs repetition 0 through `runner::simulate`, returning the full
+/// delivery log and the strategy for counter inspection.
 fn run_with_log(scenario: &Scenario, capture_trace: bool) -> (DeliveryLog, DcrdStrategy) {
-    let topo = build_topology(scenario, 0);
-    let workload = build_workload(scenario, &topo, 0);
-    let churn = build_broker_churn(scenario, &workload, 0).expect("churn spec set");
-    let workload = confine_to_churn(&workload, &churn);
-    let links = LinkOutageModel::Epoch(LinkFailureModel::new(
-        scenario.pf,
-        derive_seed_indexed(scenario.seed, "failures", 0),
-    ));
-    let chaos = build_chaos(scenario, 0).with_churn(churn);
-    let failure = FailureModel::new(links, None).with_chaos(chaos);
-    let mut config = RuntimeConfig {
-        duration: scenario.duration,
-        params: RunParams {
-            m: scenario.m,
-            ack_timeout_factor: scenario.ack_timeout_factor,
-            ..RunParams::default()
-        },
-        seed: derive_seed_indexed(scenario.seed, "runtime", 0),
-        audit: Some(AuditConfig::for_overlay(scenario.nodes, 64)),
-        dissemination: match scenario.control_plane {
-            ControlPlane::Oracle => Dissemination::Oracle,
-            ControlPlane::Gossip { loss } => Dissemination::Gossip(GossipConfig {
-                loss,
-                seed: derive_seed_indexed(scenario.seed, "gossip", 0),
-                ..GossipConfig::default()
-            }),
-            ControlPlane::None => Dissemination::None,
-        },
-        ..RuntimeConfig::paper(scenario.duration, 0)
-    };
-    config.capture_trace = capture_trace;
-    let runtime = OverlayRuntime::new(
-        &topo,
-        &workload,
-        failure,
-        LossModel::new(scenario.pl),
-        config,
-    );
     let mut strategy = DcrdStrategy::new(scenario.dcrd);
-    let log = runtime.run(&mut strategy);
+    let log = simulate(scenario, 0, &mut strategy, capture_trace);
     (log, strategy)
 }
 

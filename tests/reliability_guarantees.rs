@@ -5,7 +5,7 @@
 use dcrd::core::{DcrdConfig, DcrdStrategy, PersistenceMode};
 use dcrd::experiments::runner::{build_topology, build_workload, run_scenario, StrategyKind};
 use dcrd::experiments::scenario::ScenarioBuilder;
-use dcrd::net::failure::{FailureModel, LinkFailureModel, NodeFailureModel};
+use dcrd::net::failure::{FailureModel, LinkFailureModel, LinkOutageModel, NodeFailureModel};
 use dcrd::net::loss::LossModel;
 use dcrd::pubsub::runtime::{OverlayRuntime, RuntimeConfig};
 use dcrd::sim::SimDuration;
@@ -101,9 +101,9 @@ fn node_failures_reroute_better_than_trees() {
         .build();
     let topo = build_topology(&scenario, 0);
     let workload = build_workload(&scenario, &topo, 0);
-    let failure = FailureModel::with_node_failures(
-        LinkFailureModel::new(0.02, 0xAB),
-        NodeFailureModel::new(0.03, 0xCD),
+    let failure = FailureModel::new(
+        LinkOutageModel::Epoch(LinkFailureModel::new(0.02, 0xAB)),
+        Some(NodeFailureModel::new(0.03, 0xCD)),
     );
     let config = RuntimeConfig::paper(SimDuration::from_secs(90), 19);
 
