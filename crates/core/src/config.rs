@@ -14,7 +14,8 @@ pub enum PersistenceMode {
     /// guarantees delivery under transient partitions at the cost of
     /// storage and extra traffic.
     Retry {
-        /// Maximum number of parked retries per packet.
+        /// Maximum number of parked retries per packet at each broker,
+        /// counted across every copy of the packet that broker handles.
         max_retries: u32,
         /// Delay before each retry, in milliseconds (the paper's failures
         /// last one second, so ≈1000 ms is natural).
@@ -69,34 +70,6 @@ pub enum RepairMode {
     GlobalRebuild,
 }
 
-/// How a broker times out a hop-by-hop ACK.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TimeoutPolicy {
-    /// The paper's timer: a fixed `ack_timeout_factor × α` plus slack,
-    /// identical for every transmission on a link.
-    #[default]
-    Fixed,
-    /// Jacobson-style SRTT/RTTVAR estimation per directed link with capped
-    /// exponential backoff on retransmission, plus a per-neighbor circuit
-    /// breaker.
-    ///
-    /// Timers adapt to measured ACK round trips instead of the monitored
-    /// `α`, so a congested or gray link stops being probed at a rate its
-    /// real latency cannot sustain. The retransmission timeout follows the
-    /// classic TCP form: `RTO = SRTT + max(4 × RTTVAR, granularity)` plus
-    /// the fixed ACK slack, with SRTT/RTTVAR updated by gains 1/8 and 1/4
-    /// from ACK samples of never-retransmitted sends (Karn's rule); each
-    /// retransmission doubles the pending timer up to the RTO cap.
-    ///
-    /// A neighbor that keeps timing out is temporarily demoted from the
-    /// sending lists so it stops consuming the `m`-retransmission budget,
-    /// then probed back in after a cooldown that doubles with each repeated
-    /// demotion. Demotion never applies to the upstream hop (the only way
-    /// back), so the breaker cannot strand a packet that rerouting could
-    /// still save.
-    Adaptive,
-}
-
 /// Full DCRD configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DcrdConfig {
@@ -108,10 +81,6 @@ pub struct DcrdConfig {
     pub reroute_upstream: bool,
     /// Publisher-side persistence (paper extension).
     pub persistence: PersistenceMode,
-    /// ACK-timeout policy (the paper's fixed timer by default; adaptive
-    /// SRTT/RTTVAR with backoff and the circuit breaker for chaos-hardened
-    /// runs).
-    pub timeout_policy: TimeoutPolicy,
     /// Custody durability and NACK recovery (volatile by default — the
     /// paper's model).
     pub durability: DurabilityMode,
@@ -126,7 +95,6 @@ impl Default for DcrdConfig {
             ordering: OrderingPolicy::RatioOptimal,
             reroute_upstream: true,
             persistence: PersistenceMode::Disabled,
-            timeout_policy: TimeoutPolicy::Fixed,
             durability: DurabilityMode::Volatile,
             repair: RepairMode::None,
         }
@@ -134,21 +102,17 @@ impl Default for DcrdConfig {
 }
 
 impl DcrdConfig {
-    /// The chaos-hardened variant: adaptive ACK timeouts with the neighbor
-    /// circuit breaker. Use this under partitions, crash-restart brokers,
-    /// or gray links; the paper's defaults remain untouched otherwise.
+    /// Exactly [`default`](Self::default); it exists only because the
+    /// repository benchmark still calls it.
     #[must_use]
     pub fn chaos_hardened() -> Self {
-        DcrdConfig {
-            timeout_policy: TimeoutPolicy::Adaptive,
-            ..DcrdConfig::default()
-        }
+        DcrdConfig::default()
     }
 
-    /// The crash-survivable variant: [`chaos_hardened`](Self::chaos_hardened)
-    /// plus durable custody with NACK recovery and aggressive publisher
-    /// persistence. This is the configuration under which the end-to-end
-    /// audit (no gaps, no duplicates) is expected to hold under crash chaos.
+    /// The crash-survivable variant: the paper's router plus durable
+    /// custody with NACK recovery and aggressive publisher persistence.
+    /// This is the configuration under which the end-to-end audit (no
+    /// gaps, no duplicates) is expected to hold under crash chaos.
     #[must_use]
     pub fn recovery_hardened() -> Self {
         DcrdConfig {
@@ -157,7 +121,7 @@ impl DcrdConfig {
                 max_retries: 100,
                 retry_after_ms: 500,
             },
-            ..DcrdConfig::chaos_hardened()
+            ..DcrdConfig::default()
         }
     }
 
@@ -183,23 +147,16 @@ mod tests {
         assert_eq!(c.ordering, OrderingPolicy::RatioOptimal);
         assert!(c.reroute_upstream);
         assert_eq!(c.persistence, PersistenceMode::Disabled);
-        assert_eq!(c.timeout_policy, TimeoutPolicy::Fixed);
         assert_eq!(c.durability, DurabilityMode::Volatile);
         assert_eq!(c.repair, RepairMode::None);
     }
 
     /// Each rung of the ladder is the previous rung with one feature
-    /// switched on (plus the publisher persistence recovery runs use).
+    /// switched on (plus the publisher persistence recovery runs use),
+    /// starting from the paper's defaults.
     #[test]
     fn hardened_ladder_layers_one_feature_per_rung() {
-        let chaos = DcrdConfig::chaos_hardened();
-        assert_eq!(
-            chaos,
-            DcrdConfig {
-                timeout_policy: TimeoutPolicy::Adaptive,
-                ..DcrdConfig::default()
-            }
-        );
+        assert_eq!(DcrdConfig::chaos_hardened(), DcrdConfig::default());
         let recovery = DcrdConfig::recovery_hardened();
         assert_eq!(recovery.durability, DurabilityMode::Durable);
         assert_eq!(
@@ -214,7 +171,7 @@ mod tests {
             DcrdConfig {
                 durability: DurabilityMode::Durable,
                 persistence: recovery.persistence,
-                ..chaos
+                ..DcrdConfig::default()
             }
         );
         assert_eq!(

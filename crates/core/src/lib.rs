@@ -68,8 +68,6 @@ pub mod reliability;
 pub mod router;
 pub mod sending_list;
 
-pub use config::{
-    DcrdConfig, DurabilityMode, OrderingPolicy, PersistenceMode, RepairMode, TimeoutPolicy,
-};
+pub use config::{DcrdConfig, DurabilityMode, OrderingPolicy, PersistenceMode, RepairMode};
 pub use journal::{InFlightJournal, JournalEntry, JournalStats};
 pub use router::DcrdStrategy;

@@ -26,13 +26,13 @@ use dcrd_pubsub::hotstate::{PacketNodeMap, PacketNodeSet};
 use dcrd_pubsub::packet::{Packet, PacketId, PacketKind};
 use dcrd_pubsub::recovery::SequenceTracker;
 use dcrd_pubsub::strategy::{
-    ack_timeout, Actions, RoutingStrategy, RunParams, SetupContext, TimerKey, ACK_TIMEOUT_SLACK,
+    ack_timeout, Actions, RoutingStrategy, RunParams, SetupContext, TimerKey,
 };
 use dcrd_pubsub::topic::TopicId;
 use dcrd_pubsub::workload::Workload;
 use dcrd_sim::{SimDuration, SimTime};
 
-use crate::config::{DcrdConfig, DurabilityMode, PersistenceMode, RepairMode, TimeoutPolicy};
+use crate::config::{DcrdConfig, DurabilityMode, PersistenceMode, RepairMode};
 use crate::journal::{InFlightJournal, JournalEntry};
 use crate::propagation::{PairJob, SubscriberTables, TableBuilder};
 
@@ -89,29 +89,11 @@ const MAX_ATTEMPTS_PER_NODE: u32 = 64;
 /// one budget that travels with the packet.
 pub const MAX_PATH_FACTOR: usize = 4;
 
-/// Lower clamp on the adaptive policy's computed RTO.
-const MIN_RTO: SimDuration = SimDuration::from_millis(2);
-
-/// Upper clamp on the adaptive policy's computed RTO and on its backoff
-/// doubling.
-const MAX_RTO: SimDuration = SimDuration::from_millis(500);
-
-/// Consecutive `m`-exhausted timeouts on one neighbor before the circuit
-/// breaker demotes it.
-const BREAKER_THRESHOLD: u32 = 3;
-
-/// First demotion cooldown, in milliseconds (the paper's failure epochs
-/// last one second).
-const BREAKER_COOLDOWN_MS: u64 = 1000;
-
-/// Cap on the cooldown as repeated demotions double it, in milliseconds.
-const BREAKER_MAX_COOLDOWN_MS: u64 = 8000;
-
-/// Most `(packet, broker)` pairs remembered by the upstream bounce ledger
-/// before the oldest entries are evicted. The ledger only has to outlive
-/// the handful of packets still in flight at once; the cap is a safety
-/// valve against unbounded growth on very long runs.
-const BOUNCED_LEDGER_CAP: usize = 4096;
+/// Most packets whose [`PacketHistory`] is remembered before the oldest are
+/// evicted. The histories only have to outlive the handful of packets
+/// still in flight at once; the cap is a safety valve against unbounded
+/// growth on very long runs.
+const HISTORY_CAP: usize = 4096;
 
 /// ACK-timeout α used if a timeout is computed for a link the strategy
 /// has no estimate for (a bug caught by debug assertions; release builds
@@ -236,14 +218,6 @@ struct Pending {
     /// True when this send reroutes to the upstream node rather than down a
     /// sending list.
     is_upstream: bool,
-    /// When the most recent transmission went out (RTT sampling).
-    sent_at: SimTime,
-    /// Whether any retransmission happened — Karn's rule: an ACK for a
-    /// retransmitted packet is ambiguous and must not feed the estimator.
-    retransmitted: bool,
-    /// The timeout armed for the most recent transmission (doubled by the
-    /// adaptive policy's backoff on each retransmission).
-    timeout: SimDuration,
 }
 
 /// A broker's outstanding sends for one packet, oldest first. Tags are
@@ -314,38 +288,22 @@ impl TriedSets {
     }
 }
 
-/// Jacobson-style smoothed round-trip state for one directed link, in
-/// microseconds (gains 1/8 for SRTT, 1/4 for RTTVAR).
-#[derive(Debug, Clone, Copy)]
-struct RttEstimate {
-    srtt: f64,
-    rttvar: f64,
-}
-
-impl RttEstimate {
-    fn first(sample: f64) -> Self {
-        RttEstimate {
-            srtt: sample,
-            rttvar: sample / 2.0,
-        }
-    }
-
-    fn update(&mut self, sample: f64) {
-        self.rttvar = 0.75 * self.rttvar + 0.25 * (self.srtt - sample).abs();
-        self.srtt = 0.875 * self.srtt + 0.125 * sample;
-    }
-}
-
-/// Circuit-breaker bookkeeping for one directed `(node, neighbor)` pair.
-#[derive(Debug, Clone, Copy, Default)]
-struct Suspicion {
-    /// Consecutive `m`-exhausted timeouts without an intervening ACK.
-    consecutive: u32,
-    /// Demotions served so far (doubles the cooldown each time).
-    demotions: u32,
-    /// While set and in the future, the neighbor is skipped by
-    /// `choose_next_hop`.
-    demoted_until: Option<SimTime>,
+/// What one broker remembers of one packet across the incarnations of its
+/// [`NodeState`]: an ACK concludes a state, and a persistence retry, a NACK
+/// serve, a restart replay or a custody handoff clears the packet's path,
+/// so a copy can come back as if new. These budgets bound how often one
+/// packet crosses one link while its destinations are out of reach.
+#[derive(Debug, Default)]
+struct PacketHistory {
+    /// Upstream reroutes taken, capped by [`UPSTREAM_RETRY_CAP`]. A bounce
+    /// is usually ACKed hop-by-hop, so this counts reroutes, not timeouts.
+    upstream_reroutes: u32,
+    /// Parks for a persistence retry, capped by `max_retries`.
+    parks: u32,
+    /// Listed neighbours a send of the packet exhausted its `m`
+    /// transmissions into, passed over while they stay silent
+    /// ([`DcrdStrategy::written_off`]).
+    exhausted: NodeSet,
 }
 
 /// Per-(message, broker) forwarding state. Created when a broker takes
@@ -369,8 +327,6 @@ struct NodeState {
     pending: PendingSends,
     /// Transmissions spent by this broker on this packet.
     attempts: u32,
-    /// Persistence retries consumed (publisher only).
-    persist_retries: u32,
     /// Destinations parked for a persistence retry.
     parked: NodeList,
 }
@@ -384,7 +340,6 @@ impl NodeState {
             tried: TriedSets::default(),
             pending: PendingSends::default(),
             attempts: 0,
-            persist_retries: 0,
             parked: NodeList::new(),
         }
     }
@@ -421,10 +376,6 @@ pub struct DcrdStrategy {
     /// Routing tables per subscription `(topic, publisher, subscriber)`.
     tables: TableStore,
     inflight: PacketNodeMap<NodeState>,
-    /// Measured ACK round trips per directed link (adaptive timeouts only).
-    rtt: BTreeMap<(NodeId, NodeId), RttEstimate>,
-    /// Circuit-breaker state per directed link (adaptive timeouts only).
-    suspicion: BTreeMap<(NodeId, NodeId), Suspicion>,
     /// `(message, subscriber)` pairs already handed to the application —
     /// the durable subscriber-side delivery log that makes local delivery
     /// idempotent even when duplicate copies converge (lost ACKs, crash
@@ -453,16 +404,16 @@ pub struct DcrdStrategy {
     /// Custody entries seized from a dead broker, queued under their new
     /// custodian until that broker's next tick flushes them (handoff).
     pending_handoff: BTreeMap<NodeId, Vec<(PacketId, JournalEntry)>>,
-    /// Upstream reroutes taken per `(packet, broker)` — the reroute
-    /// hysteresis ledger. An upstream bounce usually *succeeds* hop-by-hop
-    /// (the unreachability is beyond the pair), so the counter must track
-    /// reroutes taken, not timeouts; and it lives on the strategy, not the
-    /// per-packet [`NodeState`], because every successful bounce concludes
-    /// the sender's state and the returning copy resurrects a fresh one
-    /// with zeroed counters — two brokers at an unreachability boundary
-    /// would otherwise ping-pong the packet forever. Bounded by
-    /// [`BOUNCED_LEDGER_CAP`] (oldest packets evicted first).
-    upstream_reroutes: BTreeMap<PacketId, BTreeMap<NodeId, u32>>,
+    /// Each broker's [`PacketHistory`] of each packet, by packet. Bounded
+    /// by [`HISTORY_CAP`] (oldest packets evicted first).
+    history: BTreeMap<PacketId, BTreeMap<NodeId, PacketHistory>>,
+    /// Per broker (by index), the neighbours it exhausted a send into and
+    /// has not heard from since (no ACK, packet or membership change).
+    /// Kept only under durable custody, whose NACK serves, replays and
+    /// handoffs resend copies with no budget of their own; a persistence
+    /// retry is budgeted by its parks and may need a neighbour that was
+    /// only cut off for a while.
+    silent: Vec<NodeSet>,
     /// From-scratch `rebuild_tables` passes taken after setup. The initial
     /// construction in `setup` is not counted — it is table construction,
     /// not a repair — so a run that heals purely through incremental
@@ -534,8 +485,6 @@ impl DcrdStrategy {
             workload: None,
             tables: TableStore::default(),
             inflight: PacketNodeMap::new(),
-            rtt: BTreeMap::new(),
-            suspicion: BTreeMap::new(),
             delivered: PacketNodeSet::new(),
             journal: InFlightJournal::new(),
             trackers: BTreeMap::new(),
@@ -543,7 +492,8 @@ impl DcrdStrategy {
             absent: NodeSet::new(),
             builder: TableBuilder::new(),
             pending_handoff: BTreeMap::new(),
-            upstream_reroutes: BTreeMap::new(),
+            history: BTreeMap::new(),
+            silent: Vec::new(),
             global_rebuilds: 0,
             incremental_repairs: 0,
             table_version: 0,
@@ -601,12 +551,6 @@ impl DcrdStrategy {
     /// subscribers recover gaps by NACK.
     fn durable(&self) -> bool {
         self.config.durability == DurabilityMode::Durable
-    }
-
-    /// Whether ACK timers adapt to measured round trips and the circuit
-    /// breaker runs.
-    fn adaptive(&self) -> bool {
-        self.config.timeout_policy == TimeoutPolicy::Adaptive
     }
 
     /// Whether membership deltas repair the tables, hand off the custody of
@@ -777,28 +721,36 @@ impl DcrdStrategy {
         }
     }
 
-    /// Counts one upstream reroute of packet `id` taken at `node` in the
-    /// durable hysteresis ledger; evicts the oldest packets past the
-    /// ledger cap.
-    fn note_upstream_reroute(&mut self, id: PacketId, node: NodeId) {
-        *self
-            .upstream_reroutes
-            .entry(id)
-            .or_default()
-            .entry(node)
-            .or_insert(0) += 1;
-        while self.upstream_reroutes.len() > BOUNCED_LEDGER_CAP {
-            self.upstream_reroutes.pop_first();
+    /// Updates `node`'s history of packet `id`, evicting the oldest packets
+    /// past [`HISTORY_CAP`].
+    fn note(&mut self, id: PacketId, node: NodeId, update: impl FnOnce(&mut PacketHistory)) {
+        update(self.history.entry(id).or_default().entry(node).or_default());
+        while self.history.len() > HISTORY_CAP {
+            self.history.pop_first();
         }
     }
 
-    /// Upstream reroutes packet `id` has already taken at `node`.
-    fn upstream_reroutes_taken(&self, id: PacketId, node: NodeId) -> u32 {
-        self.upstream_reroutes
-            .get(&id)
-            .and_then(|m| m.get(&node))
-            .copied()
-            .unwrap_or(0)
+    /// `node`'s history of packet `id`, if it has one.
+    fn history(&self, id: PacketId, node: NodeId) -> Option<&PacketHistory> {
+        self.history.get(&id).and_then(|m| m.get(&node))
+    }
+
+    /// An ACK or a packet from `neighbor` reached `node`.
+    fn heard_from(&mut self, node: NodeId, neighbor: NodeId) {
+        if let Some(silent) = self.silent.get_mut(node.index()) {
+            silent.remove(neighbor);
+        }
+    }
+
+    /// Whether `node` already spent `m` sends of packet `id` on `neighbor`
+    /// and has not heard from it since.
+    fn written_off(&self, id: PacketId, node: NodeId, neighbor: NodeId) -> bool {
+        self.silent
+            .get(node.index())
+            .is_some_and(|s| s.contains(neighbor))
+            && self
+                .history(id, node)
+                .is_some_and(|h| h.exhausted.contains(neighbor))
     }
 
     /// Seizes every custody entry held by a confirmed-dead or departed
@@ -919,14 +871,22 @@ impl DcrdStrategy {
             // The broker is gone for good: reclaim its volatile state the
             // way a crash wipe would.
             self.inflight.retain(|holder, _| holder != dead);
-            self.rtt.retain(|&(from, _), _| from != dead);
-            self.suspicion.retain(|&(from, _), _| from != dead);
+            if let Some(silent) = self.silent.get_mut(dead.index()) {
+                silent.clear();
+            }
             if self.repairs() {
                 self.handoff_custody(dead);
             }
         }
         if changed.is_empty() {
             return;
+        }
+        // A broker that joined is worth trying again, and one that left
+        // drops out of the tables.
+        for silent in &mut self.silent {
+            for &n in &changed {
+                silent.remove(n);
+            }
         }
         match self.config.repair {
             RepairMode::None => {}
@@ -949,103 +909,22 @@ impl DcrdStrategy {
         }
     }
 
-    /// The ACK timeout for a fresh transmission `node → to`. Fixed policy:
-    /// the paper's `factor × α + slack`. Adaptive policy: `SRTT +
-    /// max(4 × RTTVAR, MIN_RTO) + slack`, clamped to `[MIN_RTO, MAX_RTO]`,
-    /// falling back to the fixed formula until the first sample arrives.
+    /// The ACK timeout for a transmission `node → to`: the paper's
+    /// `factor × α + slack`, the same for every send on the link.
     fn rto(&self, node: NodeId, to: NodeId) -> SimDuration {
-        match self.config.timeout_policy {
-            TimeoutPolicy::Fixed => ack_timeout(self.alpha(node, to), &self.params),
-            TimeoutPolicy::Adaptive => match self.rtt.get(&(node, to)) {
-                Some(e) => {
-                    let var = SimDuration::from_micros((4.0 * e.rttvar).round() as u64);
-                    let rto = SimDuration::from_micros(e.srtt.round() as u64) + var.max(MIN_RTO);
-                    (rto + ACK_TIMEOUT_SLACK).clamp(MIN_RTO, MAX_RTO)
-                }
-                None => ack_timeout(self.alpha(node, to), &self.params).clamp(MIN_RTO, MAX_RTO),
-            },
-        }
-    }
-
-    /// The timeout for a retransmission whose previous timer was
-    /// `previous`: the adaptive policy doubles it (capped at `MAX_RTO`),
-    /// the fixed policy re-arms the same fixed timer.
-    fn backoff_timeout(&self, node: NodeId, to: NodeId, previous: SimDuration) -> SimDuration {
-        match self.config.timeout_policy {
-            TimeoutPolicy::Fixed => ack_timeout(self.alpha(node, to), &self.params),
-            TimeoutPolicy::Adaptive => (previous + previous).min(MAX_RTO),
-        }
-    }
-
-    /// Feeds an ACK for a transmission `node → to` back into the RTT
-    /// estimator (Karn's rule: never from a retransmitted send) and clears
-    /// the neighbor's suspicion record.
-    fn record_ack_feedback(
-        &mut self,
-        node: NodeId,
-        to: NodeId,
-        sent_at: SimTime,
-        retransmitted: bool,
-        now: SimTime,
-    ) {
-        if !self.adaptive() {
-            return;
-        }
-        if !retransmitted {
-            let sample = now.saturating_since(sent_at).as_micros() as f64;
-            match self.rtt.get_mut(&(node, to)) {
-                Some(e) => e.update(sample),
-                None => {
-                    self.rtt.insert((node, to), RttEstimate::first(sample));
-                }
-            }
-        }
-        self.suspicion.remove(&(node, to));
-    }
-
-    /// Counts one `m`-exhausted timeout on `node → to` and demotes the
-    /// neighbor once the threshold of consecutive exhaustions is reached.
-    /// The cooldown doubles with every repeated demotion, capped.
-    fn record_exhaustion(&mut self, node: NodeId, to: NodeId, now: SimTime) {
-        if !self.adaptive() {
-            return;
-        }
-        let s = self.suspicion.entry((node, to)).or_default();
-        s.consecutive += 1;
-        if s.consecutive >= BREAKER_THRESHOLD {
-            let factor = 1u64 << s.demotions.min(16);
-            let cooldown = BREAKER_COOLDOWN_MS
-                .saturating_mul(factor)
-                .min(BREAKER_MAX_COOLDOWN_MS);
-            s.demoted_until = Some(now + SimDuration::from_millis(cooldown));
-            s.demotions += 1;
-            s.consecutive = 0;
-        }
-    }
-
-    /// Whether the breaker currently holds `neighbor` out of `node`'s
-    /// sending lists.
-    fn is_demoted(&self, node: NodeId, neighbor: NodeId, now: SimTime) -> bool {
-        self.adaptive()
-            && self
-                .suspicion
-                .get(&(node, neighbor))
-                .and_then(|s| s.demoted_until)
-                .is_some_and(|until| now < until)
+        ack_timeout(self.alpha(node, to), &self.params)
     }
 
     /// Picks the next hop for `dest` at `node`, honoring the sending list
     /// of the packet's `stream`, the packet's routing path, the
-    /// per-destination tried set, the circuit breaker, and the upstream
-    /// fallback. `None` means "give up / park". The upstream hop is exempt
-    /// from the breaker — it is the only way back.
+    /// per-destination tried set, the neighbours written off for this
+    /// packet, and the upstream fallback. `None` means "give up / park".
     fn choose_next_hop(
         &self,
         node: NodeId,
         state: &NodeState,
         stream: u32,
         dest: NodeId,
-        now: SimTime,
     ) -> Option<(NodeId, bool)> {
         let tables = self.tables.get(stream, dest)?;
         let tried = state.tried.get(dest);
@@ -1053,7 +932,7 @@ impl DcrdStrategy {
             c.neighbor != node
                 && !state.packet.visited(c.neighbor)
                 && !tried.is_some_and(|t| t.contains(c.neighbor))
-                && !self.is_demoted(node, c.neighbor, now)
+                && !self.written_off(state.packet.id, node, c.neighbor)
         });
         if let Some(c) = candidate {
             return Some((c.neighbor, false));
@@ -1068,7 +947,10 @@ impl DcrdStrategy {
         // an unreachability boundary ping-pong the packet until the run
         // ends. Stop offering the upstream once this broker has spent its
         // reroute budget for this packet, across all state incarnations.
-        if self.upstream_reroutes_taken(state.packet.id, node) >= UPSTREAM_RETRY_CAP {
+        if self
+            .history(state.packet.id, node)
+            .is_some_and(|h| h.upstream_reroutes >= UPSTREAM_RETRY_CAP)
+        {
             return None;
         }
         state.upstream.map(|up| (up, true))
@@ -1123,12 +1005,12 @@ impl DcrdStrategy {
             let can_park = matches!(
                 self.config.persistence,
                 PersistenceMode::Retry { max_retries, .. }
-                    if state.persist_retries < max_retries
+                    if self.history(id, node).map_or(0, |h| h.parks) < max_retries
             );
             let hop = if over_cap {
                 None
             } else {
-                stream.and_then(|s| self.choose_next_hop(node, state, s, dest, now))
+                stream.and_then(|s| self.choose_next_hop(node, state, s, dest))
             };
             let scratch = &mut self.scratch;
             match hop {
@@ -1169,7 +1051,7 @@ impl DcrdStrategy {
                 // is armed: bounces are ACKed (so no timeout ever fires for
                 // them) and conclude this state, which makes this the only
                 // point that survives to see every incarnation.
-                self.note_upstream_reroute(id, node);
+                self.note(id, node, |h| h.upstream_reroutes += 1);
             }
             let Some(state) = self.inflight.get_mut(&(id, node)) else {
                 return;
@@ -1185,11 +1067,11 @@ impl DcrdStrategy {
                     packet: forwarded,
                     sends: 1,
                     is_upstream,
-                    sent_at: now,
-                    retransmitted: false,
-                    timeout,
                 },
             );
+        }
+        if !self.scratch.park.is_empty() {
+            self.note(id, node, |h| h.parks += 1);
         }
         let Some(state) = self.inflight.get_mut(&(id, node)) else {
             return;
@@ -1202,7 +1084,6 @@ impl DcrdStrategy {
         if !self.scratch.park.is_empty() {
             state.parked.extend_from_slice(&self.scratch.park);
             self.scratch.park.clear();
-            state.persist_retries += 1;
             if let PersistenceMode::Retry { retry_after_ms, .. } = self.config.persistence {
                 let tag = self.next_persist_tag;
                 self.next_persist_tag += 1;
@@ -1393,7 +1274,6 @@ impl DcrdStrategy {
                     // spot, wedging this pair forever. Demand-driven repair
                     // is bounded by the NACK-per-seq budget instead.
                     state.attempts = 0;
-                    state.persist_retries = 0;
                 }
                 None => self.open_state(node, copy, None),
             }
@@ -1436,6 +1316,9 @@ impl RoutingStrategy for DcrdStrategy {
         self.estimates = Some(ctx.estimates.clone());
         self.workload = Some(ctx.workload.clone());
         self.tables = TableStore::new(ctx.topology.num_nodes(), ctx.workload);
+        if self.durable() {
+            self.silent = vec![NodeSet::new(); ctx.topology.num_nodes()];
+        }
         self.builder.estimates_changed();
         self.rebuild_tables();
         // Setup is table *construction*, not a repair: the rebuild counter
@@ -1466,6 +1349,7 @@ impl RoutingStrategy for DcrdStrategy {
         now: SimTime,
         out: &mut Actions,
     ) {
+        self.heard_from(node, from);
         if packet.is_nack() {
             self.handle_nack(node, packet, now, out);
             return;
@@ -1529,12 +1413,13 @@ impl RoutingStrategy for DcrdStrategy {
     fn on_ack(
         &mut self,
         node: NodeId,
-        _to: NodeId,
+        to: NodeId,
         packet: &Packet,
-        now: SimTime,
+        _now: SimTime,
         out: &mut Actions,
     ) {
         let _ = out;
+        self.heard_from(node, to);
         let Some(state) = self.inflight.get_mut(&(packet.id, node)) else {
             return;
         };
@@ -1546,7 +1431,6 @@ impl RoutingStrategy for DcrdStrategy {
             if state.finished() {
                 self.conclude(node, packet.id);
             }
-            self.record_ack_feedback(node, p.to, p.sent_at, p.retransmitted, now);
         }
     }
 
@@ -1583,25 +1467,13 @@ impl RoutingStrategy for DcrdStrategy {
             return; // ACK already arrived; stale timer.
         };
         if p.sends < self.params.m {
-            // Retransmit on the same link (Eq. 1's m), backing the timer
-            // off under the adaptive policy.
-            let packet = p.packet.clone();
-            let to = p.to;
-            let previous = p.timeout;
-            let timeout = self.backoff_timeout(node, to, previous);
-            let Some(state) = self.inflight.get_mut(&(id, node)) else {
-                return;
-            };
-            let Some(p) = state.pending.get_mut(key.tag) else {
-                return;
-            };
+            // Retransmit on the same link (Eq. 1's m) under the same
+            // timer as the first send.
             p.sends += 1;
-            p.retransmitted = true;
-            p.sent_at = now;
-            p.timeout = timeout;
             state.attempts += 1;
-            out.send(to, packet);
-            out.set_timer(now + timeout, key);
+            let to = p.to;
+            out.send(to, p.packet.clone());
+            out.set_timer(now + self.rto(node, to), key);
             return;
         }
         // Neighbor failed after m transmissions: mark tried and move on.
@@ -1615,7 +1487,10 @@ impl RoutingStrategy for DcrdStrategy {
             for &dest in &p.packet.destinations {
                 state.tried.insert(dest, p.to);
             }
-            self.record_exhaustion(node, p.to, now);
+            if let Some(silent) = self.silent.get_mut(node.index()) {
+                silent.insert(p.to);
+                self.note(id, node, |h| _ = h.exhausted.insert(p.to));
+            }
         }
         self.process(node, id, now, out);
     }
@@ -1646,14 +1521,15 @@ impl RoutingStrategy for DcrdStrategy {
         if self.repairs() && self.absent.contains(node) {
             self.apply_membership(&[MembershipDelta::Join { node }]);
         }
-        // A crash wipes the broker's volatile state: in-flight per-packet
-        // forwarding state, RTT estimates and breaker bookkeeping. Stale
-        // timers for the dropped state fire into the void (on_timer finds
-        // nothing and returns). The subscriber delivery log (`delivered`)
-        // and the routing tables are durable and survive.
+        // A crash wipes the broker's volatile state: its in-flight
+        // per-packet forwarding state and which neighbours were silent.
+        // Stale timers for the dropped state fire into the void (on_timer
+        // finds nothing and returns). The subscriber delivery log
+        // (`delivered`) and the routing tables are durable and survive.
         self.inflight.retain(|holder, _| holder != node);
-        self.rtt.retain(|&(from, _), _| from != node);
-        self.suspicion.retain(|&(from, _), _| from != node);
+        if let Some(silent) = self.silent.get_mut(node.index()) {
+            silent.clear();
+        }
         if !self.durable() {
             return;
         }
@@ -1960,100 +1836,6 @@ mod tests {
     }
 
     #[test]
-    fn chaos_hardened_matches_default_on_healthy_network() {
-        // With no chaos, no loss and no failures, the adaptive timers never
-        // fire and the breaker never trips: behavior is byte-identical to
-        // the paper's configuration.
-        let topo = line(4, SimDuration::from_millis(10));
-        let wl = one_topic_workload(&topo, 0, &[3], SimDuration::from_millis(90));
-        let log = run(&topo, &wl, 0.0, 0.0, 20, 1, DcrdConfig::chaos_hardened());
-        assert!((log.delivery_ratio() - 1.0).abs() < 1e-12);
-        assert!((log.qos_delivery_ratio() - 1.0).abs() < 1e-12);
-        assert!((log.packets_per_subscriber() - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn adaptive_timeouts_survive_paper_conditions() {
-        let mut rng = rng_for(4, "router");
-        let topo = full_mesh(10, DelayRange::PAPER, &mut rng);
-        let wl = Workload::generate(&topo, &WorkloadConfig::PAPER, &mut rng);
-        let log = run(&topo, &wl, 0.04, 1e-4, 60, 4, DcrdConfig::chaos_hardened());
-        assert!(
-            log.delivery_ratio() > 0.99,
-            "delivery ratio {}",
-            log.delivery_ratio()
-        );
-    }
-
-    #[test]
-    fn rtt_estimator_follows_samples_and_honors_karn() {
-        let mut s = DcrdStrategy::new(DcrdConfig::chaos_hardened());
-        let (a, b) = (NodeId::new(0), NodeId::new(1));
-        // First sample: srtt = s, rttvar = s/2 →
-        // RTO = 30ms + max(4 × 15ms → capped…, min) — here 30 + 60 + slack,
-        // clamped to max_rto = 500ms.
-        s.record_ack_feedback(a, b, SimTime::ZERO, false, SimTime::from_millis(30));
-        let rto1 = s.rto(a, b);
-        assert_eq!(rto1, SimDuration::from_millis(91));
-        // A retransmitted send must not perturb the estimate (Karn).
-        s.record_ack_feedback(a, b, SimTime::ZERO, true, SimTime::from_secs(9));
-        assert_eq!(s.rto(a, b), rto1);
-        // Repeated identical samples shrink RTTVAR toward zero, so the RTO
-        // tightens toward srtt + min_rto + slack.
-        for _ in 0..200 {
-            s.record_ack_feedback(a, b, SimTime::ZERO, false, SimTime::from_millis(30));
-        }
-        let rto2 = s.rto(a, b);
-        assert!(rto2 < rto1);
-        assert_eq!(rto2, SimDuration::from_millis(33));
-        // Backoff doubles and caps at max_rto.
-        let doubled = s.backoff_timeout(a, b, rto2);
-        assert_eq!(doubled, SimDuration::from_millis(66));
-        let capped = s.backoff_timeout(a, b, SimDuration::from_millis(400));
-        assert_eq!(capped, SimDuration::from_millis(500));
-    }
-
-    #[test]
-    fn breaker_demotes_and_probes_back_in() {
-        let mut s = DcrdStrategy::new(DcrdConfig::chaos_hardened());
-        let (a, b) = (NodeId::new(0), NodeId::new(1));
-        let t = SimTime::from_secs(10);
-        // Below the threshold: still usable.
-        s.record_exhaustion(a, b, t);
-        s.record_exhaustion(a, b, t);
-        assert!(!s.is_demoted(a, b, t));
-        // Third consecutive exhaustion trips the breaker for 1000ms.
-        s.record_exhaustion(a, b, t);
-        assert!(s.is_demoted(a, b, t));
-        assert!(s.is_demoted(a, b, t + SimDuration::from_millis(999)));
-        assert!(!s.is_demoted(a, b, t + SimDuration::from_millis(1000)));
-        // A second demotion doubles the cooldown.
-        let t2 = t + SimDuration::from_secs(5);
-        for _ in 0..3 {
-            s.record_exhaustion(a, b, t2);
-        }
-        assert!(s.is_demoted(a, b, t2 + SimDuration::from_millis(1999)));
-        assert!(!s.is_demoted(a, b, t2 + SimDuration::from_millis(2000)));
-        // An ACK clears everything, including the doubling history.
-        s.record_ack_feedback(a, b, SimTime::ZERO, false, t2);
-        assert!(!s.is_demoted(a, b, t2));
-        for _ in 0..3 {
-            s.record_exhaustion(a, b, t2);
-        }
-        assert!(!s.is_demoted(a, b, t2 + SimDuration::from_millis(1000)));
-    }
-
-    #[test]
-    fn breaker_disabled_never_demotes() {
-        let mut s = DcrdStrategy::new(DcrdConfig::default());
-        let (a, b) = (NodeId::new(0), NodeId::new(1));
-        for _ in 0..10 {
-            s.record_exhaustion(a, b, SimTime::ZERO);
-        }
-        assert!(!s.is_demoted(a, b, SimTime::ZERO));
-    }
-
-    #[test]
     fn local_delivery_is_idempotent() {
         use dcrd_pubsub::strategy::Action;
 
@@ -2081,7 +1863,7 @@ mod tests {
 
     #[test]
     fn restart_drops_volatile_state_keeps_delivery_log() {
-        let mut s = DcrdStrategy::new(DcrdConfig::chaos_hardened());
+        let mut s = DcrdStrategy::new(DcrdConfig::default());
         let crashed = NodeId::new(1);
         let healthy = NodeId::new(2);
         let mk = |n: u32| {
@@ -2097,20 +1879,6 @@ mod tests {
             .insert((PacketId::new(1), crashed), NodeState::new(mk(1), None));
         s.inflight
             .insert((PacketId::new(2), healthy), NodeState::new(mk(2), None));
-        s.record_ack_feedback(
-            crashed,
-            healthy,
-            SimTime::ZERO,
-            false,
-            SimTime::from_millis(5),
-        );
-        s.record_ack_feedback(
-            healthy,
-            crashed,
-            SimTime::ZERO,
-            false,
-            SimTime::from_millis(5),
-        );
         s.delivered.insert((PacketId::new(1), crashed));
         let mut out = Actions::new();
         s.on_restart(crashed, SimTime::from_secs(3), &mut out);
@@ -2120,8 +1888,6 @@ mod tests {
             "only the crashed broker's state goes"
         );
         assert!(s.inflight.contains_key(&(PacketId::new(2), healthy)));
-        assert!(!s.rtt.contains_key(&(crashed, healthy)));
-        assert!(s.rtt.contains_key(&(healthy, crashed)));
         assert!(
             s.delivered.contains(&(PacketId::new(1), crashed)),
             "the subscriber delivery log is durable across restarts"

@@ -3,14 +3,16 @@
 //! emits, pinning Algorithm 2's per-step behavior.
 
 use dcrd_core::router::{JOURNAL_WRITE_COST, MAX_NACKS_PER_SEQ, MAX_PATH_FACTOR};
-use dcrd_core::{DcrdConfig, DcrdStrategy, DurabilityMode, RepairMode};
+use dcrd_core::{DcrdConfig, DcrdStrategy, DurabilityMode, PersistenceMode, RepairMode};
 use dcrd_net::estimate::analytic_estimates;
 use dcrd_net::failure::{FailureModel, LinkFailureModel};
 use dcrd_net::graph::TopologyBuilder;
 use dcrd_net::membership::MembershipDelta;
 use dcrd_net::{NodeId, NodeList, Topology};
 use dcrd_pubsub::packet::{Packet, PacketId, PathRecord};
-use dcrd_pubsub::strategy::{Action, Actions, RoutingStrategy, RunParams, SetupContext, TimerKey};
+use dcrd_pubsub::strategy::{
+    ack_timeout, Action, Actions, RoutingStrategy, RunParams, SetupContext, TimerKey,
+};
 use dcrd_pubsub::topic::{Subscription, TopicId};
 use dcrd_pubsub::workload::{TopicSpec, Workload};
 use dcrd_sim::{SimDuration, SimTime};
@@ -107,6 +109,17 @@ fn timers(actions: &[Action]) -> Vec<TimerKey> {
         .iter()
         .filter_map(|a| match a {
             Action::SetTimer { key, .. } => Some(*key),
+            _ => None,
+        })
+        .collect()
+}
+
+/// When each armed timer fires, in arming order.
+fn timer_deadlines(actions: &[Action]) -> Vec<SimTime> {
+    actions
+        .iter()
+        .filter_map(|a| match a {
+            Action::SetTimer { at, .. } => Some(*at),
             _ => None,
         })
         .collect()
@@ -266,30 +279,36 @@ fn m2_retransmits_once_before_failover() {
     // Override m via a fresh setup with m = 2.
     let estimates = analytic_estimates(&h.topo, 0.05, 0.0);
     let failure = FailureModel::links_only(LinkFailureModel::new(0.05, 1));
+    let params = RunParams {
+        m: 2,
+        ack_timeout_factor: 1.0,
+        ..RunParams::default()
+    };
     let ctx = SetupContext {
         topology: &h.topo,
         estimates: &estimates,
         workload: &h.workload,
         failure_oracle: &failure,
-        params: RunParams {
-            m: 2,
-            ack_timeout_factor: 1.0,
-            ..RunParams::default()
-        },
+        params,
     };
     h.strategy.setup(&ctx);
+    // Every send on 0—1 waits the paper's fixed timer for that link's α.
+    let timeout_01 = ack_timeout(SimDuration::from_millis(10), &params);
 
     let (_, actions) = h.publish(&[3]);
     let key = timers(&actions)[0];
     assert_eq!(sends(&actions)[0].1, NodeId::new(1));
+    assert_eq!(timer_deadlines(&actions), [SimTime::ZERO + timeout_01]);
 
-    // First timeout: retransmission to the SAME neighbor, same tag.
+    // First timeout: retransmission to the SAME neighbor, same tag, under
+    // the same timer (no backoff).
+    let retry_at = SimTime::from_millis(25);
     let mut out = Actions::new();
-    h.strategy
-        .on_timer(NodeId::new(0), key, SimTime::from_millis(25), &mut out);
+    h.strategy.on_timer(NodeId::new(0), key, retry_at, &mut out);
     let retry: Vec<Action> = out.drain().collect();
     assert_eq!(sends(&retry)[0].1, NodeId::new(1), "m=2 retransmits first");
     assert_eq!(timers(&retry)[0], key, "retransmission keeps the tag");
+    assert_eq!(timer_deadlines(&retry), [retry_at + timeout_01]);
 
     // Second timeout: switch to the alternative.
     let mut out = Actions::new();
@@ -297,6 +316,136 @@ fn m2_retransmits_once_before_failover() {
         .on_timer(NodeId::new(0), key, SimTime::from_millis(50), &mut out);
     let failover: Vec<Action> = out.drain().collect();
     assert_eq!(sends(&failover)[0].1, NodeId::new(2));
+}
+
+/// Publisher persistence with a retry budget of `max_retries` parks, on
+/// top of `base`.
+fn persistent_config(base: DcrdConfig, max_retries: u32) -> DcrdConfig {
+    DcrdConfig {
+        persistence: PersistenceMode::Retry {
+            max_retries,
+            retry_after_ms: 500,
+        },
+        ..base
+    }
+}
+
+/// Fires `key` at node 0 and returns what the router did.
+fn fire(h: &mut Harness, key: TimerKey, at: SimTime) -> Vec<Action> {
+    let mut out = Actions::new();
+    h.strategy.on_timer(NodeId::new(0), key, at, &mut out);
+    out.drain().collect()
+}
+
+/// Publishes toward 3 on the diamond and lets both of the publisher's
+/// neighbours time out, so the packet parks; returns the persistence
+/// timer.
+fn publish_and_exhaust_both_neighbours(h: &mut Harness) -> TimerKey {
+    let (_, mut actions) = h.publish(&[3]);
+    if h.strategy.config().durability == DurabilityMode::Durable {
+        // The journal write releases the forwarding.
+        actions = fire(h, timers(&actions)[0], SimTime::ZERO + JOURNAL_WRITE_COST);
+    }
+    assert_eq!(sends(&actions)[0].1, NodeId::new(1));
+    let failover = fire(h, timers(&actions)[0], SimTime::from_millis(25));
+    assert_eq!(sends(&failover)[0].1, NodeId::new(2));
+    let parked = fire(h, timers(&failover)[0], SimTime::from_millis(60));
+    assert!(sends(&parked).is_empty(), "nothing left: the packet parks");
+    let retry = timers(&parked);
+    assert_eq!(retry.len(), 1, "one persistence timer");
+    retry[0]
+}
+
+/// Under durable custody, a persistence retry clears the packet's tried
+/// sets, but a neighbour that already took `m` sends of it and has not
+/// answered since stays passed over; the first ACK it returns, for any
+/// packet, puts it back.
+#[test]
+fn persistence_retry_skips_a_silent_neighbour_until_it_acks() {
+    let mut h = Harness::new(diamond(), &[3], persistent_config(durable_config(), 10));
+    let retry = publish_and_exhaust_both_neighbours(&mut h);
+
+    let again = fire(&mut h, retry, SimTime::from_millis(560));
+    assert!(
+        sends(&again).is_empty(),
+        "both neighbours are silent: the retry sends nothing and parks again"
+    );
+    let retry = timers(&again)[0];
+
+    // Node 1 acknowledges some other packet: it is alive again.
+    let other = Packet::new(
+        PacketId::new(2),
+        TopicId::new(0),
+        NodeId::new(0),
+        SimTime::ZERO,
+        NodeList::from_slice(&[NodeId::new(3)]),
+    );
+    let mut out = Actions::new();
+    h.strategy.on_ack(
+        NodeId::new(0),
+        NodeId::new(1),
+        &other,
+        SimTime::from_millis(600),
+        &mut out,
+    );
+    assert!(out.is_empty());
+
+    let resumed = fire(&mut h, retry, SimTime::from_millis(1_060));
+    assert_eq!(
+        sends(&resumed)
+            .iter()
+            .map(|(_, to)| *to)
+            .collect::<Vec<_>>(),
+        [NodeId::new(1)],
+        "the neighbour that answered is tried again; the silent one is not"
+    );
+}
+
+/// `max_retries` bounds the parks one broker spends on one packet, not
+/// on one incarnation of its state: a copy that comes back after the
+/// budget is spent is not parked again.
+#[test]
+fn park_budget_spans_state_incarnations() {
+    let mut h = Harness::new(diamond(), &[3], persistent_config(DcrdConfig::default(), 1));
+    let retry = publish_and_exhaust_both_neighbours(&mut h);
+    // The one retry explores both neighbours again, and fails again.
+    let again = fire(&mut h, retry, SimTime::from_millis(560));
+    assert_eq!(sends(&again)[0].1, NodeId::new(1));
+    let failover = fire(&mut h, timers(&again)[0], SimTime::from_millis(590));
+    assert_eq!(sends(&failover)[0].1, NodeId::new(2));
+    let gave_up = fire(&mut h, timers(&failover)[0], SimTime::from_millis(620));
+    assert!(sends(&gave_up).is_empty());
+    assert!(timers(&gave_up).is_empty(), "no second park");
+    assert!(gave_up.iter().any(
+        |a| matches!(a, Action::GiveUp { destination, .. } if *destination == NodeId::new(3))
+    ));
+    assert_eq!(h.strategy.inflight_states(), 0);
+
+    // A copy that has been through both neighbours comes back with no
+    // usable upstream (its claimed sender is no neighbour): a fresh state
+    // at the publisher with nowhere to send it.
+    let copy = Packet::new(
+        PacketId::new(1),
+        TopicId::new(0),
+        NodeId::new(0),
+        SimTime::ZERO,
+        NodeList::from_slice(&[NodeId::new(3)]),
+    )
+    .forward(NodeId::new(0), NodeList::from_slice(&[NodeId::new(3)]), 7)
+    .forward(NodeId::new(1), NodeList::from_slice(&[NodeId::new(3)]), 8)
+    .forward(NodeId::new(2), NodeList::from_slice(&[NodeId::new(3)]), 9);
+    let mut out = Actions::new();
+    h.strategy.on_packet(
+        NodeId::new(0),
+        NodeId::new(3),
+        copy,
+        SimTime::from_millis(700),
+        &mut out,
+    );
+    let actions: Vec<Action> = out.drain().collect();
+    assert!(sends(&actions).is_empty());
+    assert!(timers(&actions).is_empty(), "the budget is spent");
+    assert!(actions.iter().any(|a| matches!(a, Action::GiveUp { .. })));
 }
 
 #[test]

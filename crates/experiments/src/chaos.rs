@@ -2,8 +2,7 @@
 //!
 //! Three one-dimensional sweeps over the chaos models — partition window
 //! length, broker crash rate and gray-link fraction — each comparing the
-//! chaos-hardened DCRD router (adaptive timeouts + circuit breaker) against
-//! the paper's fixed-timeout DCRD and the R-Tree baseline on **identical**
+//! paper's fixed-timeout DCRD against the R-Tree baseline on **identical**
 //! repetitions (same topology, workload, failures and chaos schedule).
 //!
 //! Every simulation in the study runs with the online invariant auditor
@@ -11,7 +10,6 @@
 //! series pools the verdict. A healthy implementation reports zero across
 //! the whole sweep.
 
-use dcrd_core::DcrdConfig;
 use dcrd_metrics::report::FigureSeries;
 
 use crate::figures::{sweep, Arm};
@@ -35,7 +33,7 @@ fn base(quality: Quality) -> ScenarioBuilder {
         .audit(true)
 }
 
-/// Sweeps the three contenders over `xs` on identical repetitions of
+/// Sweeps the two contenders over `xs` on identical repetitions of
 /// `scenario(x)`.
 fn contenders(
     id: &str,
@@ -48,10 +46,6 @@ fn contenders(
         x_label,
         xs,
         &[
-            Arm::new("DCRD-hardened", StrategyKind::Dcrd, move |x| Scenario {
-                dcrd: DcrdConfig::chaos_hardened(),
-                ..scenario(x)
-            }),
             Arm::new("DCRD-fixed", StrategyKind::Dcrd, scenario),
             Arm::new("R-Tree", StrategyKind::RTree, scenario),
         ],
@@ -125,10 +119,7 @@ mod tests {
     fn partition_sweep_has_expected_shape_and_clean_audit() {
         let series = chaos_partition(Quality::Smoke);
         assert_eq!(series.points.len(), PARTITION_WINDOW_SWEEP.len());
-        assert_eq!(
-            series.strategy_names(),
-            ["DCRD-hardened", "DCRD-fixed", "R-Tree"]
-        );
+        assert_eq!(series.strategy_names(), ["DCRD-fixed", "R-Tree"]);
         for point in &series.points {
             for agg in &point.strategies {
                 assert_eq!(
@@ -141,7 +132,7 @@ mod tests {
             }
         }
         let table = series.render_table(MetricKind::Qos);
-        assert!(table.contains("DCRD-hardened"));
+        assert!(table.contains("DCRD-fixed"));
     }
 
     #[test]

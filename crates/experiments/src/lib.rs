@@ -15,8 +15,8 @@
 //!   reproduce **every figure of the paper** (Figs. 2–8) plus the
 //!   ablations listed in `DESIGN.md`.
 //! * [`chaos`] — the chaos study: partition / crash-restart / gray-link
-//!   sweeps comparing the chaos-hardened DCRD router against the paper's
-//!   fixed-timeout router, with the invariant auditor on everywhere.
+//!   sweeps comparing the paper's fixed-timeout DCRD router against the
+//!   R-Tree baseline, with the invariant auditor on everywhere.
 //! * [`recovery`] — the recovery study: a harsh crash-rate sweep
 //!   comparing the durable custody journal + NACK recovery against the
 //!   volatile router, with the end-to-end sequence audit armed.

@@ -7,8 +7,8 @@
 //! * **DCRD-recovery** — the recovery-hardened router: durable custody
 //!   journal, restart replay and NACK-driven gap repair
 //!   ([`DcrdConfig::recovery_hardened`]).
-//! * **DCRD-volatile** — the chaos-hardened router without durability:
-//!   a crashed broker loses every packet it held.
+//! * **DCRD-volatile** — the paper's router, without durability: a
+//!   crashed broker loses every packet it held.
 //! * **R-Tree** — the paper's baseline.
 //!
 //! The crash rates are far harsher than the chaos study's: at the top of
@@ -73,10 +73,7 @@ pub fn recovery_crashes(quality: Quality) -> FigureSeries {
                 audit_sequences: true,
                 ..crashes(rate)
             }),
-            Arm::new("DCRD-volatile", StrategyKind::Dcrd, move |rate| Scenario {
-                dcrd: DcrdConfig::chaos_hardened(),
-                ..crashes(rate)
-            }),
+            Arm::new("DCRD-volatile", StrategyKind::Dcrd, crashes),
             Arm::new("R-Tree", StrategyKind::RTree, crashes),
         ],
     )

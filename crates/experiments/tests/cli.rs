@@ -29,7 +29,7 @@ fn chaos_smoke_reports_a_clean_audit() {
         String::from_utf8_lossy(&out.stderr)
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("DCRD-hardened"));
+    assert!(stdout.contains("R-Tree"));
     assert!(stdout.contains("DCRD-fixed"));
     assert!(stdout.contains("invariant auditor: 0 violation(s)"));
 }

@@ -126,13 +126,13 @@ fn recovery_runs_are_deterministic() {
 }
 
 /// Acceptance comparison at equal delay budget: the durable journal must
-/// strictly out-deliver the volatile chaos-hardened router on the same
-/// crash schedule.
+/// strictly out-deliver the paper's volatile router on the same crash
+/// schedule.
 #[test]
 fn recovery_strictly_beats_volatile_at_acceptance_rate() {
     let scenario = crash_scenario(0.3, 0x0DC2D);
     let volatile = Scenario {
-        dcrd: DcrdConfig::chaos_hardened(),
+        dcrd: DcrdConfig::default(),
         audit_sequences: false,
         ..scenario
     };

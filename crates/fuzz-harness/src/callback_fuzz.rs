@@ -87,7 +87,6 @@ fn run_storm(seed: u64, index: u64, events: u32, report: &mut CallbackFuzzReport
     let config = *rng
         .choose(&[
             DcrdConfig::default(),
-            DcrdConfig::chaos_hardened(),
             DcrdConfig::recovery_hardened(),
             DcrdConfig::churn_hardened(),
         ])

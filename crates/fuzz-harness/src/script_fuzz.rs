@@ -200,15 +200,13 @@ pub fn generate_script(seed: u64, index: u64) -> Script {
     let scenario = b.audit(true).build();
 
     // Pair the router hardening with the script's hostility, exactly as an
-    // operator would: churn needs the churn-survivable config, other chaos
-    // the chaos-hardened one, and calm runs the paper's defaults. Upstream
-    // reroute stays on everywhere — the reroute hysteresis keeps sustained
-    // unreachability (crashes, outage epochs, shedding queues) from
-    // ping-ponging packets past the auditor's budgets.
+    // operator would: churn needs the churn-survivable config, and every
+    // other script runs the paper's defaults. Upstream reroute stays on
+    // everywhere — the reroute hysteresis keeps sustained unreachability
+    // (crashes, outage epochs, shedding queues) from ping-ponging packets
+    // past the auditor's budgets.
     let dcrd = if churny {
         DcrdConfig::churn_hardened()
-    } else if chaotic {
-        DcrdConfig::chaos_hardened()
     } else {
         DcrdConfig::default()
     };

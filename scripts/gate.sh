@@ -49,7 +49,7 @@ stage_analyzer-v2() {
 
 stage_test() {
     cargo build --release
-    cargo test -q
+    cargo test -q --workspace
     cargo test --doc
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
     cargo test --release --lib -p dcrd-sim -p dcrd-net -p dcrd-pubsub -p dcrd-core -p dcrd-metrics -p dcrd-baselines

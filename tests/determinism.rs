@@ -87,7 +87,7 @@ fn strategies_share_the_environment_at_equal_rep() {
 /// shows up here as a digest mismatch long before it skews a figure.
 #[test]
 fn chaos_trace_digests_are_identical_across_reruns() {
-    use dcrd::core::{DcrdConfig, DcrdStrategy};
+    use dcrd::core::DcrdStrategy;
     use dcrd::experiments::runner::{build_chaos, build_topology, build_workload};
     use dcrd::experiments::scenario::{CrashSpec, GraySpec, PartitionSpec};
     use dcrd::net::failure::{FailureModel, LinkFailureModel, LinkOutageModel};
@@ -114,7 +114,6 @@ fn chaos_trace_digests_are_identical_across_reruns() {
             delay_factor: 2.0,
         })
         .audit(true)
-        .dcrd(DcrdConfig::chaos_hardened())
         .duration_secs(40)
         .seed(77)
         .build();
@@ -145,7 +144,6 @@ fn chaos_trace_digests_are_identical_across_reruns() {
 
 #[test]
 fn chaos_models_are_deterministic() {
-    use dcrd::core::DcrdConfig;
     use dcrd::experiments::scenario::{CrashSpec, GraySpec, PartitionSpec};
     let chaos_scenario = |seed: u64| {
         ScenarioBuilder::new()
@@ -167,7 +165,6 @@ fn chaos_models_are_deterministic() {
                 delay_factor: 2.0,
             })
             .audit(true)
-            .dcrd(DcrdConfig::chaos_hardened())
             .duration_secs(40)
             .seed(seed)
             .build()
