@@ -39,8 +39,13 @@
 //! id space, so each event costs one row lookup plus a scan of the few
 //! directed links that message crossed. Rows are never pruned, since a
 //! late ACK or a re-send can arrive at any time; the ledger grows by one
-//! row per message (a send count, a delivered-subscriber bitset, 88 bytes
-//! in all) plus 16 bytes per directed link the message crossed. It
+//! row per message (a send count, a delivered-subscriber bitset and where
+//! its links lie, 80 bytes in all) plus 16 bytes per directed link the
+//! message crossed. The links of every message share one arena, each
+//! message's in one contiguous run: a full run is copied to the arena's
+//! end with twice the room (4 at least), so a run's room is at most twice
+//! its links (or 4) and the copies it outgrew add less than that again —
+//! at most 4 arena entries per link. No message allocates on its own. It
 //! reports violations as data ([`AuditReport`]) rather than panicking: an
 //! experiment survives a buggy strategy and the report tells you what
 //! broke.
@@ -347,6 +352,46 @@ struct LinkUse {
     unacked: u32,
 }
 
+/// Where one message's links lie in the ledger's arena: `len` links, in
+/// first-crossing order, at `at`, with room for `cap`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Run {
+    at: u32,
+    len: u32,
+    cap: u32,
+}
+
+impl Run {
+    /// The arena index of the directed link `from → to`, if it was
+    /// crossed. Searched newest first: links are appended as the message
+    /// reaches them, and an ACK or a re-send mostly concerns a link it
+    /// reached recently.
+    fn find(self, arena: &[LinkUse], from: NodeId, to: NodeId) -> Option<usize> {
+        let at = self.at as usize;
+        let links = arena.get(at..at + self.len as usize)?;
+        let i = links.iter().rposition(|l| l.from == from && l.to == to)?;
+        Some(at + i)
+    }
+
+    /// Appends `link` and returns its arena index. A full run is first
+    /// copied to the arena's end with twice the room (4 at least); the
+    /// room it leaves behind is never reused. `None` only past `u32` room.
+    fn push(&mut self, arena: &mut Vec<LinkUse>, link: LinkUse) -> Option<usize> {
+        if self.len == self.cap {
+            let (at, len) = (self.at as usize, self.len as usize);
+            let moved = u32::try_from(arena.len()).ok()?;
+            let cap = self.cap.saturating_mul(2).max(4);
+            arena.extend_from_within(at..at + len);
+            arena.resize(moved as usize + cap as usize, link);
+            (self.at, self.cap) = (moved, cap);
+        }
+        let i = self.at as usize + self.len as usize;
+        *arena.get_mut(i)? = link;
+        self.len += 1;
+        Some(i)
+    }
+}
+
 /// Everything the auditor tracks about one message.
 #[derive(Debug, Clone, Default)]
 struct PacketRow {
@@ -354,29 +399,17 @@ struct PacketRow {
     sends: u64,
     /// Subscribers it was delivered to.
     delivered: NodeSet,
-    /// The directed links it crossed, in first-crossing order.
-    links: Vec<LinkUse>,
-}
-
-impl PacketRow {
-    /// The entry for the directed link `from → to`, if it was crossed.
-    /// Searched newest first: links are appended as the message reaches
-    /// them, and an ACK or a re-send mostly concerns a link it reached
-    /// recently.
-    fn link_mut(&mut self, from: NodeId, to: NodeId) -> Option<&mut LinkUse> {
-        self.links
-            .iter_mut()
-            .rev()
-            .find(|l| l.from == from && l.to == to)
-    }
+    /// The directed links it crossed.
+    links: Run,
 }
 
 /// Rows by packet id: dense below [`dense_index`]'s limit, a spill map for
-/// the NACK id space above it.
+/// the NACK id space above it. Every row's links sit in one arena.
 #[derive(Debug, Default)]
 struct Ledger {
     dense: Vec<PacketRow>,
     spill: BTreeMap<PacketId, PacketRow>,
+    links: Vec<LinkUse>,
 }
 
 impl Ledger {
@@ -384,13 +417,6 @@ impl Ledger {
         match dense_index(id) {
             Some(i) => self.dense.get(i),
             None => self.spill.get(&id),
-        }
-    }
-
-    fn get_mut(&mut self, id: PacketId) -> Option<&mut PacketRow> {
-        match dense_index(id) {
-            Some(i) => self.dense.get_mut(i),
-            None => self.spill.get_mut(&id),
         }
     }
 
@@ -406,6 +432,36 @@ impl Ledger {
             }
             None => Some(self.spill.entry(id).or_default()),
         }
+    }
+
+    /// Counts one transmission of message `id` over `from → to`: returns
+    /// the message's sends so far and the link's entry, appended on its
+    /// first crossing.
+    fn cross(&mut self, id: PacketId, from: NodeId, to: NodeId) -> Option<(u64, &mut LinkUse)> {
+        let row = self.entry(id)?;
+        row.sends += 1;
+        let (sends, mut run) = (row.sends, row.links);
+        let at = match run.find(&self.links, from, to) {
+            Some(at) => at,
+            None => {
+                let fresh = LinkUse {
+                    from,
+                    to,
+                    uses: 0,
+                    unacked: 0,
+                };
+                let at = run.push(&mut self.links, fresh)?;
+                self.entry(id)?.links = run;
+                at
+            }
+        };
+        Some((sends, self.links.get_mut(at)?))
+    }
+
+    /// Message `id`'s entry for the directed link `from → to`, if crossed.
+    fn link_mut(&mut self, id: PacketId, from: NodeId, to: NodeId) -> Option<&mut LinkUse> {
+        let at = self.get(id)?.links.find(&self.links, from, to)?;
+        self.links.get_mut(at)
     }
 }
 
@@ -474,21 +530,7 @@ impl InvariantAuditor {
                 fate,
                 ..
             } => {
-                let Some(row) = self.ledger.entry(packet) else {
-                    return;
-                };
-                row.sends += 1;
-                let sends = row.sends;
-                if row.link_mut(from, to).is_none() {
-                    row.links.push(LinkUse {
-                        from,
-                        to,
-                        uses: 0,
-                        unacked: 0,
-                    });
-                }
-                // A fresh link is the newest, so this finds it at once.
-                let Some(link) = row.link_mut(from, to) else {
+                let Some((sends, link)) = self.ledger.cross(packet, from, to) else {
                     return;
                 };
                 link.uses += 1;
@@ -524,17 +566,13 @@ impl InvariantAuditor {
             } => {
                 // The ACK from `from` back to `to` must consume one earlier
                 // arrival of a data send `to → from`.
-                let consumed = self
-                    .ledger
-                    .get_mut(packet)
-                    .and_then(|row| row.link_mut(to, from))
-                    .is_some_and(|link| {
-                        let pending = link.unacked > 0;
-                        if pending {
-                            link.unacked -= 1;
-                        }
-                        pending
-                    });
+                let consumed = self.ledger.link_mut(packet, to, from).is_some_and(|link| {
+                    let pending = link.unacked > 0;
+                    if pending {
+                        link.unacked -= 1;
+                    }
+                    pending
+                });
                 if !consumed {
                     self.violate(Violation::AckWithoutArrival { packet, from, to });
                 }
@@ -930,7 +968,7 @@ mod tests {
     /// The ledger's memory bound, as the module docs state it.
     #[test]
     fn ledger_rows_and_links_keep_their_documented_size() {
-        assert_eq!(std::mem::size_of::<PacketRow>(), 88);
+        assert_eq!(std::mem::size_of::<PacketRow>(), 80);
         assert_eq!(std::mem::size_of::<LinkUse>(), 16);
     }
 

@@ -1,8 +1,8 @@
 //! Struct-of-arrays containers for per-packet hot state.
 //!
-//! The runtime's delivery ledger and the router's custody state are keyed
-//! by `(PacketId, NodeId)`. With a `BTreeMap` every probe on the hot path
-//! (one per arrival, ACK, timer) is a pointer-chasing tree descent
+//! The router's custody state and its per-subscriber delivery log are
+//! keyed by `(PacketId, NodeId)`. With a `BTreeMap` every probe on the hot
+//! path (one per arrival, ACK, timer) is a pointer-chasing tree descent
 //! comparing 12-byte tuples. Runtime packet ids are dense counters
 //! (`0, 1, 2, …`), so the natural layout is an array indexed by packet id
 //! whose slots hold the (tiny — one entry per involved broker) per-packet
@@ -13,12 +13,6 @@
 //! the values sit in a slab of reused slots, so opening or concluding one
 //! broker's state shifts 8-byte row entries instead of the neighbouring
 //! brokers' values, and a value never moves while it lives.
-//!
-//! Iteration yields ascending `(PacketId, NodeId)` order — dense rows by
-//! id, each row sorted by broker, then the spill (whose ids are all
-//! larger) — exactly the order the `BTreeMap` layout produced, so metric
-//! and trace consumers observe no reordering. The digest-equivalence pins
-//! in `tests/csr_wheel_equivalence.rs` hold this promise to the byte.
 
 use crate::packet::PacketId;
 use dcrd_net::{NodeId, NodeSet};
@@ -236,19 +230,6 @@ impl<V> PacketNodeMap<V> {
         }
     }
 
-    /// Makes room for `brokers` entries in packet `id`'s row before they
-    /// are inserted, so the row reserves once instead of once per doubling.
-    /// A recycled buffer that is already large enough costs nothing. No-op
-    /// for spill ids.
-    pub fn reserve_row(&mut self, id: PacketId, brokers: usize) {
-        let Some(i) = dense_index(id).filter(|_| brokers > 0) else {
-            return;
-        };
-        if let Some(row) = open_row(&mut self.dense, &mut self.spare, i) {
-            row.reserve(brokers.saturating_sub(row.len()));
-        }
-    }
-
     /// Removes and returns the entry for `key`.
     pub fn remove(&mut self, key: &(PacketId, NodeId)) -> Option<V> {
         let slot = match dense_index(key.0) {
@@ -285,30 +266,6 @@ impl<V> PacketNodeMap<V> {
             recycle_if_empty(row, spare);
         }
         spill.retain(|&(_, node), &mut slot| keep_slot(node, slot));
-    }
-
-    /// Iterates in ascending `(packet id, broker)` order — the same order
-    /// the `BTreeMap` layout produced.
-    pub fn iter(&self) -> impl Iterator<Item = ((PacketId, NodeId), &V)> {
-        let slab = &self.slab;
-        self.dense
-            .iter()
-            .enumerate()
-            .flat_map(move |(i, row)| {
-                row.iter().filter_map(move |&(node, slot)| {
-                    Some(((PacketId::new(i as u64), node), slab.get(slot)?))
-                })
-            })
-            .chain(
-                self.spill
-                    .iter()
-                    .filter_map(move |(&key, &slot)| Some((key, slab.get(slot)?))),
-            )
-    }
-
-    /// Iterates over the values in ascending key order.
-    pub fn values(&self) -> impl Iterator<Item = &V> {
-        self.iter().map(|(_, v)| v)
     }
 }
 
@@ -450,28 +407,6 @@ mod tests {
     }
 
     #[test]
-    fn iteration_matches_btreemap_order() {
-        let mut m: PacketNodeMap<u32> = PacketNodeMap::new();
-        let mut reference: BTreeMap<(PacketId, NodeId), u32> = BTreeMap::new();
-        for (raw, node, v) in [
-            (5, 2, 52),
-            (0, 7, 7),
-            (0, 1, 1),
-            (SPARSE, 0, 90),
-            (3, 4, 34),
-            (SPARSE + 1, 6, 96),
-        ] {
-            m.insert((id(raw), n(node)), v);
-            reference.insert((id(raw), n(node)), v);
-        }
-        let got: Vec<_> = m.iter().map(|(k, &v)| (k, v)).collect();
-        let want: Vec<_> = reference.iter().map(|(&k, &v)| (k, v)).collect();
-        assert_eq!(got, want);
-        let vals: Vec<u32> = m.values().copied().collect();
-        assert_eq!(vals, want.iter().map(|&(_, v)| v).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn retain_wipes_a_broker_across_both_ranges() {
         let mut m: PacketNodeMap<u32> = PacketNodeMap::new();
         m.insert((id(0), n(1)), 10);
@@ -501,7 +436,6 @@ mod tests {
         let mut peak = 0;
         let mut peak_rows = 0;
         for raw in 0..1000 {
-            m.reserve_row(id(raw), 3);
             for node in 0..3 {
                 m.insert((id(raw), n(node)), [raw; 8]);
             }
@@ -540,10 +474,6 @@ mod tests {
         assert!(m.spare.is_empty());
         assert_eq!(m.slab.slots.len(), peak);
         assert_eq!(m.len(), 13);
-        // Reserving a spill id or no brokers opens no row.
-        m.reserve_row(id(SPARSE), 8);
-        m.reserve_row(id(2000), 0);
-        assert_eq!(m.dense.len(), 1000);
     }
 
     #[test]

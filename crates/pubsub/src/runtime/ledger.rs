@@ -1,5 +1,15 @@
-//! The ledger stage: packet ids, the expectation row each publish opens,
-//! and what deliveries, suppressions and give-ups leave in the log.
+//! The ledger stage: packet ids, the expectations each publish opens, and
+//! what deliveries, suppressions and give-ups leave in the log.
+//!
+//! The log's expectations are one append-only table. Packet ids are the
+//! publish count, so `starts[id]` is where packet `id`'s run of
+//! `(subscriber, expectation)` pairs begins in `pairs`; the run ends where
+//! the next packet's begins. A publish pushes its start (even with no
+//! active subscriber, so the index stays dense) and appends its run sorted
+//! by subscriber; a lookup is a binary search in one run. Walking `pairs`
+//! in order is ascending `(packet, subscriber)` order. The table holds 8
+//! bytes per message and 48 per pair, in two vectors that grow by
+//! doubling, and never allocates per message.
 
 use dcrd_net::paths::ShortestPaths;
 use dcrd_net::{NodeId, NodeList};
@@ -7,7 +17,6 @@ use dcrd_sim::{SimDuration, SimTime};
 
 use super::{Event, Queue, Sinks};
 use crate::audit::AuditReport;
-use crate::hotstate::PacketNodeMap;
 use crate::packet::{Packet, PacketId};
 use crate::strategy::Action;
 use crate::trace::{Trace, TraceEvent};
@@ -54,7 +63,10 @@ impl Expectation {
 /// The complete record of one run.
 #[derive(Debug, Clone, Default)]
 pub struct DeliveryLog {
-    expectations: PacketNodeMap<Expectation>,
+    /// `starts[id]`: where packet `id`'s run begins in `pairs`.
+    starts: Vec<usize>,
+    /// Every packet's run, in packet order, each sorted by subscriber.
+    pairs: Vec<(NodeId, Expectation)>,
     /// Number of published messages.
     pub messages_published: u64,
     /// Data-packet transmissions attempted (the paper's traffic metric
@@ -137,19 +149,72 @@ impl DeliveryLog {
     /// Iterates over all `(message, subscriber)` expectations in ascending
     /// key order.
     pub fn expectations(&self) -> impl Iterator<Item = ((PacketId, NodeId), &Expectation)> {
-        self.expectations.iter()
+        let ends = self.starts.iter().skip(1).copied();
+        let runs = self.starts.iter().zip(ends.chain([self.pairs.len()]));
+        runs.enumerate().flat_map(move |(id, (&start, end))| {
+            let run = self.pairs.get(start..end).unwrap_or_default();
+            run.iter()
+                .map(move |(sub, exp)| ((PacketId::new(id as u64), *sub), exp))
+        })
     }
 
     /// Number of `(message, subscriber)` pairs.
     #[must_use]
     pub fn num_expectations(&self) -> usize {
-        self.expectations.len()
+        self.pairs.len()
     }
 
     /// The expectation for one `(message, subscriber)` pair.
     #[must_use]
     pub fn expectation(&self, id: PacketId, subscriber: NodeId) -> Option<&Expectation> {
-        self.expectations.get(&(id, subscriber))
+        let at = self.find(id, subscriber)?;
+        self.pairs.get(at).map(|(_, exp)| exp)
+    }
+
+    /// Where in `pairs` the `(id, subscriber)` pair sits, if it exists. A
+    /// NACK id lies past every start, so it finds nothing.
+    fn find(&self, id: PacketId, subscriber: NodeId) -> Option<usize> {
+        let i = usize::try_from(id.raw()).ok()?;
+        let start = *self.starts.get(i)?;
+        let end = self.starts.get(i + 1).copied().unwrap_or(self.pairs.len());
+        let run = self.pairs.get(start..end)?;
+        let at = run
+            .binary_search_by_key(&subscriber, |&(sub, _)| sub)
+            .ok()?;
+        Some(start + at)
+    }
+
+    /// The mutable expectation for one `(message, subscriber)` pair.
+    fn expectation_mut(&mut self, id: PacketId, subscriber: NodeId) -> Option<&mut Expectation> {
+        let at = self.find(id, subscriber)?;
+        self.pairs.get_mut(at).map(|(_, exp)| exp)
+    }
+
+    /// Opens the next packet's run, which takes its id, and returns the id.
+    fn open_run(&mut self) -> PacketId {
+        let id = PacketId::new(self.starts.len() as u64);
+        self.starts.push(self.pairs.len());
+        id
+    }
+
+    /// Adds `subscriber`'s pair to the newest run, in subscriber order; a
+    /// repeated subscriber's later pair replaces the earlier one.
+    fn insert_pair(&mut self, subscriber: NodeId, exp: Expectation) {
+        let start = self.starts.last().copied().unwrap_or(0);
+        let run = self.pairs.get(start..).unwrap_or_default();
+        match run.binary_search_by_key(&subscriber, |&(sub, _)| sub) {
+            Ok(at) => {
+                if let Some(pair) = self.pairs.get_mut(start + at) {
+                    pair.1 = exp;
+                }
+            }
+            Err(at) => self.pairs.insert(start + at, (subscriber, exp)),
+        }
+    }
+
+    /// Every expectation, in ascending key order.
+    fn values(&self) -> impl Iterator<Item = &Expectation> {
+        self.pairs.iter().map(|(_, exp)| exp)
     }
 
     /// Fraction of pairs delivered (late deliveries included).
@@ -166,11 +231,11 @@ impl DeliveryLog {
 
     /// Fraction of pairs for which `hit` holds; 0 without pairs.
     fn share(&self, hit: impl Fn(&Expectation) -> bool) -> f64 {
-        if self.expectations.is_empty() {
+        if self.pairs.is_empty() {
             return 0.0;
         }
-        let hit = self.expectations.values().filter(|e| hit(e)).count();
-        hit as f64 / self.expectations.len() as f64
+        let hit = self.values().filter(|e| hit(e)).count();
+        hit as f64 / self.pairs.len() as f64
     }
 
     /// Fraction of *in-slack* pairs delivered: pairs whose requirement was
@@ -184,7 +249,6 @@ impl DeliveryLog {
     #[must_use]
     pub fn in_slack_delivery_ratio(&self) -> f64 {
         let in_slack = self
-            .expectations
             .values()
             .filter(|e| !e.shed_doomed || e.delivered.is_some());
         let (pairs, hit) = in_slack.fold((0usize, 0usize), |(pairs, hit), e| {
@@ -200,10 +264,10 @@ impl DeliveryLog {
     /// "Packets Sent / Subscribers".
     #[must_use]
     pub fn packets_per_subscriber(&self) -> f64 {
-        if self.expectations.is_empty() {
+        if self.pairs.is_empty() {
             return 0.0;
         }
-        self.data_sends as f64 / self.expectations.len() as f64
+        self.data_sends as f64 / self.pairs.len() as f64
     }
 }
 
@@ -211,7 +275,6 @@ impl DeliveryLog {
 #[derive(Default)]
 pub struct Ledger {
     pub log: DeliveryLog,
-    next_packet_id: u64,
     /// How long publishers keep publishing.
     duration: SimDuration,
 }
@@ -243,12 +306,10 @@ impl Ledger {
         round: u64,
         now: SimTime,
     ) -> Option<Packet> {
-        let id = PacketId::new(self.next_packet_id);
-        self.next_packet_id += 1;
+        let id = self.log.open_run();
         self.log.messages_published += 1;
         let active = spec.active_subscriptions(now);
         let subscribers = active.clone().count();
-        self.log.expectations.reserve_row(id, subscribers);
         for sub in active.clone() {
             let exp = Expectation {
                 published: now,
@@ -257,7 +318,7 @@ impl Ledger {
                 gave_up: false,
                 shed_doomed: false,
             };
-            self.log.expectations.insert((id, sub.subscriber), exp);
+            self.log.insert_pair(sub.subscriber, exp);
         }
         if subscribers == 0 {
             return None;
@@ -280,7 +341,7 @@ impl Ledger {
         let log = &mut self.log;
         let ev = match action {
             Action::Deliver { packet } => {
-                let Some(exp) = log.expectations.get_mut(&(packet, node)) else {
+                let Some(exp) = log.expectation_mut(packet, node) else {
                     log.invalid_delivers += 1;
                     return;
                 };
@@ -299,7 +360,7 @@ impl Ledger {
                 packet,
                 destination,
             } => {
-                if let Some(exp) = log.expectations.get_mut(&(packet, destination)) {
+                if let Some(exp) = log.expectation_mut(packet, destination) {
                     exp.gave_up = true;
                 }
                 TraceEvent::GiveUp {
@@ -325,7 +386,7 @@ impl Ledger {
     pub fn slack(&mut self, packet: &Packet, sp: &ShortestPaths, eta: i128, doom: bool) -> i128 {
         let mut best: Option<i128> = None;
         for &d in &packet.destinations {
-            let Some(exp) = self.log.expectations.get_mut(&(packet.id, d)) else {
+            let Some(exp) = self.log.expectation_mut(packet.id, d) else {
                 continue;
             };
             if exp.delivered.is_some() {
@@ -342,5 +403,235 @@ impl Ledger {
             best = Some(best.map_or(slack, |b| b.max(slack)));
         }
         best.unwrap_or(i128::MAX)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeMap;
+
+    use dcrd_net::paths::{dijkstra, Metric};
+    use dcrd_net::topology::line;
+    use dcrd_sim::rng::rng_for_indexed;
+
+    use super::*;
+    use crate::topic::{Subscription, TopicId};
+
+    type Reference = BTreeMap<(PacketId, NodeId), Expectation>;
+
+    /// A publish's subscriptions: up to six, over brokers 0–7 drawn in no
+    /// particular order (so out of broker order, with repeats), each
+    /// active at `now` or not. Some publishes have no active one.
+    fn spec(rng: &mut dcrd_sim::rng::SmallRng, now: SimTime) -> TopicSpec {
+        let count = rng.gen_range(0..7usize);
+        let subscriptions = (0..count)
+            .map(|_| {
+                let subscriber = NodeId::new(rng.gen_range(0..8u32));
+                let deadline = SimDuration::from_millis(rng.gen_range(1..400u64));
+                if rng.gen_bool(0.8) {
+                    Subscription::new(subscriber, deadline)
+                } else {
+                    let from = SimTime::from_micros(now.as_micros() + 1);
+                    Subscription::windowed(subscriber, deadline, from, SimTime::MAX)
+                }
+            })
+            .collect();
+        TopicSpec {
+            topic: TopicId::new(0),
+            publisher: NodeId::new(0),
+            interval: SimDuration::from_millis(10),
+            offset: SimDuration::ZERO,
+            subscriptions,
+            burst: None,
+        }
+    }
+
+    /// What the map layout the table replaced did with a publish: one
+    /// insert per active subscription, a later one replacing an earlier.
+    fn publish_into(reference: &mut Reference, id: PacketId, spec: &TopicSpec, now: SimTime) {
+        for sub in spec.active_subscriptions(now) {
+            let exp = Expectation {
+                published: now,
+                deadline: sub.deadline,
+                delivered: None,
+                gave_up: false,
+                shed_doomed: false,
+            };
+            reference.insert((id, sub.subscriber), exp);
+        }
+    }
+
+    /// The reference's `slack`: the same formula over the map's entries.
+    fn slack_into(
+        reference: &mut Reference,
+        packet: &Packet,
+        sp: &ShortestPaths,
+        eta: i128,
+        doom: bool,
+    ) -> i128 {
+        let mut best: Option<i128> = None;
+        for &d in &packet.destinations {
+            let Some(exp) = reference.get_mut(&(packet.id, d)) else {
+                continue;
+            };
+            if exp.delivered.is_some() {
+                continue;
+            }
+            let deadline_at = exp.published.as_micros() as i128 + exp.deadline.as_micros() as i128;
+            let slack = match sp.cost_to(d) {
+                Some(cost) => deadline_at - eta - cost as i128,
+                None => i128::MIN / 2,
+            };
+            if doom && slack < 0 {
+                exp.shed_doomed = true;
+            }
+            best = Some(best.map_or(slack, |b| b.max(slack)));
+        }
+        best.unwrap_or(i128::MAX)
+    }
+
+    fn ratio(reference: &Reference, hit: impl Fn(&Expectation) -> bool) -> f64 {
+        if reference.is_empty() {
+            return 0.0;
+        }
+        reference.values().filter(|e| hit(e)).count() as f64 / reference.len() as f64
+    }
+
+    /// Seeded streams of publishes (subscribers out of broker order, a
+    /// repeated subscriber, none active), deliveries (repeats and strays
+    /// included), give-ups and `slack` with and without `doom`: the flat
+    /// table must answer exactly what a `BTreeMap` keyed by `(packet,
+    /// subscriber)` answers — the same expectations in the same ascending
+    /// order, the same lookups (a NACK-range id finds nothing) and the
+    /// same ratios.
+    #[test]
+    fn flat_table_matches_a_btreemap_on_seeded_streams() {
+        let nack = PacketId::new(1 << 63);
+        let topo = line(8, SimDuration::from_millis(5));
+        let paths: Vec<ShortestPaths> = topo
+            .nodes()
+            .map(|n| dijkstra(&topo, n, Metric::Delay))
+            .collect();
+        let (mut repeats, mut silent, mut unsorted) = (0, 0, 0);
+        for case in 0..100u64 {
+            let mut rng = rng_for_indexed(20110620, "ledger-oracle", case);
+            let mut ledger = Ledger::new(SimDuration::from_secs(60));
+            let mut sinks = Sinks {
+                trace: None,
+                auditor: None,
+            };
+            let mut reference = Reference::new();
+            let (mut invalid, mut duplicates) = (0, 0);
+            let mut packets: Vec<Packet> = Vec::new();
+            for step in 0..rng.gen_range(1..60u64) {
+                let now = SimTime::from_millis(step * 7);
+                match rng.gen_range(0..10u32) {
+                    0..=3 => {
+                        let spec = spec(&mut rng, now);
+                        let id = PacketId::new(ledger.log.messages_published);
+                        let active: Vec<NodeId> = spec
+                            .active_subscriptions(now)
+                            .map(|s| s.subscriber)
+                            .collect();
+                        repeats += usize::from(
+                            (1..active.len()).any(|i| active[..i].contains(&active[i])),
+                        );
+                        unsorted += usize::from(active.windows(2).any(|w| w[0] > w[1]));
+                        silent += usize::from(active.is_empty());
+                        publish_into(&mut reference, id, &spec, now);
+                        let packet = ledger.publish(&mut sinks, &spec, step, now);
+                        assert_eq!(packet.is_none(), active.is_empty(), "case {case}");
+                        packets.extend(packet.filter(|p| p.id == id));
+                    }
+                    4..=6 => {
+                        let published = ledger.log.messages_published;
+                        let id = PacketId::new(rng.gen_range(0..published + 2));
+                        let node = NodeId::new(rng.gen_range(0..9u32));
+                        match reference.get_mut(&(id, node)) {
+                            Some(exp) if exp.delivered.is_none() => exp.delivered = Some(now),
+                            Some(_) => duplicates += 1,
+                            None => invalid += 1,
+                        }
+                        let deliver = Action::Deliver { packet: id };
+                        ledger.record(&mut sinks, node, deliver, now);
+                    }
+                    7 => {
+                        let id = PacketId::new(rng.gen_range(0..ledger.log.messages_published + 1));
+                        let destination = NodeId::new(rng.gen_range(0..9u32));
+                        if let Some(exp) = reference.get_mut(&(id, destination)) {
+                            exp.gave_up = true;
+                        }
+                        let give_up = Action::GiveUp {
+                            packet: id,
+                            destination,
+                        };
+                        ledger.record(&mut sinks, NodeId::new(0), give_up, now);
+                    }
+                    _ => {
+                        let packet = if packets.is_empty() || rng.gen_bool(0.1) {
+                            let all = topo.nodes().collect::<Vec<_>>();
+                            Packet::new(nack, TopicId::new(0), NodeId::new(0), now, all)
+                        } else {
+                            packets[rng.gen_range(0..packets.len())].clone()
+                        };
+                        let sp = &paths[rng.gen_range(0..paths.len())];
+                        let eta =
+                            now.as_micros() as i128 + i128::from(rng.gen_range(0..300_000u64));
+                        let doom = rng.gen_bool(0.5);
+                        let want = slack_into(&mut reference, &packet, sp, eta, doom);
+                        assert_eq!(ledger.slack(&packet, sp, eta, doom), want, "case {case}");
+                    }
+                }
+            }
+            let log = &mut ledger.log;
+            log.data_sends = rng.gen_range(0..10_000u64);
+            let got: Vec<_> = log.expectations().map(|(k, e)| (k, *e)).collect();
+            let want: Vec<_> = reference.iter().map(|(&k, &e)| (k, e)).collect();
+            assert_eq!(got, want, "case {case}");
+            assert_eq!(log.num_expectations(), reference.len());
+            for raw in 0..log.messages_published + 2 {
+                for node in 0..9 {
+                    let key = (PacketId::new(raw), NodeId::new(node));
+                    assert_eq!(
+                        log.expectation(key.0, key.1),
+                        reference.get(&key),
+                        "{key:?}"
+                    );
+                }
+            }
+            assert_eq!(log.expectation(nack, NodeId::new(0)), None);
+            assert_eq!(log.invalid_delivers, invalid);
+            assert_eq!(log.duplicate_deliveries, duplicates);
+            let delivered = |e: &Expectation| e.delivered.is_some();
+            assert_eq!(log.delivery_ratio(), ratio(&reference, delivered));
+            assert_eq!(
+                log.qos_delivery_ratio(),
+                ratio(&reference, Expectation::on_time)
+            );
+            let in_slack: Reference = reference
+                .iter()
+                .filter(|(_, e)| !e.shed_doomed || e.delivered.is_some())
+                .map(|(&k, &e)| (k, e))
+                .collect();
+            assert_eq!(log.in_slack_delivery_ratio(), ratio(&in_slack, delivered));
+            let per_subscriber = if reference.is_empty() {
+                0.0
+            } else {
+                log.data_sends as f64 / reference.len() as f64
+            };
+            assert_eq!(log.packets_per_subscriber(), per_subscriber);
+        }
+        // The streams reach every publish shape the table must order.
+        assert!(
+            repeats > 0 && silent > 0 && unsorted > 0,
+            "{repeats} {silent} {unsorted}"
+        );
+    }
+
+    /// The table's footprint, as the module docs state it.
+    #[test]
+    fn table_entries_keep_their_documented_size() {
+        assert_eq!(std::mem::size_of::<usize>(), 8);
+        assert_eq!(std::mem::size_of::<(NodeId, Expectation)>(), 48);
     }
 }

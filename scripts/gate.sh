@@ -83,8 +83,8 @@ stage_bench() {
     # no noise margin. The JSON result lines come in workload order.
     python3 - <<'EOF'
 import json
-limits = [("steady-64", 1.0), ("build-256", 1.0), ("churn-32", 0.75),
-          ("storm-64", 1.0), ("overload-64", 1.0)]
+limits = [("steady-64", 0.15), ("build-256", 0.25), ("churn-32", 0.5),
+          ("storm-64", 0.25), ("overload-64", 0.35)]
 lines = [l for l in open("bench-smoke.txt") if l.startswith("{")]
 assert len(lines) == len(limits), f"{len(lines)} result lines"
 over = []
