@@ -103,7 +103,7 @@ pub fn parse_items(masked: &str) -> FileItems {
                         i = after;
                     }
                 }
-                "impl" => {
+                "impl" if opens_impl_block(masked, start) => {
                     let brace = find_byte_at_depth0(bytes, i, b'{').unwrap_or(bytes.len());
                     pending = Some(Scope::Impl(impl_type_name(&masked[i..brace])));
                     i = brace;
@@ -185,6 +185,19 @@ pub fn parse_items(masked: &str) -> FileItems {
         i += 1;
     }
     out
+}
+
+/// Whether the `impl` at `at` opens an impl block rather than naming an
+/// `impl Trait` argument or return type: a block header starts an item,
+/// so only an item boundary (`{`, `}`, `;`, an attribute's `]`, the file
+/// start) or `unsafe` precedes it.
+fn opens_impl_block(masked: &str, at: usize) -> bool {
+    let before = masked[..at].trim_end();
+    before.is_empty()
+        || before.ends_with(['{', '}', ';', ']'])
+        || before
+            .strip_suffix("unsafe")
+            .is_some_and(|b| !b.bytes().last().is_some_and(is_ident))
 }
 
 /// Reads the next identifier after `from`, skipping whitespace. Returns
@@ -388,6 +401,33 @@ mod tests {
             let items = parse(&src);
             assert_eq!(items.fns[0].owner.as_deref(), Some(ty), "header: {header}");
         }
+    }
+
+    /// `impl Trait` in argument or return position is a type, not an
+    /// impl block: the fns after it keep their owner and their bodies.
+    #[test]
+    fn impl_trait_types_do_not_open_impl_blocks() {
+        let src = "impl S {\n\
+                   fn note(&mut self, f: impl FnOnce(&mut u32)) { f(&mut 0); }\n\
+                   fn iter(&self) -> impl Iterator<Item = u32> { 0..1 }\n\
+                   fn after(&self) {}\n\
+                   }\n\
+                   #[cfg(feature = \"x\")]\nimpl T {}\n\
+                   unsafe impl Send for S {}\n";
+        let items = parse(src);
+        let fns: Vec<(&str, Option<&str>, bool)> = items
+            .fns
+            .iter()
+            .map(|f| (f.name.as_str(), f.owner.as_deref(), f.body.is_some()))
+            .collect();
+        assert_eq!(
+            fns,
+            vec![
+                ("note", Some("S"), true),
+                ("iter", Some("S"), true),
+                ("after", Some("S"), true),
+            ]
+        );
     }
 
     #[test]

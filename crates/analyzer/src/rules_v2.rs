@@ -17,7 +17,7 @@ use crate::rules::Diagnostic;
 /// can reach: the Theorem-1 router hot path and the runtime's per-event
 /// tick. `(crate dir, owner type, fn name)`.
 pub const PANIC_ENTRY_POINTS: &[(&str, Option<&str>, &str)] = &[
-    ("core", Some("DcrdStrategy"), "process"),
+    ("core", Some("Forwarding"), "process"),
     ("pubsub", Some("OverlayRuntime"), "tick"),
 ];
 
@@ -153,9 +153,9 @@ mod tests {
     #[test]
     fn transitive_panic_is_caught_with_a_chain_note() {
         let diags = analyze_panic(&[(
-            "crates/core/src/router.rs",
-            "pub struct DcrdStrategy;\n\
-             impl DcrdStrategy {\n\
+            "crates/core/src/router/forward.rs",
+            "pub struct Forwarding;\n\
+             impl Forwarding {\n\
                  pub fn process(&mut self) { self.helper(); }\n\
                  fn helper(&self) { deep_util(); }\n\
              }\n\
@@ -167,7 +167,7 @@ mod tests {
         assert!(
             diags[0]
                 .note
-                .contains("DcrdStrategy::process → DcrdStrategy::helper → deep_util"),
+                .contains("Forwarding::process → Forwarding::helper → deep_util"),
             "{}",
             diags[0].note
         );
@@ -176,9 +176,9 @@ mod tests {
     #[test]
     fn unreachable_panics_are_not_flagged() {
         let diags = analyze_panic(&[(
-            "crates/core/src/router.rs",
-            "pub struct DcrdStrategy;\n\
-             impl DcrdStrategy { pub fn process(&mut self) {} }\n\
+            "crates/core/src/router/forward.rs",
+            "pub struct Forwarding;\n\
+             impl Forwarding { pub fn process(&mut self) {} }\n\
              fn cold_path() { panic!(\"never called from an entry point\"); }\n",
         )]);
         assert!(diags.is_empty(), "{diags:?}");

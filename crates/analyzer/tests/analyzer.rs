@@ -11,6 +11,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use dcrd_analyzer::graph::SymbolGraph;
+use dcrd_analyzer::rules_v2::PANIC_ENTRY_POINTS;
 use dcrd_analyzer::{
     analyze_source, analyze_workspace, json, mask, partition, AllowEntry, Baseline, Diagnostic,
 };
@@ -210,7 +211,7 @@ fn fixture_workspace() -> Vec<Diagnostic> {
     analyze_workspace(&root).expect("fixture workspace scans")
 }
 
-/// The seeded violation: `DcrdStrategy::process` → `helper` → `deep_util`
+/// The seeded violation: `Forwarding::process` → `helper` → `deep_util`
 /// which indexes a slice. PANIC001 must walk the chain and say so.
 #[test]
 fn fixture_workspace_catches_seeded_transitive_panic() {
@@ -218,7 +219,7 @@ fn fixture_workspace_catches_seeded_transitive_panic() {
     let hits: Vec<_> = diags.iter().filter(|d| d.rule == "PANIC001").collect();
     assert!(
         hits.iter().any(|d| d.path == "crates/core/src/lib.rs"
-            && d.note.contains("DcrdStrategy::process")
+            && d.note.contains("Forwarding::process")
             && d.note.contains("deep_util")),
         "seeded transitive panic not caught via its chain: {hits:?}"
     );
@@ -318,27 +319,50 @@ fn json_report_matches_the_golden_file() {
 
 // ------------------------------------------- core symbol-graph coverage
 
+/// Every `.rs` file under `crates/<krate>/src`, subdirectories included,
+/// as the `(workspace-relative path, masked source)` pairs the graph takes.
+fn crate_sources(krate: &str) -> Vec<(String, String)> {
+    fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
+        for entry in std::fs::read_dir(dir).expect("source dir readable") {
+            let path = entry.expect("dir entry").path();
+            if path.is_dir() {
+                walk(&path, out);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                out.push(path);
+            }
+        }
+    }
+    let root = workspace_root();
+    let mut paths = Vec::new();
+    walk(&root.join("crates").join(krate).join("src"), &mut paths);
+    let mut files: Vec<(String, String)> = paths
+        .iter()
+        .map(|path| {
+            let source = std::fs::read_to_string(path).expect("source readable");
+            let rel = path
+                .strip_prefix(&root)
+                .expect("under the workspace")
+                .to_string_lossy()
+                .replace('\\', "/");
+            (rel, mask::strip_test_regions(&mask::mask_source(&source)))
+        })
+        .collect();
+    files.sort();
+    files
+}
+
 /// Every `pub fn` the item parser finds in dcrd-core must be resolvable
 /// through the graph's lookup — i.e. the call-graph index covers the
 /// crate's whole public surface, not a sample of it.
 #[test]
 fn graph_resolves_every_pub_fn_in_core() {
-    let src = workspace_root().join("crates/core/src");
-    let mut files = Vec::new();
-    for entry in std::fs::read_dir(&src).expect("core src readable") {
-        let path = entry.expect("dir entry").path();
-        if path.extension().is_some_and(|e| e == "rs") {
-            let source = std::fs::read_to_string(&path).expect("core source readable");
-            let masked = mask::strip_test_regions(&mask::mask_source(&source));
-            let name = path
-                .file_name()
-                .expect("file name")
-                .to_string_lossy()
-                .into_owned();
-            files.push((format!("crates/core/src/{name}"), masked));
-        }
-    }
-    files.sort();
+    let files = crate_sources("core");
+    assert!(
+        files
+            .iter()
+            .any(|(p, _)| p == "crates/core/src/router/forward.rs"),
+        "the walk must reach the router's module directory"
+    );
     assert!(
         files.len() >= 5,
         "expected the full core crate, got {files:?}"
@@ -357,6 +381,21 @@ fn graph_resolves_every_pub_fn_in_core() {
             "graph cannot resolve pub fn {} ({})",
             f.qualified_name(),
             f.file
+        );
+    }
+}
+
+/// `PANIC001` skips an entry point that resolves to nothing, so a renamed
+/// or moved hot-path root would switch the rule off without a word. Each
+/// root must resolve to at least one fn of the real workspace.
+#[test]
+fn every_panic_entry_point_resolves_in_the_workspace() {
+    for &(krate, owner, name) in PANIC_ENTRY_POINTS {
+        let graph = SymbolGraph::build(&crate_sources(krate), BTreeMap::new());
+        assert!(
+            !graph.find(krate, owner, name).is_empty(),
+            "PANIC001 entry point {krate}::{}{name} resolves to no fn",
+            owner.map_or(String::new(), |o| format!("{o}::"))
         );
     }
 }

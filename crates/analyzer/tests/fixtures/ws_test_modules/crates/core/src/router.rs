@@ -1,8 +1,8 @@
 use crate::helpers::first;
 
-pub struct DcrdStrategy;
+pub struct Forwarding;
 
-impl DcrdStrategy {
+impl Forwarding {
     pub fn process(&mut self, v: Option<u32>) -> u32 {
         first(v)
     }

@@ -1,9 +1,9 @@
 //! Seeded fixture: a panic two hops below the router entry point, plus
 //! sans-io bait on a non-exempt path.
 
-pub struct DcrdStrategy;
+pub struct Forwarding;
 
-impl DcrdStrategy {
+impl Forwarding {
     pub fn process(&mut self) {
         self.helper();
     }

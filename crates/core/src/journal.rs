@@ -74,12 +74,6 @@ pub struct InFlightJournal {
 }
 
 impl InFlightJournal {
-    /// Creates an empty journal.
-    #[must_use]
-    pub fn new() -> Self {
-        InFlightJournal::default()
-    }
-
     /// The key range of every entry `holder` holds.
     fn held_by(holder: NodeId) -> RangeInclusive<(NodeId, PacketId)> {
         (holder, PacketId::new(0))..=(holder, PacketId::new(u64::MAX))
@@ -249,7 +243,7 @@ mod tests {
 
     #[test]
     fn take_for_removes_only_the_dead_holders_custody() {
-        let mut j = InFlightJournal::new();
+        let mut j = InFlightJournal::default();
         let dead = NodeId::new(2);
         let alive = NodeId::new(4);
         j.record(dead, &packet(1, &[5]), Some(NodeId::new(0)));
@@ -273,7 +267,7 @@ mod tests {
 
     #[test]
     fn record_ack_retire_lifecycle() {
-        let mut j = InFlightJournal::new();
+        let mut j = InFlightJournal::default();
         let holder = NodeId::new(3);
         let p = packet(7, &[5, 6]);
         j.record(holder, &p, Some(NodeId::new(1)));
@@ -300,7 +294,7 @@ mod tests {
 
     #[test]
     fn rerecord_merges_without_double_counting() {
-        let mut j = InFlightJournal::new();
+        let mut j = InFlightJournal::default();
         let holder = NodeId::new(2);
         j.record(holder, &packet(9, &[4]), None);
         j.note_done(holder, PacketId::new(9), NodeId::new(4));
@@ -333,7 +327,7 @@ mod tests {
 
     #[test]
     fn replay_returns_only_the_holders_entries_sorted() {
-        let mut j = InFlightJournal::new();
+        let mut j = InFlightJournal::default();
         let a = NodeId::new(1);
         let b = NodeId::new(2);
         j.record(a, &packet(12, &[9]), None);
@@ -352,7 +346,7 @@ mod tests {
 
     #[test]
     fn custody_lookup_matches_stream_coordinates() {
-        let mut j = InFlightJournal::new();
+        let mut j = InFlightJournal::default();
         let holder = NodeId::new(4);
         let p = packet(21, &[7]).with_seq(13);
         j.record(holder, &p, None);
@@ -375,7 +369,7 @@ mod tests {
 
     #[test]
     fn custody_reads_only_the_holders_range_in_id_order() {
-        let mut j = InFlightJournal::new();
+        let mut j = InFlightJournal::default();
         let holder = NodeId::new(4);
         let other = NodeId::new(3);
         // The same message coordinates (topic 0, publisher 0, seq 13) under
@@ -407,7 +401,7 @@ mod tests {
 
     #[test]
     fn operations_on_absent_entries_are_noops() {
-        let mut j = InFlightJournal::new();
+        let mut j = InFlightJournal::default();
         j.note_done(NodeId::new(0), PacketId::new(1), NodeId::new(2));
         j.retire(NodeId::new(0), PacketId::new(1));
         assert!(j.is_empty());

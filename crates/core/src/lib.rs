@@ -26,9 +26,14 @@
 //!   one build can hand to the next ([`propagation::compute_tables`] is a
 //!   fresh builder's single build).
 //! * [`router`] — [`DcrdStrategy`]: the dynamic routing scheme
-//!   (Algorithm 2, §III-D) with hop-by-hop ACK timers, `m`-transmission
-//!   retries, destination merging, loop avoidance via the packet's routing
-//!   path, upstream rerouting, and the optional persistence extension.
+//!   (Algorithm 2, §III-D), dispatching to two layers over one control
+//!   plane (`router/tables.rs`: the run's environment and every routing
+//!   table). `router/forward.rs` is the paper's forwarding core: hop-by-hop
+//!   ACK timers, `m`-transmission retries, destination merging, loop
+//!   avoidance via the packet's routing path, upstream rerouting, and the
+//!   optional persistence extension. `router/custody.rs` is durable
+//!   custody, built only under [`DurabilityMode::Durable`]: the journal,
+//!   restart replay, handoff and NACK recovery.
 //! * [`journal`] — the write-ahead custody journal (robustness extension):
 //!   brokers journal packets before taking custody and replay surviving
 //!   entries after a crash-restart.

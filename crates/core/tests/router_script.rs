@@ -679,16 +679,30 @@ fn custody_released_on_ack_except_at_publisher() {
     };
     let id = fwd1.id;
     let n = |i: u32| NodeId::new(i);
-    assert!(rig.strategy.journal().entry(n(0), id).is_some());
+    assert!(rig
+        .strategy
+        .journal()
+        .expect("durable custody")
+        .entry(n(0), id)
+        .is_some());
 
     // 1 accepts (journals) and forwards; 0's ACK releases nothing at 0 yet
     // because the publisher's custody is permanent.
     let fwd2 = sends(&rig.arrive(1, 0, fwd1.clone(), t))[0].0.clone();
-    assert!(rig.strategy.journal().entry(n(1), id).is_some());
+    assert!(rig
+        .strategy
+        .journal()
+        .expect("durable custody")
+        .entry(n(1), id)
+        .is_some());
     let mut out = Actions::new();
     rig.strategy.on_ack(n(0), n(1), &fwd1, t, &mut out);
     assert!(
-        rig.strategy.journal().entry(n(0), id).is_some(),
+        rig.strategy
+            .journal()
+            .expect("durable custody")
+            .entry(n(0), id)
+            .is_some(),
         "publisher custody is permanent"
     );
 
@@ -698,7 +712,11 @@ fn custody_released_on_ack_except_at_publisher() {
     let mut out = Actions::new();
     rig.strategy.on_ack(n(1), n(2), &fwd2, t, &mut out);
     assert!(
-        rig.strategy.journal().entry(n(1), id).is_none(),
+        rig.strategy
+            .journal()
+            .expect("durable custody")
+            .entry(n(1), id)
+            .is_none(),
         "downstream ACK must release broker custody"
     );
 
@@ -711,9 +729,14 @@ fn custody_released_on_ack_except_at_publisher() {
         .any(|a| matches!(a, Action::Deliver { .. })));
     let mut out = Actions::new();
     rig.strategy.on_ack(n(2), n(3), &fwd3, t, &mut out);
-    assert!(rig.strategy.journal().entry(n(2), id).is_none());
+    assert!(rig
+        .strategy
+        .journal()
+        .expect("durable custody")
+        .entry(n(2), id)
+        .is_none());
     assert_eq!(
-        rig.strategy.journal().len(),
+        rig.strategy.journal().expect("durable custody").len(),
         1,
         "only the publisher's entry"
     );
@@ -852,6 +875,7 @@ fn replay_skips_expired_destinations_and_survives_repeat_crashes() {
     assert!(rig
         .strategy
         .journal()
+        .expect("durable custody")
         .entry(n(0), PacketId::new(0))
         .is_some());
 }
@@ -886,6 +910,7 @@ fn journal_write_cost_defers_forwarding() {
     assert!(
         rig.strategy
             .journal()
+            .expect("durable custody")
             .entry(n(0), PacketId::new(0))
             .is_some(),
         "custody itself is immediate (write-ahead)"
@@ -969,7 +994,11 @@ fn repair_mode_gates_custody_handoff_and_restart_repair() {
             .on_membership(&[MembershipDelta::ConfirmDead { node: n(1) }], t);
         assert!(rig.strategy.absent_brokers().contains(n(1)), "{repair:?}");
         assert_eq!(
-            rig.strategy.journal().entry(n(1), id).is_none(),
+            rig.strategy
+                .journal()
+                .expect("durable custody")
+                .entry(n(1), id)
+                .is_none(),
             repairs,
             "{repair:?}: the dead broker's custody is handed off"
         );

@@ -78,7 +78,7 @@ fn heavy_crashes_leave_no_gaps_and_no_duplicates() {
     assert!(undelivered.is_empty(), "undelivered pairs: {undelivered:?}");
     // The journal actually worked for a living: entries were written and
     // (except the publishers' permanent custody) retired again.
-    let stats = strategy.journal().stats();
+    let stats = strategy.journal().expect("durable custody").stats();
     assert!(stats.records > 0, "no custody was ever taken");
     assert!(
         stats.replays > 0,
@@ -111,7 +111,7 @@ fn recovery_runs_are_deterministic() {
             log.messages_published,
             log.data_sends,
             log.suppressed,
-            strategy.journal().stats(),
+            strategy.journal().expect("durable custody").stats(),
         )
     };
     let (log_a, strat_a) = run_with_log(&scenario, 0);

@@ -324,7 +324,9 @@ impl GossipOverlay {
                 ) as usize
                     % view.len();
                 for k in 0..self.config.fanout.min(view.len()) {
-                    let v = view[(start + k) % view.len()];
+                    let Some(&v) = view.get((start + k) % view.len()) else {
+                        continue;
+                    };
                     self.rumors_sent = self.rumors_sent.saturating_add(1);
                     if !reachable(u, v) || !present_set.contains(v) {
                         continue;
@@ -362,7 +364,9 @@ impl GossipOverlay {
                 .filter(|&u| present_set.contains(u))
                 .collect();
             for (k, &u) in ring.iter().enumerate() {
-                let v = ring[(k + 1) % ring.len()];
+                let Some(&v) = ring.get((k + 1) % ring.len()) else {
+                    continue;
+                };
                 if u == v || !reachable(u, v) {
                     continue;
                 }
@@ -447,8 +451,12 @@ impl GossipOverlay {
             for j in (i + 1)..n {
                 let b = NodeId::new(j as u32);
                 if present.contains(b) && reachable(a, b) {
-                    adj[i].insert(b);
-                    adj[j].insert(a);
+                    if let Some(row) = adj.get_mut(i) {
+                        row.insert(b);
+                    }
+                    if let Some(row) = adj.get_mut(j) {
+                        row.insert(a);
+                    }
                 }
             }
         }
@@ -469,7 +477,7 @@ impl GossipOverlay {
         while let Some(u) = frontier.pop() {
             for j in 0..n {
                 let v = NodeId::new(j as u32);
-                if adj[u.index()].contains(v) && seen.insert(v) {
+                if adj.get(u.index()).is_some_and(|s| s.contains(v)) && seen.insert(v) {
                     frontier.push(v);
                 }
             }

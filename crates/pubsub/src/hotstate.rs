@@ -345,15 +345,6 @@ impl<V> NodeMap<V> {
         }
     }
 
-    /// The value for `node`, inserting `make()` first if absent.
-    pub fn get_or_insert_with(&mut self, node: NodeId, make: impl FnOnce() -> V) -> &V {
-        let i = node.index();
-        if self.slots.len() <= i {
-            self.slots.resize_with(i + 1, || None);
-        }
-        self.slots[i].get_or_insert_with(make)
-    }
-
     /// Removes and returns the value for `node`, if present.
     pub fn take(&mut self, node: NodeId) -> Option<V> {
         self.slots.get_mut(node.index()).and_then(Option::take)
@@ -493,8 +484,7 @@ mod tests {
         assert!(m.get(n(4)).is_none());
         m.insert(n(4), 44);
         assert_eq!(m.get(n(4)), Some(&44));
-        assert_eq!(*m.get_or_insert_with(n(4), || 0), 44);
-        assert_eq!(*m.get_or_insert_with(n(6), || 66), 66);
+        m.insert(n(6), 66);
         m.clear();
         assert!(m.get(n(4)).is_none());
         assert!(m.get(n(6)).is_none());

@@ -162,7 +162,7 @@ impl SmallRng {
     /// Shuffles `slice` in place: Fisher–Yates from the back.
     pub fn shuffle<T>(&mut self, slice: &mut [T]) {
         for i in (1..slice.len()).rev() {
-            let j = self.index(i + 1);
+            let j = self.below(i + 1);
             slice.swap(i, j);
         }
     }
@@ -172,14 +172,14 @@ impl SmallRng {
         if slice.is_empty() {
             None
         } else {
-            slice.get(self.index(slice.len()))
+            slice.get(self.below(slice.len()))
         }
     }
 
     /// A uniform index below `bound`, drawn as a `u32` when `bound` fits
     /// one, as `rand`'s slice helpers do.
     #[inline]
-    fn index(&mut self, bound: usize) -> usize {
+    fn below(&mut self, bound: usize) -> usize {
         match u32::try_from(bound) {
             Ok(bound) => self.gen_range(0..bound) as usize,
             Err(_) => self.gen_range(0..bound),
