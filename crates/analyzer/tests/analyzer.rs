@@ -351,9 +351,44 @@ fn crate_sources(krate: &str) -> Vec<(String, String)> {
     files
 }
 
-/// Every `pub fn` the item parser finds in dcrd-core must be resolvable
-/// through the graph's lookup — i.e. the call-graph index covers the
-/// crate's whole public surface, not a sample of it.
+/// Byte offsets of every `fn name(` / `fn name<` declaration in a masked
+/// source: an independent lexical count of the fns the item parser should
+/// find (a `fn(..)` pointer type names nothing and is not counted).
+fn declared_fns(masked: &str) -> Vec<usize> {
+    let bytes = masked.as_bytes();
+    let ident = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
+    let mut found = Vec::new();
+    let mut at = 0;
+    while let Some(rel) = masked.get(at..).and_then(|rest| rest.find("fn")) {
+        let start = at + rel;
+        at = start + 2;
+        let before = start.checked_sub(1).and_then(|i| bytes.get(i));
+        if before.is_some_and(|&b| ident(b)) {
+            continue;
+        }
+        let gap = bytes[at..]
+            .iter()
+            .take_while(|b| b.is_ascii_whitespace())
+            .count();
+        let name = bytes[at + gap..].iter().take_while(|&&b| ident(b)).count();
+        if gap == 0 || name == 0 {
+            continue;
+        }
+        let after = bytes[at + gap + name..]
+            .iter()
+            .find(|b| !b.is_ascii_whitespace());
+        if matches!(after, Some(b'(' | b'<')) {
+            found.push(start);
+        }
+    }
+    found
+}
+
+/// The item parser finds every fn of dcrd-core, file by file — checked
+/// against [`declared_fns`], which knows nothing of the parser, so a
+/// parser that drops fns (as one once dropped every fn after a file's
+/// first `impl Trait` argument) fails here — and every `pub fn` it finds
+/// resolves through the graph's lookup.
 #[test]
 fn graph_resolves_every_pub_fn_in_core() {
     let files = crate_sources("core");
@@ -368,6 +403,26 @@ fn graph_resolves_every_pub_fn_in_core() {
         "expected the full core crate, got {files:?}"
     );
     let graph = SymbolGraph::build(&files, BTreeMap::new());
+    let mut declared_total = 0;
+    for (path, masked) in &files {
+        let declared = declared_fns(masked);
+        let mut parsed: Vec<usize> = graph
+            .fns
+            .iter()
+            .filter(|f| &f.file == path)
+            .map(|f| f.item.offset)
+            .collect();
+        parsed.sort_unstable();
+        assert_eq!(
+            parsed, declared,
+            "{path}: the parser's fns (left) differ from the declared ones (right)"
+        );
+        declared_total += declared.len();
+    }
+    assert!(
+        declared_total >= 100,
+        "only {declared_total} fns declared in dcrd-core"
+    );
     let pubs: Vec<_> = graph.fns.iter().filter(|f| f.item.is_pub).collect();
     assert!(
         pubs.len() >= 20,

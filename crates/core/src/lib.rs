@@ -28,7 +28,8 @@
 //! * [`router`] — [`DcrdStrategy`]: the dynamic routing scheme
 //!   (Algorithm 2, §III-D), dispatching to two layers over one control
 //!   plane (`router/tables.rs`: the run's environment and every routing
-//!   table). `router/forward.rs` is the paper's forwarding core: hop-by-hop
+//!   table; a membership repair marks the tables it affects stale, and
+//!   routing builds each at its first read). `router/forward.rs` is the paper's forwarding core: hop-by-hop
 //!   ACK timers, `m`-transmission retries, destination merging, loop
 //!   avoidance via the packet's routing path, upstream rerouting, and the
 //!   optional persistence extension. `router/custody.rs` is durable

@@ -52,18 +52,28 @@ impl OrderingPolicy {
                             ^ 0x8000_0000_0000_0000;
                     }
                     for i in 1..len {
-                        let key = keys[i];
-                        let cand = candidates[i];
+                        let (Some(&key), Some(&cand)) = (keys.get(i), candidates.get(i)) else {
+                            break;
+                        };
                         let mut j = i;
-                        while j > 0
-                            && (keys[j - 1], candidates[j - 1].neighbor) > (key, cand.neighbor)
-                        {
-                            keys[j] = keys[j - 1];
-                            candidates[j] = candidates[j - 1];
-                            j -= 1;
+                        while let Some(k) = j.checked_sub(1) {
+                            let (Some(&prev_key), Some(&prev)) = (keys.get(k), candidates.get(k))
+                            else {
+                                break;
+                            };
+                            if (prev_key, prev.neighbor) <= (key, cand.neighbor) {
+                                break;
+                            }
+                            if let (Some(kj), Some(cj)) = (keys.get_mut(j), candidates.get_mut(j)) {
+                                *kj = prev_key;
+                                *cj = prev;
+                            }
+                            j = k;
                         }
-                        keys[j] = key;
-                        candidates[j] = cand;
+                        if let (Some(kj), Some(cj)) = (keys.get_mut(j), candidates.get_mut(j)) {
+                            *kj = key;
+                            *cj = cand;
+                        }
                     }
                 } else {
                     candidates.sort_by(|a, b| {

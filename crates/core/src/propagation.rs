@@ -14,16 +14,19 @@
 //! any list of subscriptions ([`PairJob`]s) and is the only way to build
 //! them; [`compute_tables`] is a fresh builder's single build.
 //!
-//! A broker recomputes its tables whenever its neighbourhood changes
-//! (§III-B), so the router builds again on every membership repair. The
-//! builder keeps everything one build can hand to the next: the per-edge
-//! link stats until the estimates change; the masked adjacency snapshot,
-//! the per-subscriber distance bounds and the publishers' masked
+//! A build has two halves. [`TableBuilder::prime`] reads the publisher's
+//! masked tree and fills a table's per-node delay requirements;
+//! [`TableBuilder::settle`] runs the `⟨d, r⟩` fixed point over them. A
+//! broker recomputes its tables whenever its neighbourhood changes
+//! (§III-B): the router primes every table a membership repair affects
+//! when the repair runs, and settles each at the first packet routed on
+//! it. The builder keeps everything one build can hand to the next: the
+//! per-edge link stats until the estimates change; the masked adjacency
+//! snapshot, the per-subscriber distance bounds and the publishers' masked
 //! shortest-path trees, refilled in place when the absent set changes; one
-//! scratch workspace per worker; and, when the caller hands them back, the
-//! tables the build replaces, whose buffers it refills. No input of the
-//! kernel depends on what a buffer held before, so a recycled build is
-//! bit-identical to a fresh one.
+//! scratch workspace per worker. A settle refills the buffers of the table
+//! it settles. No input of the kernel depends on what a buffer held
+//! before, so a recycled build is bit-identical to a fresh one.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -82,9 +85,31 @@ struct FusedRow {
     len: usize,
 }
 
+/// `at[i]`, or the default for an `i` past the stack buffer.
+#[inline(always)]
+fn load<T: Copy + Default>(at: &[T; FUSED_STACK], i: usize) -> T {
+    at.get(i).copied().unwrap_or_default()
+}
+
+/// Moves `at[i - 1]` up to `at[i]`, for `0 < i < FUSED_STACK`.
+#[inline(always)]
+fn shift_up<T: Copy + Default>(at: &mut [T; FUSED_STACK], i: usize) {
+    let below = load(at, i.wrapping_sub(1));
+    store(at, i, below);
+}
+
+/// Stores `value` at `at[i]`; an `i` past the stack buffer stores nothing.
+#[inline(always)]
+fn store<T>(at: &mut [T; FUSED_STACK], i: usize, value: T) {
+    if let Some(slot) = at.get_mut(i) {
+        *slot = value;
+    }
+}
+
 /// The shared gather + filter + sort half of the fused step: member
 /// candidates land in `ids`/`ds`/`rs` `[0, len)` in ascending `(d/r, id)`
-/// order, and `order` is rewritten for the next round.
+/// order, and `order` is rewritten for the next round. `order` holds at
+/// most [`FUSED_STACK`] slots of `row`.
 #[inline(always)]
 fn gather_sorted(
     row: &[(NodeId, LinkStats)],
@@ -100,9 +125,18 @@ fn gather_sorted(
     let mut rejects = [0u8; FUSED_STACK];
     let mut len = 0usize;
     let mut rejected = 0usize;
-    for &slot in order.iter() {
-        let (nb, link) = row[slot as usize];
-        let p = params[nb.index()];
+    for &slot in order.iter().take(FUSED_STACK) {
+        let (nb, link) = row.get(slot as usize).copied().unwrap_or((
+            NodeId::new(0),
+            LinkStats {
+                alpha: f64::INFINITY,
+                gamma: 0.0,
+            },
+        ));
+        let p = params
+            .get(nb.index())
+            .copied()
+            .unwrap_or(DrPair::UNREACHABLE);
         // Branchless filter: compute and store unconditionally (harmless
         // for failing slots — `∞` arithmetic is well-defined and the slot
         // is overwritten or ignored), advance `len` by the filter bit.
@@ -111,35 +145,55 @@ fn gather_sorted(
         let r = link.gamma * p.r;
         let ratio = if r <= 0.0 { f64::INFINITY } else { d / r };
         let bits = ratio.to_bits() as i64;
-        keys[len] = (bits ^ ((((bits >> 63) as u64) >> 1) as i64)) as u64 ^ 0x8000_0000_0000_0000;
-        ids[len] = nb.index() as u32;
-        ds[len] = d;
-        rs[len] = r;
-        slots[len] = slot;
-        rejects[rejected] = slot;
+        store(
+            &mut keys,
+            len,
+            (bits ^ ((((bits >> 63) as u64) >> 1) as i64)) as u64 ^ 0x8000_0000_0000_0000,
+        );
+        store(&mut ids, len, nb.index() as u32);
+        store(&mut ds, len, d);
+        store(&mut rs, len, r);
+        store(&mut slots, len, slot);
+        store(&mut rejects, rejected, slot);
         let pass = p.d < requirement;
         len += pass as usize;
         rejected += !pass as usize;
     }
-    for i in 1..len {
-        let (key, id, d, r, s) = (keys[i], ids[i], ds[i], rs[i], slots[i]);
+    for i in 1..len.min(FUSED_STACK) {
+        let (key, id, d, r, s) = (
+            load(&keys, i),
+            load(&ids, i),
+            load(&ds, i),
+            load(&rs, i),
+            load(&slots, i),
+        );
         let mut j = i;
-        while j > 0 && (keys[j - 1], ids[j - 1]) > (key, id) {
-            keys[j] = keys[j - 1];
-            ids[j] = ids[j - 1];
-            ds[j] = ds[j - 1];
-            rs[j] = rs[j - 1];
-            slots[j] = slots[j - 1];
+        while j > 0 && (load(&keys, j - 1), load(&ids, j - 1)) > (key, id) {
+            shift_up(&mut keys, j);
+            shift_up(&mut ids, j);
+            shift_up(&mut ds, j);
+            shift_up(&mut rs, j);
+            shift_up(&mut slots, j);
             j -= 1;
         }
-        keys[j] = key;
-        ids[j] = id;
-        ds[j] = d;
-        rs[j] = r;
-        slots[j] = s;
+        store(&mut keys, j, key);
+        store(&mut ids, j, id);
+        store(&mut ds, j, d);
+        store(&mut rs, j, r);
+        store(&mut slots, j, s);
     }
-    order[..len].copy_from_slice(&slots[..len]);
-    order[len..].copy_from_slice(&rejects[..rejected]);
+    // Every visited slot was either a member or a reject, so the two
+    // halves fill `order` exactly.
+    if let (Some((members, others)), Some(sorted), Some(rest)) = (
+        order.split_at_mut_checked(len),
+        slots.get(..len),
+        rejects.get(..rejected),
+    ) {
+        if others.len() == rest.len() {
+            members.copy_from_slice(sorted);
+            others.copy_from_slice(rest);
+        }
+    }
     FusedRow { ids, ds, rs, len }
 }
 
@@ -154,14 +208,14 @@ fn node_step_ratio(
     let mut numerator = 0.0;
     let mut prefix_delay = 0.0;
     let mut fail_all = 1.0;
-    for k in 0..len {
-        if ds[k].is_infinite() {
-            debug_assert!(rs[k] <= 0.0, "finite-r candidate with infinite d");
+    for (&d, &r) in ds.iter().zip(&rs).take(len) {
+        if d.is_infinite() {
+            debug_assert!(r <= 0.0, "finite-r candidate with infinite d");
             continue;
         }
-        prefix_delay += ds[k];
-        numerator += prefix_delay * (rs[k] * fail_all);
-        fail_all *= 1.0 - rs[k];
+        prefix_delay += d;
+        numerator += prefix_delay * (r * fail_all);
+        fail_all *= 1.0 - r;
     }
     let r = 1.0 - fail_all;
     if r <= 0.0 {
@@ -186,11 +240,17 @@ fn extend_sorted_candidates(
     out: &mut Vec<Candidate>,
 ) {
     let FusedRow { ids, ds, rs, len } = gather_sorted(row, params, requirement, order);
-    out.extend((0..len).map(|k| Candidate {
-        neighbor: NodeId::new(ids[k]),
-        d: ds[k],
-        r: rs[k],
-    }));
+    out.extend(
+        ids.iter()
+            .zip(&ds)
+            .zip(&rs)
+            .take(len)
+            .map(|((&id, &d), &r)| Candidate {
+                neighbor: NodeId::new(id),
+                d,
+                r,
+            }),
+    );
 }
 
 /// The converged routing state of every broker toward one subscription.
@@ -303,6 +363,43 @@ impl SubscriberTables {
     pub fn set_version(&mut self, version: u64) {
         self.version = version;
     }
+
+    /// Fills the half of a build that reads the publisher's tree: the
+    /// endpoints of `job` and every node's delay requirement `D_XS` over
+    /// the `n`-node overlay minus `absent`. The other buffers keep what
+    /// they held until [`pair_fixed_point`] refills them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dist_from_publisher` was not computed from the job's
+    /// publisher.
+    fn prime(
+        &mut self,
+        job: &PairJob,
+        dist_from_publisher: &ShortestPaths,
+        n: usize,
+        absent: &NodeSet,
+    ) {
+        assert_eq!(
+            dist_from_publisher.source(),
+            job.publisher,
+            "distance tree must be rooted at the publisher"
+        );
+        let deadline_us = job.deadline.as_micros() as f64;
+        self.subscriber = job.subscriber;
+        self.publisher = job.publisher;
+        self.requirements.clear();
+        self.requirements.extend((0..n).map(|i| {
+            let node = NodeId::new(i as u32);
+            if absent.contains(node) {
+                return f64::NEG_INFINITY;
+            }
+            match dist_from_publisher.cost_to(node) {
+                Some(c) => deadline_us - c as f64,
+                None => f64::NEG_INFINITY,
+            }
+        }));
+    }
 }
 
 fn delta(a: DrPair, b: DrPair) -> (f64, f64) {
@@ -314,9 +411,11 @@ fn delta(a: DrPair, b: DrPair) -> (f64, f64) {
     (dd, (a.r - b.r).abs())
 }
 
-/// Table work, in `pairs × live brokers`, that earns one worker of
-/// [`compute_tables`]'s fan-out: a job smaller than twice this runs inline
-/// on the calling thread.
+/// Table work, in `pairs × live brokers`, that earns one worker of a
+/// batch build's fan-out ([`TableBuilder::build`], which the router's setup
+/// and [`compute_tables`] run): a build smaller than twice this runs
+/// inline on the calling thread. A settle builds one table and never fans
+/// out.
 ///
 /// The floor weighs a worker's start-up against the kernel work it takes
 /// over, both measured on a 2-vCPU x86-64 host:
@@ -326,12 +425,11 @@ fn delta(a: DrPair, b: DrPair) -> (f64, f64) {
 /// * the kernel costs ≈ 1.4–1.8 µs per pair-node (≈ 15 rounds of
 ///   ≈ 100 ns node-steps).
 ///
-/// At `1 << 12` the smallest fan-out splits ≈ 8 k pair-nodes, and the
-/// second worker takes over ≈ 6 ms of kernel time for a start-up under
-/// a tenth of that even at p99. Every 64-broker setup (≈ 19–30 k
-/// pair-nodes, 25–40 ms) fans out; a 32-broker repair of ≈ 140 pairs
-/// (≈ 4.5 k) stays inline, where a start-up would be about a tenth of
-/// the whole repair.
+/// At `1 << 12` the smallest fan-out splits ≈ 8 k pair-nodes, and its
+/// second worker takes over ≈ 6 ms of kernel time for a start-up under a
+/// tenth of that even at p99. Every 64- and 256-broker setup (≈ 19 k
+/// pair-nodes and up) fans out; a 32-broker setup of ≈ 140 pairs
+/// (≈ 4.5 k pair-nodes) runs inline.
 pub const PAIR_NODES_PER_WORKER: usize = 1 << 12;
 
 /// One `(publisher, subscriber)` fixed point to compute: a subscription of
@@ -390,32 +488,34 @@ pub fn compute_tables(
     absent: &NodeSet,
     jobs: Vec<PairJob>,
 ) -> Vec<(PairJob, SubscriberTables)> {
-    let jobs = jobs.into_iter().map(|job| (job, None)).collect();
     TableBuilder::new().build(topo, estimates, m, config, absent, jobs)
 }
 
 /// The one table builder, and what one build keeps for the next.
 ///
 /// In a deployment every broker iterates on its own, per subscription
-/// (§III-B), so nothing couples one pair to another: a build fans its
-/// pairs out over [`par::map_init`] workers, one per
-/// [`PAIR_NODES_PER_WORKER`] of `pairs × live brokers`, capped by the
-/// host's parallelism. The tables are bit-identical for every worker count.
+/// (§III-B), so nothing couples one pair to another. A batch
+/// [`build`](Self::build) fans its pairs out over [`par::map_init`]
+/// workers, one per [`PAIR_NODES_PER_WORKER`] of `pairs × live brokers`,
+/// capped by the host's parallelism; the tables are bit-identical for every
+/// worker count. [`prime`](Self::prime) and [`settle`](Self::settle) build
+/// one table in place instead, in the two halves a lazy caller runs apart:
+/// the first when a repair invalidates the table, the second when the table
+/// is next read.
 ///
 /// Between builds the builder keeps, each until its input changes:
 ///
 /// | kept | rebuilt when |
 /// |---|---|
 /// | per-edge `m`-transmission link stats | the estimates change ([`estimates_changed`](Self::estimates_changed)) or `m` does |
-/// | masked adjacency snapshot | the absent set or the link stats change |
-/// | per-subscriber α-distance bounds | the snapshot is rebuilt |
+/// | masked adjacency snapshot | the absent set or the link stats change ([`prepare`](Self::prepare)) |
+/// | per-subscriber α-distance bounds | the snapshot is rebuilt; each is refilled by the first build toward its subscriber |
 /// | each publisher's masked shortest-path tree | the caller refreshes it ([`refresh_tree`](Self::refresh_tree)) or forgets them all ([`forget_trees`](Self::forget_trees)) |
-/// | one scratch workspace per worker | never; refitted to each build's snapshot |
+/// | one scratch workspace per worker | never; refitted whenever the snapshot is rebuilt |
 ///
-/// What is rebuilt is refilled in place, and a job may carry the tables it
-/// replaces, whose buffers its build refills; so a build whose overlay,
-/// mask sizes and list lengths stay within what earlier builds saw
-/// allocates almost nothing.
+/// What is rebuilt is refilled in place, and a settle refills the buffers
+/// of the table it settles, so a settle whose overlay, mask sizes and list
+/// lengths stay within what earlier builds saw allocates nothing.
 #[derive(Debug)]
 pub struct TableBuilder {
     /// Fan-out cap: the host's parallelism, read when the builder is made,
@@ -443,7 +543,8 @@ pub struct TableBuilder {
     trees: NodeMap<ShortestPaths>,
     /// Trees displaced or forgotten, refilled by the next ones needed.
     spare_trees: Vec<ShortestPaths>,
-    /// One scratch workspace per worker, lent to [`par::map_init`].
+    /// One scratch workspace per worker, lent to [`par::map_init`]; a
+    /// settle runs on the first.
     workspaces: Vec<TableWorkspace>,
 }
 
@@ -483,8 +584,8 @@ impl TableBuilder {
         self.snapshot_valid = false;
     }
 
-    /// The tree `publisher`'s tables were last built from: its
-    /// shortest-delay tree masked by that build's absent set.
+    /// The tree `publisher`'s tables were last primed from: its
+    /// shortest-delay tree masked by that pass's absent set.
     #[must_use]
     pub fn tree(&self, publisher: NodeId) -> Option<&ShortestPaths> {
         self.trees.get(publisher)
@@ -526,10 +627,78 @@ impl TableBuilder {
         }
     }
 
+    /// Fills `publisher`'s tree for `absent` unless the builder holds one.
+    fn keep_tree(&mut self, topo: &Topology, publisher: NodeId, absent: &NodeSet) {
+        if self.trees.get(publisher).is_none() {
+            let tree = self.fill_tree(topo, publisher, absent);
+            self.trees.insert(publisher, tree);
+        }
+    }
+
+    /// Brings what every table of one pass shares up to date for `absent`
+    /// and `m`: the link stats, the masked snapshot over them, and the
+    /// workspaces fitted to it. Costs a mask comparison when nothing
+    /// changed.
+    pub fn prepare(
+        &mut self,
+        topo: &Topology,
+        estimates: &LinkEstimates,
+        m: u32,
+        absent: &NodeSet,
+    ) {
+        if self.stats_m != Some(m) {
+            fill_link_stats(topo, estimates, m, &mut self.link_stats);
+            self.stats_m = Some(m);
+            self.snapshot_valid = false;
+        }
+        if self.snapshot_valid && self.snapshot_mask == *absent {
+            return;
+        }
+        self.snapshot.rebuild(topo, &self.link_stats, absent);
+        self.snapshot_mask.clear();
+        self.snapshot_mask.union_with(absent);
+        self.snapshot_valid = true;
+        self.bounded.clear();
+        let n = self.snapshot.num_nodes();
+        if self.bounds.len() < n {
+            self.bounds.resize_with(n, Vec::new);
+        }
+        for ws in &mut self.workspaces {
+            ws.fit(&self.snapshot);
+        }
+    }
+
+    /// Fills `subscriber`'s pruning bound over the snapshot unless it is
+    /// current: the α-distance from the subscriber to every node, minimised
+    /// over each node's live neighbours.
+    fn keep_bound(&mut self, subscriber: NodeId) {
+        if self.bounded.contains(subscriber) {
+            return;
+        }
+        let Some(bound) = self.bounds.get_mut(subscriber.index()) else {
+            return;
+        };
+        self.snapshot.alpha_distances_into(
+            subscriber,
+            &mut self.alpha_distances,
+            &mut self.frontier,
+        );
+        self.snapshot
+            .neighbor_min_into(&self.alpha_distances, bound);
+        self.bounded.insert(subscriber);
+    }
+
+    /// The current pruning bound of `subscriber`, if it has one.
+    fn bound(&self, subscriber: NodeId) -> Option<&[f64]> {
+        self.bounds
+            .get(subscriber.index())
+            .filter(|_| self.bounded.contains(subscriber))
+            .map(Vec::as_slice)
+    }
+
     /// Builds the tables of every job over the overlay minus the `absent`
     /// brokers, with `m` transmissions per link attempt, and returns them
-    /// in job order. A job may carry the tables it replaces, whose buffers
-    /// its build refills; the result is the same either way.
+    /// in job order.
     ///
     /// Every job publisher's tree is taken as masked by `absent`: the tree
     /// of a publisher the builder holds none for is filled first, and a
@@ -542,7 +711,7 @@ impl TableBuilder {
         m: u32,
         config: &DcrdConfig,
         absent: &NodeSet,
-        jobs: Vec<(PairJob, Option<SubscriberTables>)>,
+        jobs: Vec<PairJob>,
     ) -> Vec<(PairJob, SubscriberTables)> {
         let live = topo.num_nodes().saturating_sub(absent.len());
         let earned = jobs.len().saturating_mul(live) / PAIR_NODES_PER_WORKER;
@@ -551,9 +720,8 @@ impl TableBuilder {
     }
 
     /// [`build`](Self::build) on exactly `workers` workers. Each pair is
-    /// the same kernel call over the same read-only inputs, and neither a
-    /// worker's [`TableWorkspace`] nor a recycled table carries a value
-    /// into the pair it serves.
+    /// the same kernel call over the same read-only inputs, and no
+    /// worker's [`TableWorkspace`] carries a value into the pair it serves.
     #[allow(clippy::too_many_arguments)] // build's inputs plus the worker count
     fn build_on(
         &mut self,
@@ -563,103 +731,132 @@ impl TableBuilder {
         m: u32,
         config: &DcrdConfig,
         absent: &NodeSet,
-        jobs: Vec<(PairJob, Option<SubscriberTables>)>,
+        jobs: Vec<PairJob>,
     ) -> Vec<(PairJob, SubscriberTables)> {
         if jobs.is_empty() {
             return Vec::new();
         }
-        for (job, _) in &jobs {
-            if self.trees.get(job.publisher).is_none() {
-                let tree = self.fill_tree(topo, job.publisher, absent);
-                self.trees.insert(job.publisher, tree);
-            }
+        // Serial prelude, shared read-only by every worker: each job
+        // publisher's masked tree, the per-edge m-transmission stats, the
+        // masked adjacency snapshot over them, and one subscriber-rooted
+        // α-distance bound per distinct subscriber (a subscriber listening
+        // on several topics shares one Dijkstra pass) — each kept from the
+        // last build while its inputs hold.
+        for job in &jobs {
+            self.keep_tree(topo, job.publisher, absent);
         }
-        // Serial prelude, shared read-only by every worker: per-edge
-        // m-transmission stats, the masked adjacency snapshot over them,
-        // and one subscriber-rooted α-distance bound per distinct
-        // subscriber (a subscriber listening on several topics shares one
-        // Dijkstra pass) — each kept from the last build while its inputs
-        // hold.
-        if self.stats_m != Some(m) {
-            fill_link_stats(topo, estimates, m, &mut self.link_stats);
-            self.stats_m = Some(m);
-            self.snapshot_valid = false;
-        }
-        if !self.snapshot_valid || self.snapshot_mask != *absent {
-            self.snapshot.rebuild(topo, &self.link_stats, absent);
-            self.snapshot_mask.clear();
-            self.snapshot_mask.union_with(absent);
-            self.snapshot_valid = true;
-            self.bounded.clear();
-        }
-        let n = self.snapshot.num_nodes();
-        if self.bounds.len() < n {
-            self.bounds.resize_with(n, Vec::new);
-        }
-        for (job, _) in &jobs {
-            let sub = job.subscriber;
-            if self.bounded.contains(sub) {
-                continue;
-            }
-            let Some(bound) = self.bounds.get_mut(sub.index()) else {
-                continue;
-            };
-            self.snapshot
-                .alpha_distances_into(sub, &mut self.alpha_distances, &mut self.frontier);
-            self.snapshot
-                .neighbor_min_into(&self.alpha_distances, bound);
-            self.bounded.insert(sub);
-        }
-        for ws in &mut self.workspaces {
-            ws.fit(&self.snapshot);
+        self.prepare(topo, estimates, m, absent);
+        for job in &jobs {
+            self.keep_bound(job.subscriber);
         }
 
-        let TableBuilder {
-            snapshot,
-            bounds,
-            bounded,
-            trees,
-            workspaces,
-            ..
-        } = self;
-        let (snapshot, bounds, bounded, trees) = (&*snapshot, &*bounds, &*bounded, &*trees);
-        let new_workspace = || TableWorkspace::new(snapshot);
-        let built = par::map_init(
-            jobs,
-            workers,
-            workspaces,
-            new_workspace,
-            |ws, (job, recycled)| {
-                // Both lookups were filled by the preludes; a miss would be a
-                // bug, and the degraded path leaves that pair without tables.
-                let (Some(dist), Some(spd_bound)) = (
-                    trees.get(job.publisher),
-                    bounds
-                        .get(job.subscriber.index())
-                        .filter(|_| bounded.contains(job.subscriber)),
-                ) else {
-                    debug_assert!(false, "pair job without its prelude inputs");
-                    return None;
-                };
-                let mut tables = recycled.unwrap_or_else(SubscriberTables::unfilled);
-                pair_fixed_point(
-                    snapshot,
-                    job.publisher,
-                    dist,
-                    job.subscriber,
-                    spd_bound,
-                    job.deadline.as_micros() as f64,
-                    config,
-                    absent,
-                    ws,
-                    &mut tables,
-                );
-                Some((job, tables))
-            },
-        );
+        let mut workspaces = std::mem::take(&mut self.workspaces);
+        let this = &*self;
+        let n = this.snapshot.num_nodes();
+        let new_workspace = || TableWorkspace::new(&this.snapshot);
+        let built = par::map_init(jobs, workers, &mut workspaces, new_workspace, |ws, job| {
+            // Both lookups were filled by the prelude; a miss would be a
+            // bug, and the degraded path leaves that pair without tables.
+            let (Some(dist), Some(bound)) =
+                (this.trees.get(job.publisher), this.bound(job.subscriber))
+            else {
+                debug_assert!(false, "pair job without its prelude inputs");
+                return None;
+            };
+            let mut tables = SubscriberTables::unfilled();
+            tables.prime(&job, dist, n, absent);
+            pair_fixed_point(&this.snapshot, bound, config, absent, ws, &mut tables);
+            Some((job, tables))
+        });
+        self.workspaces = workspaces;
         let mut tables = Vec::with_capacity(built.len());
         tables.extend(built.into_iter().flatten());
         tables
+    }
+
+    /// The half of a one-table build that reads the publisher's tree:
+    /// refills `tables`' endpoints and requirements for `job` over the
+    /// overlay minus `absent`, filling the publisher's tree first if the
+    /// builder holds none. The rest of `tables` is stale until
+    /// [`settle`](Self::settle).
+    pub fn prime(
+        &mut self,
+        topo: &Topology,
+        job: &PairJob,
+        absent: &NodeSet,
+        tables: &mut SubscriberTables,
+    ) {
+        self.keep_tree(topo, job.publisher, absent);
+        if let Some(dist) = self.trees.get(job.publisher) {
+            tables.prime(job, dist, topo.num_nodes(), absent);
+        }
+    }
+
+    /// The other half: runs the fixed point of `tables`, primed by
+    /// [`prime`](Self::prime), over the snapshot and mask of the last
+    /// [`prepare`](Self::prepare), refilling its buffers, inline on the
+    /// builder's first workspace. The tables equal a [`build`](Self::build)
+    /// of the primed job whenever no input of the fixed point moved since
+    /// the prime. No job list, no fan-out, no per-pass work, and no
+    /// allocation once earlier builds sized the builder's buffers and the
+    /// table's.
+    pub fn settle(&mut self, config: &DcrdConfig, tables: &mut SubscriberTables) {
+        debug_assert!(self.snapshot_valid, "settle before prepare");
+        let subscriber = tables.subscriber;
+        self.keep_bound(subscriber);
+        if self.workspaces.is_empty() {
+            self.workspaces.push(TableWorkspace::new(&self.snapshot));
+        }
+        let TableBuilder {
+            snapshot,
+            snapshot_mask,
+            bounds,
+            bounded,
+            workspaces,
+            ..
+        } = self;
+        let bound = bounds
+            .get(subscriber.index())
+            .filter(|_| bounded.contains(subscriber));
+        let (Some(bound), Some(ws)) = (bound, workspaces.first_mut()) else {
+            debug_assert!(false, "settle without a bound or a workspace");
+            return;
+        };
+        pair_fixed_point(snapshot, bound, config, snapshot_mask, ws, tables);
+    }
+
+    /// What [`settle`](Self::settle) would make of `tables`, for a reader
+    /// that holds the builder shared: the same kernel on a workspace and a
+    /// bound of its own.
+    #[must_use]
+    pub fn settled(&self, config: &DcrdConfig, tables: &SubscriberTables) -> SubscriberTables {
+        debug_assert!(self.snapshot_valid, "settled before prepare");
+        let mut out = tables.clone();
+        let subscriber = out.subscriber;
+        let mut own = Vec::new();
+        let bound = match self.bound(subscriber) {
+            Some(bound) => bound,
+            None => {
+                let mut distances = Vec::new();
+                self.snapshot.alpha_distances_into(
+                    subscriber,
+                    &mut distances,
+                    &mut BinaryHeap::new(),
+                );
+                self.snapshot.neighbor_min_into(&distances, &mut own);
+                &own
+            }
+        };
+        let mut ws = TableWorkspace::new(&self.snapshot);
+        pair_fixed_point(
+            &self.snapshot,
+            bound,
+            config,
+            &self.snapshot_mask,
+            &mut ws,
+            &mut out,
+        );
+        out
     }
 }
 
@@ -716,7 +913,7 @@ impl AdjacencySnapshot {
                 topo.neighbors(NodeId::new(i as u32))
                     .iter()
                     .filter(|&&(nb, _)| !absent.contains(nb))
-                    .map(|&(nb, edge)| (nb, link_stats[edge.index()])),
+                    .filter_map(|&(nb, edge)| Some((nb, *link_stats.get(edge.index())?))),
             );
             offsets.push(pairs.len() as u32);
         }
@@ -727,9 +924,10 @@ impl AdjacencySnapshot {
         self.offsets.len().saturating_sub(1)
     }
 
-    /// The live `(neighbor, link stats)` row of node `i`.
+    /// The live `(neighbor, link stats)` row of node `i` (empty for a node
+    /// outside the snapshot).
     fn row(&self, i: usize) -> &[(NodeId, LinkStats)] {
-        &self.pairs[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+        csr_row(&self.offsets, &self.pairs, i)
     }
 
     /// Shortest α-distance in µs from `source` to every node over the live
@@ -753,13 +951,13 @@ impl AdjacencySnapshot {
         heap.clear();
         // Non-negative finite f64 bit patterns order like the values, so
         // the heap can key on raw bits without a float wrapper type.
-        if source.index() < n {
-            dist[source.index()] = 0.0;
+        if let Some(at_source) = dist.get_mut(source.index()) {
+            *at_source = 0.0;
             heap.push(Reverse((0, source.index() as u32)));
         }
         while let Some(Reverse((dbits, u))) = heap.pop() {
             let d = f64::from_bits(dbits);
-            if d > dist[u as usize] {
+            if dist.get(u as usize).is_none_or(|&best| d > best) {
                 continue;
             }
             for &(nb, stats) in self.row(u as usize) {
@@ -767,8 +965,8 @@ impl AdjacencySnapshot {
                     continue;
                 }
                 let nd = d + stats.alpha;
-                if nd < dist[nb.index()] {
-                    dist[nb.index()] = nd;
+                if let Some(best) = dist.get_mut(nb.index()).filter(|best| nd < **best) {
+                    *best = nd;
                     heap.push(Reverse((nd.to_bits(), nb.index() as u32)));
                 }
             }
@@ -787,7 +985,8 @@ impl AdjacencySnapshot {
         out.extend((0..self.num_nodes()).map(|i| {
             self.row(i)
                 .iter()
-                .fold(f64::INFINITY, |m, &(nb, _)| m.min(values[nb.index()]))
+                .filter_map(|&(nb, _)| values.get(nb.index()))
+                .fold(f64::INFINITY, |m, &v| m.min(v))
         }));
     }
 }
@@ -872,74 +1071,50 @@ impl TableWorkspace {
 /// operation order, one freeze schedule — which is what lets incremental
 /// repair be oracle-checked against a from-scratch rebuild byte for byte.
 ///
-/// `dist_from_publisher` must be the publisher's Dijkstra tree masked by
-/// the same absent set, so requirements reflect detours around the missing
-/// brokers. `spd_bound_from_subscriber` must be
-/// [`neighbor_min_into`](AdjacencySnapshot::neighbor_min_into) over
+/// `out` must have been primed ([`SubscriberTables::prime`]) over the
+/// publisher's tree masked by the same absent set, so its requirements
+/// reflect detours around the missing brokers. `spd_bound_from_subscriber`
+/// must be [`neighbor_min_into`](AdjacencySnapshot::neighbor_min_into) over
 /// [`alpha_distances_into`](AdjacencySnapshot::alpha_distances_into)`(subscriber)`
 /// on the same snapshot, and `ws` must have been fitted to it.
 ///
-/// The tables land in `out`, whose buffers are cleared and refilled (a
-/// repair hands in the tables it replaces). The result depends neither on
-/// what `out` held nor on what `ws` was used for before: every buffer is
-/// cleared per call, and the visit permutations `ws` keeps only change the
-/// order an exact sort *starts* from.
-///
-/// # Panics
-///
-/// Panics if `dist_from_publisher` was not computed from `publisher`, or
-/// if `spd_bound_from_subscriber` does not cover every node.
-#[allow(clippy::too_many_arguments)] // one value per paper parameter plus the mask
+/// The fixed point lands in `out`, whose other buffers are cleared and
+/// refilled (a settle hands in the tables it replaces). The result depends
+/// neither on what `out` held beyond its priming nor on what `ws` was used
+/// for before: every buffer is cleared per call, and the visit
+/// permutations `ws` keeps only change the order an exact sort *starts*
+/// from. Inputs of the wrong length read as unreachable brokers instead of
+/// panicking (debug builds assert).
 fn pair_fixed_point(
     snapshot: &AdjacencySnapshot,
-    publisher: NodeId,
-    dist_from_publisher: &ShortestPaths,
-    subscriber: NodeId,
     spd_bound_from_subscriber: &[f64],
-    deadline_us: f64,
     config: &DcrdConfig,
     absent: &NodeSet,
     ws: &mut TableWorkspace,
     out: &mut SubscriberTables,
 ) {
-    assert_eq!(
-        dist_from_publisher.source(),
-        publisher,
-        "distance tree must be rooted at the publisher"
-    );
-    assert_eq!(
-        spd_bound_from_subscriber.len(),
-        snapshot.num_nodes(),
-        "subscriber distance bound must cover every node"
-    );
     let n = snapshot.num_nodes();
-    debug_assert_eq!(
-        ws.order_offsets.len(),
-        n + 1,
-        "workspace of another snapshot"
-    );
     let SubscriberTables {
-        subscriber: out_subscriber,
-        publisher: out_publisher,
+        subscriber,
         requirements,
         list_offsets,
         list_cands,
         params,
         rounds_used: out_rounds_used,
         converged: out_converged,
-        version,
+        ..
     } = out;
-    requirements.clear();
-    requirements.extend((0..n).map(|i| {
-        let node = NodeId::new(i as u32);
-        if absent.contains(node) {
-            return f64::NEG_INFINITY;
-        }
-        match dist_from_publisher.cost_to(node) {
-            Some(c) => deadline_us - c as f64,
-            None => f64::NEG_INFINITY,
-        }
-    }));
+    let subscriber = *subscriber;
+    let requirements: &[f64] = requirements;
+    debug_assert!(
+        requirements.len() == n && spd_bound_from_subscriber.len() == n,
+        "requirements or distance bound of another snapshot"
+    );
+    debug_assert_eq!(
+        ws.order_offsets.len(),
+        n + 1,
+        "workspace of another snapshot"
+    );
 
     // The gossip rounds below only vary in the neighbors' `⟨d, r⟩`, so the
     // round loop rebuilds one reusable candidate buffer straight from the
@@ -960,15 +1135,17 @@ fn pair_fixed_point(
     } = ws;
     list_buf.clear();
 
-    params.clear();
-    params.resize(n, DrPair::UNREACHABLE);
-    if !absent.contains(subscriber) {
-        params[subscriber.index()] = DrPair::SUBSCRIBER;
-    }
-
     // An absent subscriber never anchors `⟨0, 1⟩`: every broker (correctly)
     // converges to unreachable and all lists come out empty.
     let subscriber_active = !absent.contains(subscriber);
+    params.clear();
+    params.resize(n, DrPair::UNREACHABLE);
+    if let Some(anchor) = params
+        .get_mut(subscriber.index())
+        .filter(|_| subscriber_active)
+    {
+        *anchor = DrPair::SUBSCRIBER;
+    }
 
     // Ellipse pruning: a neighbor's `⟨d, r⟩` can never report a `d` below
     // its shortest α-distance to the subscriber, so a broker whose
@@ -981,13 +1158,17 @@ fn pair_fixed_point(
     active.clear();
     active.resize(n, false);
     actives.clear();
-    for i in 0..n {
-        let node = NodeId::new(i as u32);
-        if node == subscriber && subscriber_active {
+    let nodes = active
+        .iter_mut()
+        .zip(spd_bound_from_subscriber)
+        .zip(requirements)
+        .enumerate();
+    for (i, ((is_active, &bound), &requirement)) in nodes {
+        if i == subscriber.index() && subscriber_active {
             continue;
         }
-        if spd_bound_from_subscriber[i] < requirements[i] {
-            active[i] = true;
+        if bound < requirement {
+            *is_active = true;
             actives.push(i as u32);
         }
     }
@@ -1024,19 +1205,26 @@ fn pair_fixed_point(
     stamp.clear();
     stamp.resize(n, 1);
     let fused = config.ordering == OrderingPolicy::RatioOptimal;
+    // Node `i`'s visit permutation, when the fused step serves its row.
+    let visit_order = |i: usize, row_len: usize| {
+        let off = *order_offsets
+            .get(i)
+            .filter(|_| fused && row_len <= FUSED_STACK)? as usize;
+        Some(off..off + row_len)
+    };
     for round in 1..=MAX_ROUNDS {
         rounds_used = round;
         let mut freeze_round = false;
         if round > warmup && !have_frozen {
             freeze_round = true;
             frozen_offsets.push(0);
-            for i in 0..n {
-                if active[i] {
+            for (i, (&is_active, &requirement)) in active.iter().zip(requirements).enumerate() {
+                if is_active {
                     let row = snapshot.row(i);
                     build_sending_list_from_row(
                         row,
                         params,
-                        requirements[i],
+                        requirement,
                         config.ordering,
                         list_buf,
                     );
@@ -1057,45 +1245,45 @@ fn pair_fixed_point(
         let mut max_dr = 0.0f64;
         for &iu in actives.iter() {
             let i = iu as usize;
+            let (Some(&old), Some(&requirement), Some(&stamped), Some(next)) = (
+                params.get(i),
+                requirements.get(i),
+                stamp.get(i),
+                scratch.get_mut(i),
+            ) else {
+                continue;
+            };
             // The freeze transition switches every node to the frozen
             // evaluation path; run it as a full round so the skip only
             // ever compares like against like.
-            if stamp[i] < round && !freeze_round {
-                scratch[i] = params[i];
+            if stamped < round && !freeze_round {
+                *next = old;
                 continue;
             }
             let p = if !have_frozen {
                 let row = snapshot.row(i);
-                if fused && row.len() <= FUSED_STACK {
-                    let off = order_offsets[i] as usize;
-                    node_step_ratio(
-                        row,
-                        params,
-                        requirements[i],
-                        &mut order[off..off + row.len()],
-                    )
-                } else {
-                    build_sending_list_from_row(
-                        row,
-                        params,
-                        requirements[i],
-                        config.ordering,
-                        list_buf,
-                    );
-                    combine(list_buf)
+                let visit = visit_order(i, row.len()).and_then(|at| order.get_mut(at));
+                match visit {
+                    Some(visit) => node_step_ratio(row, params, requirement, visit),
+                    None => {
+                        build_sending_list_from_row(
+                            row,
+                            params,
+                            requirement,
+                            config.ordering,
+                            list_buf,
+                        );
+                        combine(list_buf)
+                    }
                 }
             } else {
-                frozen_list_from_entries(
-                    &frozen_flat[frozen_offsets[i] as usize..frozen_offsets[i + 1] as usize],
-                    params,
-                    list_buf,
-                );
+                frozen_list_from_entries(csr_row(frozen_offsets, frozen_flat, i), params, list_buf);
                 combine(list_buf)
             };
-            let (dd, dr) = delta(p, params[i]);
+            let (dd, dr) = delta(p, old);
             max_dd = max_dd.max(dd);
             max_dr = max_dr.max(dr);
-            if p.d.to_bits() != params[i].d.to_bits() || p.r.to_bits() != params[i].r.to_bits() {
+            if p.d.to_bits() != old.d.to_bits() || p.r.to_bits() != old.r.to_bits() {
                 // A changed `⟨d, r⟩` at `i` only perturbs a neighbor whose
                 // sending list can actually see `i`. Live rounds re-filter
                 // membership by `d < requirement`, so if `i` fails the
@@ -1105,21 +1293,17 @@ fn pair_fixed_point(
                 // membership from freeze time (a member's `d` may since
                 // have drifted past the requirement), so they wake every
                 // neighbor.
-                let old_d = params[i].d;
-                if !have_frozen {
-                    for &(nb, _) in snapshot.row(i) {
-                        let t = nb.index();
-                        if p.d < requirements[t] || old_d < requirements[t] {
-                            stamp[t] = round + 1;
-                        }
-                    }
-                } else {
-                    for &(nb, _) in snapshot.row(i) {
-                        stamp[nb.index()] = round + 1;
+                for &(nb, _) in snapshot.row(i) {
+                    let t = nb.index();
+                    let (Some(wake), Some(&seen)) = (stamp.get_mut(t), requirements.get(t)) else {
+                        continue;
+                    };
+                    if have_frozen || p.d < seen || old.d < seen {
+                        *wake = round + 1;
                     }
                 }
             }
-            scratch[i] = p;
+            *next = p;
         }
         std::mem::swap(params, scratch);
         if max_dd <= TOLERANCE_D && max_dr <= TOLERANCE_R {
@@ -1139,35 +1323,28 @@ fn pair_fixed_point(
     list_offsets.reserve_exact(n + 1);
     cands.clear();
     list_offsets.push(0);
-    for i in 0..n {
-        if active[i] {
+    for (i, (&is_active, &requirement)) in active.iter().zip(requirements).enumerate() {
+        if is_active {
             if !have_frozen {
                 let row = snapshot.row(i);
-                if fused && row.len() <= FUSED_STACK {
-                    let off = order_offsets[i] as usize;
-                    extend_sorted_candidates(
-                        row,
-                        params,
-                        requirements[i],
-                        &mut order[off..off + row.len()],
-                        cands,
-                    );
-                } else {
-                    build_sending_list_from_row(
-                        row,
-                        params,
-                        requirements[i],
-                        config.ordering,
-                        list_buf,
-                    );
-                    cands.extend_from_slice(list_buf);
+                let visit = visit_order(i, row.len()).and_then(|at| order.get_mut(at));
+                match visit {
+                    Some(visit) => {
+                        extend_sorted_candidates(row, params, requirement, visit, cands);
+                    }
+                    None => {
+                        build_sending_list_from_row(
+                            row,
+                            params,
+                            requirement,
+                            config.ordering,
+                            list_buf,
+                        );
+                        cands.extend_from_slice(list_buf);
+                    }
                 }
             } else {
-                frozen_list_from_entries(
-                    &frozen_flat[frozen_offsets[i] as usize..frozen_offsets[i + 1] as usize],
-                    params,
-                    list_buf,
-                );
+                frozen_list_from_entries(csr_row(frozen_offsets, frozen_flat, i), params, list_buf);
                 cands.extend_from_slice(list_buf);
             }
         }
@@ -1176,11 +1353,17 @@ fn pair_fixed_point(
 
     list_cands.clear();
     list_cands.extend_from_slice(cands);
-    *out_subscriber = subscriber;
-    *out_publisher = publisher;
     *out_rounds_used = rounds_used;
     *out_converged = converged;
-    *version = 0;
+}
+
+/// Row `i` of a CSR table: `items[offsets[i] .. offsets[i + 1]]`, empty
+/// for a row the offsets do not bound.
+fn csr_row<'a, T>(offsets: &[u32], items: &'a [T], i: usize) -> &'a [T] {
+    let (Some(&lo), Some(&hi)) = (offsets.get(i), offsets.get(i + 1)) else {
+        return &[];
+    };
+    items.get(lo as usize..hi as usize).unwrap_or(&[])
 }
 
 /// Rebuilds a sending list with *fixed* membership and order, refreshing
@@ -1194,7 +1377,11 @@ fn frozen_list_from_entries(
 ) {
     out.clear();
     out.extend(entries.iter().map(|&(nb, stats)| {
-        Candidate::from_link(nb, stats.alpha, stats.gamma, params[nb.index()])
+        let p = params
+            .get(nb.index())
+            .copied()
+            .unwrap_or(DrPair::UNREACHABLE);
+        Candidate::from_link(nb, stats.alpha, stats.gamma, p)
     }));
 }
 
@@ -1468,18 +1655,14 @@ mod tests {
             let deadline_us = dist
                 .cost_to(topo.node(subscriber))
                 .map_or(500.0 * MS, |c| 3.0 * c as f64);
-            pair_fixed_point(
-                &snapshot,
-                topo.node(publisher),
-                &dist,
-                topo.node(subscriber),
-                &bound,
-                deadline_us,
-                &config,
-                &absent,
-                ws,
-                out,
-            );
+            let job = PairJob {
+                topic: TopicId::new(0),
+                publisher: topo.node(publisher),
+                subscriber: topo.node(subscriber),
+                deadline: SimDuration::from_micros(deadline_us as u64),
+            };
+            out.prime(&job, &dist, topo.num_nodes(), &absent);
+            pair_fixed_point(&snapshot, &bound, &config, &absent, ws, out);
         };
         let mut fresh = SubscriberTables::unfilled();
         build(0, 9, &mut TableWorkspace::new(&snapshot), &mut fresh);
@@ -1567,15 +1750,14 @@ mod tests {
         // One builder for every build below, so its workspaces carry each
         // build's history into the next.
         let mut builder = TableBuilder::new();
-        let mut on_jobs = |workers: usize, jobs: Vec<(PairJob, Option<SubscriberTables>)>| {
+        let mut on_jobs = |workers: usize, jobs: Vec<PairJob>| {
             builder.build_on(workers, &topo, &estimates, 1, &config, &absent, jobs)
         };
-        let fresh = |jobs: &[PairJob]| jobs.iter().map(|&job| (job, None)).collect::<Vec<_>>();
 
         let jobs = PairJob::all(&wl);
         assert!(jobs.len() > 200, "only {} pairs", jobs.len());
         let sized = compute_tables(&topo, &estimates, 1, &config, &absent, jobs.clone());
-        let serial = on_jobs(1, fresh(&jobs));
+        let serial = on_jobs(1, jobs.clone());
         assert_eq!(serial.len(), jobs.len());
         assert!(serial.iter().any(|(_, t)| t.rounds_used() > 10));
         // The derived `PartialEq`: params, requirements, lists, rounds
@@ -1589,7 +1771,7 @@ mod tests {
             );
         }
         for workers in [2, 3, 7] {
-            let fanned = on_jobs(workers, fresh(&jobs));
+            let fanned = on_jobs(workers, jobs.clone());
             assert!(
                 fanned
                     .iter()
@@ -1600,16 +1782,9 @@ mod tests {
         }
         // Reversed, every workspace serves a different history before each
         // pair, and workers claim different pairs: each job's tables must
-        // still be the ones it gets serially in forward order. From the
-        // second round on, each job also refills another job's tables.
-        let mut recycled: Vec<SubscriberTables> = Vec::new();
+        // still be the ones it gets serially in forward order.
         for workers in [1, 2, 3, 1] {
-            let reversed_jobs = jobs
-                .iter()
-                .rev()
-                .map(|&job| (job, recycled.pop()))
-                .collect();
-            let reversed = on_jobs(workers, reversed_jobs);
+            let reversed = on_jobs(workers, jobs.iter().rev().copied().collect());
             assert_eq!(reversed.len(), serial.len());
             for ((job, tables), (serial_job, serial_tables)) in
                 reversed.iter().zip(serial.iter().rev())
@@ -1620,7 +1795,20 @@ mod tests {
                     "{workers} workers: reversed job list changes the tables of {job:?}"
                 );
             }
-            recycled = reversed.into_iter().map(|(_, t)| t).collect();
+        }
+        // One table at a time, each job priming and settling the tables of
+        // the job mirrored to it in place, on the same builder: the batch
+        // build's tables again.
+        let mut recycled: Vec<SubscriberTables> =
+            serial.iter().rev().map(|(_, t)| t.clone()).collect();
+        builder.prepare(&topo, &estimates, 1, &absent);
+        for ((job, want), tables) in serial.iter().zip(&mut recycled) {
+            builder.prime(&topo, job, &absent, tables);
+            builder.settle(&config, tables);
+            assert!(
+                tables == want,
+                "a settled recycled table differs for {job:?}"
+            );
         }
     }
 

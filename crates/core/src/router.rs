@@ -21,6 +21,8 @@
 //! paper's forwarding core, and `custody`, built only under
 //! [`DurabilityMode::Durable`]. [`DcrdStrategy`] dispatches to them.
 
+use std::borrow::Cow;
+
 use dcrd_net::estimate::LinkEstimates;
 use dcrd_net::membership::MembershipDelta;
 use dcrd_net::{NodeId, NodeSet};
@@ -95,16 +97,38 @@ impl DcrdStrategy {
         &self.tables.config
     }
 
-    /// The routing tables of one subscription, once `setup` has run.
+    /// The routing tables of one subscription, once `setup` has run: the
+    /// tables routing reads. Tables a repair invalidated and no packet read
+    /// since are settled into a copy on the spot.
     #[must_use]
     pub fn tables_for(
         &self,
         topic: TopicId,
         publisher: NodeId,
         subscriber: NodeId,
+    ) -> Option<Cow<'_, SubscriberTables>> {
+        let stream = self.tables.store.stream(topic, publisher)?;
+        self.tables.view(stream, subscriber)
+    }
+
+    /// The routing tables of one subscription, read the way routing reads
+    /// them: tables a repair invalidated are settled in place first, which
+    /// [`table_builds`](Self::table_builds) counts.
+    pub fn settled_tables_for(
+        &mut self,
+        topic: TopicId,
+        publisher: NodeId,
+        subscriber: NodeId,
     ) -> Option<&SubscriberTables> {
-        let store = &self.tables.store;
-        store.get(store.stream(topic, publisher)?, subscriber)
+        let stream = self.tables.store.stream(topic, publisher)?;
+        self.tables.settled(stream, subscriber)
+    }
+
+    /// How many invalidated tables routing has settled since `setup`: the
+    /// table builds a run makes after its initial construction.
+    #[must_use]
+    pub fn table_builds(&self) -> u64 {
+        self.tables.table_builds
     }
 
     /// Number of in-flight per-broker packet states (diagnostic).
@@ -186,7 +210,8 @@ impl DcrdStrategy {
     /// Runs `node`'s state for packet `id` through Algorithm 2's main loop.
     fn process(&mut self, node: NodeId, id: PacketId, now: SimTime, out: &mut Actions) {
         let sink = &mut journal_of(&mut self.custody);
-        self.forward.process(node, id, now, &self.tables, sink, out);
+        self.forward
+            .process(node, id, now, &mut self.tables, sink, out);
     }
 
     /// Takes `node`'s responsibility for a packet it holds no state for and
@@ -262,7 +287,7 @@ impl RoutingStrategy for DcrdStrategy {
         self.forward.heard_from(node, from);
         if packet.is_nack() {
             if let Some(custody) = &mut self.custody {
-                custody.handle_nack(node, packet, now, &mut self.forward, &self.tables, out);
+                custody.handle_nack(node, packet, now, &mut self.forward, &mut self.tables, out);
             }
             return;
         }
@@ -301,7 +326,7 @@ impl RoutingStrategy for DcrdStrategy {
         } else {
             let sink = &mut journal_of(&mut self.custody);
             self.forward
-                .on_timer(node, key, now, &self.tables, sink, out);
+                .on_timer(node, key, now, &mut self.tables, sink, out);
         }
     }
 
@@ -334,13 +359,13 @@ impl RoutingStrategy for DcrdStrategy {
         // tables are durable and survive.
         self.forward.forget(node);
         if let Some(custody) = &mut self.custody {
-            custody.replay(node, now, &mut self.forward, &self.tables, out);
+            custody.replay(node, now, &mut self.forward, &mut self.tables, out);
         }
     }
 
     fn on_tick(&mut self, node: NodeId, now: SimTime, out: &mut Actions) {
         if let Some(custody) = &mut self.custody {
-            custody.flush_handoffs(node, now, &mut self.forward, &self.tables, out);
+            custody.flush_handoffs(node, now, &mut self.forward, &mut self.tables, out);
             custody.sweep(node, now, &self.tables, out);
         }
     }

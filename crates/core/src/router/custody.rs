@@ -154,7 +154,7 @@ impl Custody {
         node: NodeId,
         now: SimTime,
         forward: &mut Forwarding,
-        tables: &Tables,
+        tables: &mut Tables,
         out: &mut Actions,
     ) {
         let Some(entries) = self.pending_handoff.remove(&node) else {
@@ -189,7 +189,7 @@ impl Custody {
         node: NodeId,
         now: SimTime,
         forward: &mut Forwarding,
-        tables: &Tables,
+        tables: &mut Tables,
         out: &mut Actions,
     ) {
         for (id, entry) in self.journal.replay_for(node) {
@@ -215,7 +215,7 @@ impl Custody {
         packet: Packet,
         now: SimTime,
         forward: &mut Forwarding,
-        tables: &Tables,
+        tables: &mut Tables,
         out: &mut Actions,
     ) {
         let PacketKind::Nack {

@@ -350,9 +350,9 @@ impl Forwarding {
         state: &NodeState,
         stream: u32,
         dest: NodeId,
-        tables: &Tables,
+        tables: &mut Tables,
     ) -> Option<(NodeId, bool)> {
-        let sending_list = tables.store.get(stream, dest)?.sending_list(node);
+        let sending_list = tables.settled(stream, dest)?.sending_list(node);
         let tried = state.tried.get(dest);
         let candidate = sending_list.iter().find(|c| {
             c.neighbor != node
@@ -385,13 +385,14 @@ impl Forwarding {
     /// Algorithm 2's main loop: assign every unhandled destination a next
     /// hop, merging destinations that share one. Works in the
     /// [`ScratchArena`], borrowed in place and emptied first, so the hot
-    /// loop stays allocation-free.
+    /// loop stays allocation-free. Reading a destination's sending list
+    /// settles its tables if a repair left them stale.
     pub(super) fn process(
         &mut self,
         node: NodeId,
         id: PacketId,
         now: SimTime,
-        tables: &Tables,
+        tables: &mut Tables,
         sink: &mut impl Settlement,
         out: &mut Actions,
     ) {
@@ -689,7 +690,7 @@ impl Forwarding {
         node: NodeId,
         key: TimerKey,
         now: SimTime,
-        tables: &Tables,
+        tables: &mut Tables,
         sink: &mut impl Settlement,
         out: &mut Actions,
     ) {

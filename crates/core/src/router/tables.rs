@@ -1,6 +1,8 @@
 //! The control plane: the run's environment, the absent mask, and every
 //! subscription's routing tables.
 
+use std::borrow::Cow;
+
 use dcrd_net::estimate::LinkEstimates;
 use dcrd_net::membership::MembershipDelta;
 use dcrd_net::{NodeId, NodeList, NodeSet, Topology};
@@ -25,12 +27,26 @@ const FALLBACK_ALPHA: SimDuration = SimDuration::from_millis(50);
 /// first-appearance order. The tables of stream `s` toward subscriber `v`
 /// sit at `s × num_nodes + v`, so the forwarding path resolves a packet's
 /// stream once and then reaches each destination's tables by index.
+///
+/// A seat is *stale* from the pass that invalidates it until the first
+/// read settles it ([`Tables::settled`]): its tables are then primed for
+/// that pass — endpoints, requirements and version current — and the rest
+/// of their buffers wait to be refilled.
 #[derive(Debug, Default)]
 pub(super) struct TableStore {
     num_nodes: usize,
     /// Each topic's `(publisher, stream)` pairs, by topic index.
     streams: Vec<Vec<(NodeId, u32)>>,
-    pub(super) tables: Vec<Option<SubscriberTables>>,
+    pub(super) seats: Vec<Seat>,
+}
+
+/// One `(stream, subscriber)` seat of a [`TableStore`].
+#[derive(Debug, Default)]
+pub(super) struct Seat {
+    /// The subscription's tables; `None` for a seat no subscription fills.
+    pub(super) tables: Option<SubscriberTables>,
+    /// Whether a pass invalidated the tables and no read settled them yet.
+    stale: bool,
 }
 
 impl TableStore {
@@ -55,12 +71,12 @@ impl TableStore {
                 count += 1;
             }
         }
-        let mut tables = Vec::new();
-        tables.resize_with(count as usize * num_nodes, || None);
+        let mut seats = Vec::new();
+        seats.resize_with(count as usize * num_nodes, Seat::default);
         TableStore {
             num_nodes,
             streams,
-            tables,
+            seats,
         }
     }
 
@@ -82,36 +98,66 @@ impl TableStore {
             .then(|| stream as usize * self.num_nodes + subscriber.index())
     }
 
-    /// The tables of `stream` toward `subscriber`.
-    #[inline]
-    pub(super) fn get(&self, stream: u32, subscriber: NodeId) -> Option<&SubscriberTables> {
-        self.tables.get(self.seat(stream, subscriber)?)?.as_ref()
+    /// The tables held at `(stream, subscriber)`, settled or not: only
+    /// their endpoints, requirements and version are sure to be current.
+    fn primed(&self, stream: u32, subscriber: NodeId) -> Option<&SubscriberTables> {
+        self.seats
+            .get(self.seat(stream, subscriber)?)?
+            .tables
+            .as_ref()
     }
 
-    /// Removes and returns the tables of the job's subscription, leaving
-    /// its seat empty (a build refills their buffers).
-    fn take(&mut self, job: &PairJob) -> Option<SubscriberTables> {
-        let seat = self
-            .stream(job.topic, job.publisher)
-            .and_then(|stream| self.seat(stream, job.subscriber))?;
-        self.tables.get_mut(seat)?.take()
-    }
-
-    /// Installs (or replaces) the tables of the job's subscription.
+    /// Installs (or replaces) the settled tables of the job's subscription.
     fn insert(&mut self, job: &PairJob, tables: SubscriberTables) {
         let seat = self
             .stream(job.topic, job.publisher)
             .and_then(|stream| self.seat(stream, job.subscriber));
         debug_assert!(seat.is_some(), "pair job outside the workload's streams");
-        if let Some(slot) = seat.and_then(|i| self.tables.get_mut(i)) {
-            *slot = Some(tables);
+        if let Some(slot) = seat.and_then(|at| self.seats.get_mut(at)) {
+            *slot = Seat {
+                tables: Some(tables),
+                stale: false,
+            };
         }
     }
 
-    /// Drops every table, keeping the stream numbering and the seats.
-    fn clear(&mut self) {
-        self.tables.iter_mut().for_each(|slot| *slot = None);
+    /// Invalidates the job's seat for the pass stamped `version`: primes
+    /// its tables over `builder`'s current tree of the publisher, keeping
+    /// their buffers for the settle, and marks the seat stale.
+    fn invalidate(
+        &mut self,
+        builder: &mut TableBuilder,
+        topo: &Topology,
+        absent: &NodeSet,
+        job: &PairJob,
+        version: u64,
+    ) {
+        let seat = self
+            .stream(job.topic, job.publisher)
+            .and_then(|stream| self.seat(stream, job.subscriber));
+        let Some(Seat {
+            tables: Some(tables),
+            stale,
+        }) = seat.and_then(|at| self.seats.get_mut(at))
+        else {
+            debug_assert!(false, "pair job without a seated table");
+            return;
+        };
+        builder.prime(topo, job, absent, tables);
+        tables.set_version(version);
+        *stale = true;
     }
+}
+
+/// Settles a stale seat in place. Kept out of line: most reads find their
+/// seat settled, and the forwarding path stays as small as it was.
+#[cold]
+#[inline(never)]
+fn settle_seat(builder: &mut TableBuilder, config: &DcrdConfig, seat: &mut Seat) {
+    if let Some(tables) = seat.tables.as_mut() {
+        builder.settle(config, tables);
+    }
+    seat.stale = false;
 }
 
 /// The control plane both router layers read: what `setup` hands the
@@ -130,8 +176,8 @@ pub(super) struct Tables {
     pub(super) absent: NodeSet,
     /// Builds every table and keeps what one build can hand to the next,
     /// among it the per-publisher masked shortest-path trees the current
-    /// tables were built from. The incremental repair path diffs fresh
-    /// trees against these to scope recomputation to affected
+    /// tables were primed from. The incremental repair path diffs fresh
+    /// trees against these to scope invalidation to affected
     /// subscriptions, and NACKs climb them: a node's predecessor is its
     /// next hop toward the publisher.
     pub(super) builder: TableBuilder,
@@ -142,34 +188,53 @@ pub(super) struct Tables {
     pub(super) global_rebuilds: u64,
     /// Incremental membership-repair passes taken instead of a rebuild.
     pub(super) incremental_repairs: u64,
-    /// Monotone control-plane version stamped onto every recomputed
+    /// Monotone control-plane version stamped onto every invalidated
     /// [`SubscriberTables`] entry: bumped once per rebuild or repair pass.
     pub(super) table_version: u64,
+    /// Stale seats settled by a read since setup.
+    pub(super) table_builds: u64,
 }
 
 impl Tables {
-    /// Takes the run's environment and builds every table.
+    /// Takes the run's environment and builds every table: one batch,
+    /// fanned out over the host's cores.
     pub(super) fn setup(&mut self, ctx: &SetupContext<'_>) {
         self.params = ctx.params;
         self.topology = Some(ctx.topology.clone());
         self.workload = Some(ctx.workload.clone());
+        self.estimates = Some(ctx.estimates.clone());
         self.store = TableStore::new(ctx.topology.num_nodes(), ctx.workload);
-        self.on_monitor(ctx.estimates);
+        self.builder.estimates_changed();
+        self.builder.forget_trees();
         // Setup is table *construction*, not a repair: the rebuild counter
         // only measures from-scratch passes the control plane fell back to
         // after the run started.
         self.global_rebuilds = 0;
+        self.table_version += 1;
+        let built = self.builder.build(
+            ctx.topology,
+            ctx.estimates,
+            self.params.m,
+            &self.config,
+            &self.absent,
+            PairJob::all(ctx.workload),
+        );
+        for (job, mut tables) in built {
+            tables.set_version(self.table_version);
+            self.store.insert(&job, tables);
+        }
     }
 
-    /// Rebuilds every table over fresh link estimates.
+    /// Invalidates every table over fresh link estimates.
     pub(super) fn on_monitor(&mut self, estimates: &LinkEstimates) {
         self.estimates = Some(estimates.clone());
         self.builder.estimates_changed();
         self.rebuild_tables();
     }
 
-    /// From-scratch table construction: every subscription's fixed point
-    /// over freshly computed masked shortest-path trees.
+    /// From-scratch invalidation: refreshes every publisher's masked
+    /// shortest-path tree and marks every table stale, to be settled at its
+    /// next read.
     pub(super) fn rebuild_tables(&mut self) {
         debug_assert!(
             self.topology.is_some() && self.workload.is_some() && self.estimates.is_some(),
@@ -184,39 +249,38 @@ impl Tables {
         };
         self.global_rebuilds += 1;
         self.table_version += 1;
+        self.builder
+            .prepare(topo, estimates, self.params.m, &self.absent);
         self.builder.forget_trees();
-        // Every table is replaced; each job refills the buffers of the
-        // table it replaces.
-        let jobs: Vec<_> = PairJob::all(workload)
-            .into_iter()
-            .map(|job| (job, self.store.take(&job)))
-            .collect();
-        self.store.clear();
-        let built = self.builder.build(
-            topo,
-            estimates,
-            self.params.m,
-            &self.config,
-            &self.absent,
-            jobs,
-        );
-        self.install(built);
+        for spec in workload.topics() {
+            for sub in &spec.subscriptions {
+                let job = PairJob::new(spec.topic, spec.publisher, sub);
+                let version = self.table_version;
+                self.store
+                    .invalidate(&mut self.builder, topo, &self.absent, &job, version);
+            }
+        }
     }
 
     /// Incremental membership repair: re-derives each publisher's masked
     /// shortest-path tree once, diffs it against the tree the pass started
-    /// from, and recomputes only the subscriptions a delta node can
+    /// from, and invalidates only the subscriptions a delta node can
     /// actually influence — those whose tree changed over live brokers,
     /// whose endpoints are delta nodes, whose deadline ellipse holds a
     /// delta node (a positive requirement in the old table), or whose
     /// publisher can now reach a joined node. Everything else keeps its
-    /// tables byte-for-byte. The skip is sound because a broker with
-    /// requirement ≤ 0 is pruned from the fixed point (its α-distance bound
-    /// to the subscriber is ≥ 0), so it is `UNREACHABLE` in every round,
-    /// early and frozen ones included, and masking it changes no input.
-    /// Checking only final sending lists is not enough: a removed broker
-    /// inside the ellipse can shape early-round or frozen lists, and so the
-    /// fixed point, without appearing in any final list.
+    /// tables byte-for-byte, settled or not. The skip is sound because a
+    /// broker with requirement ≤ 0 is pruned from the fixed point (its
+    /// α-distance bound to the subscriber is ≥ 0), so it is `UNREACHABLE`
+    /// in every round, early and frozen ones included, and masking it
+    /// changes no input. Checking only final sending lists is not enough: a
+    /// removed broker inside the ellipse can shape early-round or frozen
+    /// lists, and so the fixed point, without appearing in any final list.
+    ///
+    /// The same soundness lets an invalidated table wait: a pass that
+    /// skips it leaves every input of its fixed point where the pass that
+    /// primed it left them, so settling it later gives what settling it
+    /// then would have.
     fn repair_incremental(&mut self, changed: &[NodeId]) {
         let (Some(topo), Some(workload), Some(estimates)) = (
             self.topology.as_ref(),
@@ -227,9 +291,10 @@ impl Tables {
         };
         self.incremental_repairs += 1;
         self.table_version += 1;
-        let mut jobs = Vec::with_capacity(workload.num_subscriptions());
-        let topics = workload.topics();
+        let version = self.table_version;
         let absent = &self.absent;
+        self.builder.prepare(topo, estimates, self.params.m, absent);
+        let topics = workload.topics();
         for (first, spec) in topics.iter().enumerate() {
             // A publisher's topics are scanned together, at its first one,
             // so every one of them is diffed against the tree the pass
@@ -267,38 +332,45 @@ impl Tables {
                         || changed.contains(&publisher)
                         || changed.contains(&sub.subscriber)
                         || stream
-                            .and_then(|s| self.store.get(s, sub.subscriber))
+                            .and_then(|s| self.store.primed(s, sub.subscriber))
                             .is_none_or(|t| changed.iter().any(|&c| t.requirement(c) > 0.0));
                     if affected {
-                        jobs.push(PairJob::new(spec.topic, publisher, sub));
+                        let job = PairJob::new(spec.topic, publisher, sub);
+                        self.store
+                            .invalidate(&mut self.builder, topo, absent, &job, version);
                     }
                 }
             }
         }
-        // Each affected seat's tables move into its job, which refills
-        // their buffers.
-        let jobs: Vec<_> = jobs
-            .into_iter()
-            .map(|job| (job, self.store.take(&job)))
-            .collect();
-        let built = self.builder.build(
-            topo,
-            estimates,
-            self.params.m,
-            &self.config,
-            &self.absent,
-            jobs,
-        );
-        self.install(built);
     }
 
-    /// Installs freshly built tables in job order, stamped with the current
-    /// table version.
-    fn install(&mut self, built: Vec<(PairJob, SubscriberTables)>) {
-        for (job, mut tables) in built {
-            tables.set_version(self.table_version);
-            self.store.insert(&job, tables);
+    /// The tables of `stream` toward `subscriber`, settled first if a pass
+    /// left them stale: the one way routing reads a seat.
+    #[inline]
+    pub(super) fn settled(&mut self, stream: u32, subscriber: NodeId) -> Option<&SubscriberTables> {
+        let at = self.store.seat(stream, subscriber)?;
+        let seat = self.store.seats.get_mut(at)?;
+        if seat.stale {
+            settle_seat(&mut self.builder, &self.config, seat);
+            self.table_builds += 1;
         }
+        seat.tables.as_ref()
+    }
+
+    /// What [`settled`](Self::settled) would return, leaving a stale seat
+    /// stale: its tables settled into a copy.
+    pub(super) fn view(
+        &self,
+        stream: u32,
+        subscriber: NodeId,
+    ) -> Option<Cow<'_, SubscriberTables>> {
+        let seat = self.store.seats.get(self.store.seat(stream, subscriber)?)?;
+        let tables = seat.tables.as_ref()?;
+        Some(if seat.stale {
+            Cow::Owned(self.builder.settled(&self.config, tables))
+        } else {
+            Cow::Borrowed(tables)
+        })
     }
 
     /// Applies a batch of membership deltas to the absent mask, repairs the
@@ -463,9 +535,18 @@ mod tests {
              reference: &BTreeMap<(TopicId, NodeId, NodeId), SubscriberTables>| {
                 for (&(topic, publisher, subscriber), tables) in reference {
                     let held = strategy.tables_for(topic, publisher, subscriber);
-                    assert!(held == Some(tables), "{topic:?} {publisher} → {subscriber}");
+                    assert!(
+                        held.as_deref() == Some(tables),
+                        "{topic:?} {publisher} → {subscriber}"
+                    );
                 }
-                let seated = strategy.tables.store.tables.iter().flatten().count();
+                let seated = strategy
+                    .tables
+                    .store
+                    .seats
+                    .iter()
+                    .filter(|seat| seat.tables.is_some())
+                    .count();
                 assert_eq!(seated, reference.len(), "the store holds extra tables");
             };
         store_matches(&strategy, &reference);
@@ -524,5 +605,115 @@ mod tests {
         }
         assert!(repaired > 0 && kept > 0, "{repaired} repaired, {kept} kept");
         store_matches(&strategy, &reference);
+    }
+
+    /// Settling a table at its first read gives what settling every
+    /// invalidated table at the end of its pass gives. Seeded scripts of
+    /// one to three leaves and joins a pass, publishers included, run under
+    /// incremental repair and under global rebuild, with fresh link
+    /// estimates midway. A lazy strategy reads a seeded third of its seats
+    /// after each pass; the reference settles every stale seat. After
+    /// every pass each seat of the two is `==`, version included — the
+    /// lazy side's unread seats compared through the copy `tables_for`
+    /// settles, its read ones in place.
+    #[test]
+    fn lazy_tables_match_settling_every_pass() {
+        use dcrd_net::estimate::analytic_estimates;
+        use dcrd_net::topology::random_connected;
+        use dcrd_pubsub::workload::WorkloadConfig;
+
+        let mut rng = rng_for(47, "lazy-tables");
+        let topo = random_connected(24, 4, DelayRange::PAPER, &mut rng);
+        let wl = Workload::generate(&topo, &WorkloadConfig::PAPER, &mut rng);
+        let estimates = analytic_estimates(&topo, 0.05, 0.01);
+        let drifted = analytic_estimates(&topo, 0.08, 0.02);
+        let failure = FailureModel::links_only(LinkFailureModel::new(0.0, 1));
+        let set_up = |repair: RepairMode| {
+            let mut strategy = DcrdStrategy::new(DcrdConfig {
+                repair,
+                ..DcrdConfig::default()
+            });
+            strategy.setup(&SetupContext {
+                topology: &topo,
+                estimates: &estimates,
+                workload: &wl,
+                failure_oracle: &failure,
+                params: RunParams::default(),
+            });
+            strategy
+        };
+        let seats: Vec<(u32, NodeId)> = {
+            let strategy = set_up(RepairMode::Incremental);
+            wl.topics()
+                .iter()
+                .flat_map(|t| {
+                    let stream = strategy.tables.store.stream(t.topic, t.publisher);
+                    t.subscriptions
+                        .iter()
+                        .map(move |s| (stream.expect("a stream"), s.subscriber))
+                })
+                .collect()
+        };
+        for repair in [RepairMode::Incremental, RepairMode::GlobalRebuild] {
+            for script in 0..3 {
+                let mut lazy = set_up(repair);
+                let mut eager = set_up(repair);
+                for pass in 0..24 {
+                    if pass == 12 {
+                        lazy.tables.on_monitor(&drifted);
+                        eager.tables.on_monitor(&drifted);
+                    }
+                    let deltas: Vec<MembershipDelta> = (0..rng.gen_range(1..=3))
+                        .map(|_| {
+                            let node = topo.node(rng.gen_range(0..topo.num_nodes()));
+                            if lazy.absent_brokers().contains(node) {
+                                MembershipDelta::Join { node }
+                            } else {
+                                MembershipDelta::Leave { node }
+                            }
+                        })
+                        .collect();
+                    lazy.apply_membership(&deltas);
+                    eager.apply_membership(&deltas);
+                    for &(stream, subscriber) in &seats {
+                        eager.tables.settled(stream, subscriber);
+                        if rng.gen_bool(1.0 / 3.0) {
+                            lazy.tables.settled(stream, subscriber);
+                        }
+                    }
+                    for &(stream, subscriber) in &seats {
+                        let want = eager.tables.view(stream, subscriber);
+                        assert!(
+                            lazy.tables.view(stream, subscriber) == want,
+                            "{repair:?} script {script} pass {pass}: stream {stream} → {subscriber}"
+                        );
+                    }
+                    // What this pass invalidated is what a fresh build over
+                    // its mask and estimates gives.
+                    let redone: Vec<PairJob> = PairJob::all(&wl)
+                        .into_iter()
+                        .filter(|j| {
+                            eager
+                                .tables_for(j.topic, j.publisher, j.subscriber)
+                                .is_some_and(|t| t.version() == eager.table_version())
+                        })
+                        .collect();
+                    for (job, fresh) in build_now(&eager, redone) {
+                        let held = eager.tables_for(job.topic, job.publisher, job.subscriber);
+                        assert!(
+                            held.as_deref() == Some(&fresh),
+                            "{repair:?} pass {pass}: {job:?}"
+                        );
+                    }
+                }
+                assert_eq!(lazy.table_version(), eager.table_version());
+                assert!(
+                    lazy.table_builds() < eager.table_builds(),
+                    "{repair:?}: {} lazy builds, {} eager",
+                    lazy.table_builds(),
+                    eager.table_builds()
+                );
+            }
+        }
     }
 }

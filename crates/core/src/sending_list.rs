@@ -27,7 +27,7 @@ pub fn build_sending_list_from_row(
 ) {
     out.clear();
     out.extend(row.iter().filter_map(|&(nb, link)| {
-        let p = params[nb.index()];
+        let p = *params.get(nb.index())?;
         (p.d < requirement).then(|| Candidate::from_link(nb, link.alpha, link.gamma, p))
     }));
     policy.sort(out);

@@ -2,9 +2,10 @@
 //! callbacks directly (no simulator) and inspect the exact actions it
 //! emits, pinning Algorithm 2's per-step behavior.
 
+use dcrd_core::propagation::{compute_tables, PairJob};
 use dcrd_core::router::{JOURNAL_WRITE_COST, MAX_NACKS_PER_SEQ, MAX_PATH_FACTOR};
 use dcrd_core::{DcrdConfig, DcrdStrategy, DurabilityMode, PersistenceMode, RepairMode};
-use dcrd_net::estimate::analytic_estimates;
+use dcrd_net::estimate::{analytic_estimates, LinkEstimates};
 use dcrd_net::failure::{FailureModel, LinkFailureModel};
 use dcrd_net::graph::TopologyBuilder;
 use dcrd_net::membership::MembershipDelta;
@@ -39,6 +40,20 @@ fn diamond() -> Topology {
     b.build()
 }
 
+/// Kite: 0 connects to 1, 2 and 4 (10, 20 and 30 ms); each connects to 3
+/// over 10 ms.
+fn kite() -> Topology {
+    let mut b = TopologyBuilder::new(5);
+    let n = b.nodes();
+    b.link(n[0], n[1], SimDuration::from_millis(10));
+    b.link(n[0], n[2], SimDuration::from_millis(20));
+    b.link(n[0], n[4], SimDuration::from_millis(30));
+    b.link(n[1], n[3], SimDuration::from_millis(10));
+    b.link(n[2], n[3], SimDuration::from_millis(10));
+    b.link(n[4], n[3], SimDuration::from_millis(10));
+    b.build()
+}
+
 struct Harness {
     topo: Topology,
     workload: Workload,
@@ -63,7 +78,7 @@ impl Harness {
             workload,
             strategy: DcrdStrategy::new(config),
         };
-        let estimates = analytic_estimates(&harness.topo, 0.05, 0.0);
+        let estimates = estimates(&harness.topo);
         let failure = FailureModel::links_only(LinkFailureModel::new(0.05, 1));
         let ctx = SetupContext {
             topology: &harness.topo,
@@ -92,6 +107,11 @@ impl Harness {
             .on_publish(self.topo.node(0), packet.clone(), SimTime::ZERO, &mut out);
         (packet, out.drain().collect())
     }
+}
+
+/// The link estimates every harness sets up with.
+fn estimates(topo: &Topology) -> LinkEstimates {
+    analytic_estimates(topo, 0.05, 0.0)
 }
 
 fn sends(actions: &[Action]) -> Vec<(&Packet, NodeId)> {
@@ -1073,4 +1093,65 @@ fn a_claimed_sender_that_is_no_neighbor_never_becomes_the_upstream() {
             );
         }
     }
+}
+
+/// A membership repair invalidates the tables it affects and builds none.
+/// Two back-to-back repairs with no packet between them leave subscriber
+/// 3's table stale, and the next packet routed on it builds it once, into
+/// the sending list a fresh build over the final mask gives: 0 forwards
+/// via 4, the one neighbour left.
+#[test]
+fn repairs_build_no_table_until_a_packet_reads_it() {
+    let config = DcrdConfig {
+        repair: RepairMode::Incremental,
+        ..DcrdConfig::default()
+    };
+    let mut h = Harness::new(kite(), &[3], config);
+    let (topic, publisher, subscriber) = (TopicId::new(0), h.topo.node(0), h.topo.node(3));
+    let now = SimTime::from_secs(1);
+    for gone in [1, 2] {
+        let node = h.topo.node(gone);
+        h.strategy
+            .on_membership(&[MembershipDelta::Leave { node }], now);
+    }
+    assert_eq!(h.strategy.incremental_repairs(), 2);
+    assert_eq!(h.strategy.table_builds(), 0, "a repair built a table");
+
+    let jobs = PairJob::all(&h.workload);
+    let fresh = compute_tables(
+        &h.topo,
+        &estimates(&h.topo),
+        RunParams::default().m,
+        &config,
+        h.strategy.absent_brokers(),
+        jobs,
+    );
+    let want = &fresh[0].1;
+    let first = want.sending_list(publisher)[0].neighbor;
+    assert_eq!(first, h.topo.node(4));
+    // A shared read settles a copy and leaves the seat stale.
+    let copy = h
+        .strategy
+        .tables_for(topic, publisher, subscriber)
+        .expect("tables");
+    assert_eq!(copy.sending_list(publisher), want.sending_list(publisher));
+    assert_eq!(h.strategy.table_builds(), 0);
+
+    let (_, actions) = h.publish(&[3]);
+    let hops: Vec<NodeId> = sends(&actions).iter().map(|&(_, to)| to).collect();
+    assert_eq!(hops, vec![first]);
+    assert_eq!(h.strategy.table_builds(), 1, "one build for two repairs");
+    let held = h
+        .strategy
+        .settled_tables_for(topic, publisher, subscriber)
+        .expect("tables");
+    assert_eq!(held.version(), 3, "setup and two repairs");
+    for node in h.topo.nodes() {
+        assert_eq!(held.sending_list(node), want.sending_list(node), "{node}");
+    }
+    assert_eq!(
+        h.strategy.table_builds(),
+        1,
+        "a settled table is built once"
+    );
 }

@@ -158,11 +158,12 @@ impl NodeSet {
     /// form that [`PartialEq`], [`Ord`] and [`Hash`] all agree on.
     #[inline]
     fn significant_high(&self) -> &[u64] {
-        let mut end = self.high.len();
-        while end > 0 && self.high[end - 1] == 0 {
-            end -= 1;
-        }
-        &self.high[..end]
+        let end = self
+            .high
+            .iter()
+            .rposition(|&word| word != 0)
+            .map_or(0, |last| last + 1);
+        self.high.get(..end).unwrap_or_default()
     }
 }
 

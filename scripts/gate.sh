@@ -83,7 +83,7 @@ stage_bench() {
     # no noise margin. The JSON result lines come in workload order.
     python3 - <<'EOF'
 import json
-limits = [("steady-64", 0.15), ("build-256", 0.25), ("churn-32", 0.5),
+limits = [("steady-64", 0.15), ("build-256", 0.25), ("churn-32", 0.40),
           ("storm-64", 0.25), ("overload-64", 0.35)]
 lines = [l for l in open("bench-smoke.txt") if l.startswith("{")]
 assert len(lines) == len(limits), f"{len(lines)} result lines"

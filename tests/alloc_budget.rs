@@ -15,9 +15,10 @@
 //! on: the auditor checks every hop of every message, and its books must
 //! grow by amortised doubling, not by an allocation per message.
 //!
-//! A fourth case counts what one incremental table repair allocates: a
-//! broker recomputes its tables on every neighbourhood change (§III-B),
-//! and a repair recycles what the last build left behind.
+//! A fourth case counts what one incremental table repair allocates, and
+//! what building the tables it invalidated at their first read allocates:
+//! a broker recomputes its tables on every neighbourhood change (§III-B),
+//! and each build recycles what the last one left behind.
 //!
 //! A fifth case runs the random overlay under durable custody
 //! (`recovery_hardened()`), whose journal, write timers and NACK sweep
@@ -29,7 +30,6 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use dcrd::core::propagation::PAIR_NODES_PER_WORKER;
 use dcrd::core::{DcrdConfig, DcrdStrategy, RepairMode};
 use dcrd::net::estimate::{analytic_estimates, LinkEstimates};
 use dcrd::net::failure::{FailureModel, LinkFailureModel};
@@ -283,22 +283,26 @@ fn long_paths_stay_within_their_allocation_budget() {
 /// Before the table builder kept its buffers, each repair here made 710 to
 /// 747: four fresh vectors per recomputed pair, plus the link stats,
 /// snapshot, bounds, trees and workspace of every build. Reusing them, a
-/// repair makes 3: its job list, the jobs with their recycled tables, and
-/// the built list.
+/// repair made 3: its job list, the jobs with their recycled tables, and
+/// the built list. Since a repair only invalidates the tables it affects,
+/// and routing builds each at its first read, a repair makes none.
 const REPAIR_BUDGET: u64 = 16;
 
+/// Allocations the first read of an invalidated table may make per table
+/// it builds. The build refills the table's own buffers on the builder's
+/// kept workspace, so it makes none; building through the batch `build`
+/// instead would collect a one-job list and a result list per read.
+const SETTLE_BUDGET: u64 = 0;
+
 /// One warm-up leave and join, then 20 alternating leave/join deltas on
-/// brokers that publish nothing, each applied by an incremental repair.
+/// brokers that publish nothing, each applied by an incremental repair and
+/// followed by a read of every subscription's tables through the router,
+/// which builds the ones the repair invalidated.
 #[test]
 fn repair_stays_within_its_allocation_budget() {
     let mut rng = rng_for(7, "alloc-repair");
     let topo = random_connected(32, 6, DelayRange::PAPER, &mut rng);
     let workload = Workload::generate(&topo, &WorkloadConfig::PAPER, &mut rng);
-    // Small enough that every repair runs inline, on this thread's counter.
-    assert!(
-        workload.num_subscriptions() * topo.num_nodes() < 2 * PAIR_NODES_PER_WORKER,
-        "the repairs would fan out"
-    );
     let estimates = analytic_estimates(&topo, 0.05, 0.01);
     let failure = FailureModel::links_only(LinkFailureModel::new(0.0, 1));
     let mut strategy = DcrdStrategy::new(DcrdConfig {
@@ -324,22 +328,50 @@ fn repair_stays_within_its_allocation_budget() {
             MembershipDelta::Join { node }
         }
     };
+    let read_all = |strategy: &mut DcrdStrategy| {
+        for spec in workload.topics() {
+            for sub in &spec.subscriptions {
+                let tables =
+                    strategy.settled_tables_for(spec.topic, spec.publisher, sub.subscriber);
+                assert!(
+                    tables.is_some(),
+                    "{:?} → {} has no tables",
+                    spec.topic,
+                    sub.subscriber
+                );
+            }
+        }
+    };
     let now = SimTime::from_secs(1);
-    strategy.on_membership(&[delta(0)], now);
-    strategy.on_membership(&[delta(1)], now);
+    for step in 0..2 {
+        strategy.on_membership(&[delta(step)], now);
+        read_all(&mut strategy);
+    }
 
     let repairs_before = strategy.incremental_repairs();
-    let mut per_repair = Vec::new();
+    let (mut per_repair, mut per_read) = (Vec::new(), Vec::new());
     for step in 2..22 {
         let before = allocs();
         strategy.on_membership(&[delta(step)], now);
         per_repair.push(allocs() - before);
+        let (before, builds) = (allocs(), strategy.table_builds());
+        read_all(&mut strategy);
+        per_read.push((allocs() - before, strategy.table_builds() - builds));
     }
     assert_eq!(strategy.incremental_repairs() - repairs_before, 20);
     println!("allocations per repair: {per_repair:?}");
+    println!("(allocations, tables built) per read of every table: {per_read:?}");
     let worst = per_repair.iter().copied().max().unwrap_or(0);
     assert!(
         worst <= REPAIR_BUDGET,
         "a repair made {worst} allocations, over the budget of {REPAIR_BUDGET}: {per_repair:?}"
     );
+    let built: u64 = per_read.iter().map(|&(_, b)| b).sum();
+    assert!(built > 0, "no read built a table: {per_read:?}");
+    for &(made, builds) in &per_read {
+        assert!(
+            made <= SETTLE_BUDGET * builds,
+            "{made} allocations for {builds} table builds, over {SETTLE_BUDGET} per build: {per_read:?}"
+        );
+    }
 }

@@ -7,6 +7,8 @@
 //! lets an absent broker act — so the comparison quantifies over present
 //! brokers only.)
 
+use std::borrow::Cow;
+
 use dcrd::core::propagation::{compute_tables, PairJob, SubscriberTables};
 use dcrd::core::{DcrdConfig, DcrdStrategy, RepairMode};
 use dcrd::experiments::runner::{build_topology, build_workload};
@@ -237,7 +239,7 @@ fn recycled_tables_match_fresh_builds() {
     let held = |strategy: &DcrdStrategy, job: &PairJob| -> SubscriberTables {
         strategy
             .tables_for(job.topic, job.publisher, job.subscriber)
-            .cloned()
+            .map(Cow::into_owned)
             .unwrap_or_else(|| panic!("{job:?} has no tables"))
     };
 
