@@ -2,11 +2,15 @@
 //!
 //! In a deployment every broker recomputes its parameters whenever a
 //! neighbor shares fresh ones, starting from the subscriber announcing
-//! `⟨0, 1⟩`. We model this as **synchronous gossip rounds**: each round,
-//! every broker rebuilds its sending list and `⟨d, r⟩` from the previous
-//! round's neighbor values. The computation reaches a fixed point (values
-//! stop changing within tolerance) in a handful of rounds on the paper's
-//! topologies; the round cap guards against pathological oscillation.
+//! `⟨0, 1⟩`. We model this as **synchronous gossip rounds** (a Jacobi
+//! iteration): each round, every live broker that can meet its deadline
+//! at all rebuilds its sending list and `⟨d, r⟩` from the previous round's
+//! neighbor values. Nothing is skipped within a round, so a table's work is
+//! exactly its rounds times its active brokers
+//! ([`SubscriberTables::node_steps`]). Most pairs stop within tolerance in
+//! about 20 rounds on the benchmark overlays. The deadline filter can also
+//! trap the iteration in an exact limit cycle (period 2 to 12), which the
+//! freeze after a 50-round warm-up ends; the round cap bounds the rest.
 //!
 //! Because the per-node delay requirement is `D_XS = D_PS − shortest
 //! delay(P → X)`, the tables are specific to a *(publisher, subscriber)*
@@ -271,6 +275,7 @@ pub struct SubscriberTables {
     /// Per-node `⟨d, r⟩`.
     params: Vec<DrPair>,
     rounds_used: u32,
+    node_steps: u64,
     converged: bool,
     /// Monotone control-plane version of this entry: bumped by the owning
     /// strategy on every recomputation so the gossip layer can summarize
@@ -290,6 +295,7 @@ impl SubscriberTables {
             list_cands: Vec::new(),
             params: Vec::new(),
             rounds_used: 0,
+            node_steps: 0,
             converged: false,
             version: 0,
         }
@@ -343,6 +349,17 @@ impl SubscriberTables {
     #[must_use]
     pub fn rounds_used(&self) -> u32 {
         self.rounds_used
+    }
+
+    /// Node-steps the fixed point ran: one per broker per round it
+    /// recomputed. The kernel prunes the absent brokers, the subscriber
+    /// and every broker outside the deadline ellipse, and steps each other
+    /// (*active*) broker in every round, so this is exactly
+    /// `rounds_used × active brokers`: the table's kernel work, exact and
+    /// independent of the host.
+    #[must_use]
+    pub fn node_steps(&self) -> u64 {
+        self.node_steps
     }
 
     /// Whether the computation converged within the round cap.
@@ -422,11 +439,12 @@ fn delta(a: DrPair, b: DrPair) -> (f64, f64) {
 ///
 /// * a scoped spawn + join that wakes a vCPU idle for 2 ms costs
 ///   ≈ 0.2 ms (median; p99 ≈ 0.5 ms);
-/// * the kernel costs ≈ 1.4–1.8 µs per pair-node (≈ 15 rounds of
-///   ≈ 100 ns node-steps).
+/// * the kernel costs ≈ 2 µs per pair-node: ≈ 18 node-steps of
+///   ≈ 100 ns each (at `build-256`, 19.97 rounds per pair over the 94 % of
+///   brokers inside the deadline ellipse).
 ///
 /// At `1 << 12` the smallest fan-out splits ≈ 8 k pair-nodes, and its
-/// second worker takes over ≈ 6 ms of kernel time for a start-up under a
+/// second worker takes over ≈ 8 ms of kernel time for a start-up under a
 /// tenth of that even at p99. Every 64- and 256-broker setup (≈ 19 k
 /// pair-nodes and up) fans out; a 32-broker setup of ≈ 140 pairs
 /// (≈ 4.5 k pair-nodes) runs inline.
@@ -992,9 +1010,11 @@ impl AdjacencySnapshot {
 }
 
 /// Reusable scratch buffers for [`pair_fixed_point`] against one
-/// [`AdjacencySnapshot`]. A table build computes thousands of
+/// [`AdjacencySnapshot`]: a list buffer, the next round's values, the
+/// active brokers, the frozen lists, the final lists, and the fused step's
+/// visit permutations. A table build computes thousands of
 /// (topic, subscriber) pairs against one snapshot; sharing one workspace
-/// across those calls replaces ~10 allocations (some past the allocator's
+/// across those calls replaces ~9 allocations (some past the allocator's
 /// mmap threshold) per pair with `clear`/`resize` on warm buffers, and a
 /// [`TableBuilder`] keeps its workspaces from one build to the next.
 ///
@@ -1008,7 +1028,6 @@ impl AdjacencySnapshot {
 struct TableWorkspace {
     list_buf: Vec<Candidate>,
     scratch: Vec<DrPair>,
-    stamp: Vec<u32>,
     active: Vec<bool>,
     actives: Vec<u32>,
     frozen_offsets: Vec<u32>,
@@ -1047,7 +1066,6 @@ impl TableWorkspace {
         }
         room(&mut self.list_buf, widest);
         room(&mut self.scratch, n);
-        room(&mut self.stamp, n);
         room(&mut self.active, n);
         room(&mut self.actives, n);
         room(&mut self.frozen_offsets, n + 1);
@@ -1101,6 +1119,7 @@ fn pair_fixed_point(
         list_cands,
         params,
         rounds_used: out_rounds_used,
+        node_steps: out_node_steps,
         converged: out_converged,
         ..
     } = out;
@@ -1124,7 +1143,6 @@ fn pair_fixed_point(
     let TableWorkspace {
         list_buf,
         scratch,
-        stamp,
         active,
         actives,
         frozen_offsets,
@@ -1173,6 +1191,7 @@ fn pair_fixed_point(
         }
     }
     let mut rounds_used = 0;
+    let mut node_steps = 0u64;
     let mut converged = false;
     scratch.clear();
     scratch.extend_from_slice(params);
@@ -1194,16 +1213,6 @@ fn pair_fixed_point(
     let mut have_frozen = false;
     frozen_offsets.clear();
     frozen_flat.clear();
-    // Frontier tracking: a node's update reads only its *neighbors'*
-    // `⟨d, r⟩` — the requirement and link stats are static — so a node
-    // whose neighbors all held bit-identical values last round would
-    // recompute exactly the value it already has. Skipping it leaves every
-    // computed value (and the convergence maxima) bit-for-bit unchanged
-    // while collapsing each round to the active wavefront around the
-    // subscriber. `stamp[i] >= round` means "recompute `i` this round";
-    // stamps only grow, so no per-round clearing pass is needed.
-    stamp.clear();
-    stamp.resize(n, 1);
     let fused = config.ordering == OrderingPolicy::RatioOptimal;
     // Node `i`'s visit permutation, when the fused step serves its row.
     let visit_order = |i: usize, row_len: usize| {
@@ -1214,9 +1223,7 @@ fn pair_fixed_point(
     };
     for round in 1..=MAX_ROUNDS {
         rounds_used = round;
-        let mut freeze_round = false;
         if round > warmup && !have_frozen {
-            freeze_round = true;
             frozen_offsets.push(0);
             for (i, (&is_active, &requirement)) in active.iter().zip(requirements).enumerate() {
                 if is_active {
@@ -1245,21 +1252,12 @@ fn pair_fixed_point(
         let mut max_dr = 0.0f64;
         for &iu in actives.iter() {
             let i = iu as usize;
-            let (Some(&old), Some(&requirement), Some(&stamped), Some(next)) = (
-                params.get(i),
-                requirements.get(i),
-                stamp.get(i),
-                scratch.get_mut(i),
-            ) else {
+            let (Some(&old), Some(&requirement), Some(next)) =
+                (params.get(i), requirements.get(i), scratch.get_mut(i))
+            else {
                 continue;
             };
-            // The freeze transition switches every node to the frozen
-            // evaluation path; run it as a full round so the skip only
-            // ever compares like against like.
-            if stamped < round && !freeze_round {
-                *next = old;
-                continue;
-            }
+            node_steps += 1;
             let p = if !have_frozen {
                 let row = snapshot.row(i);
                 let visit = visit_order(i, row.len()).and_then(|at| order.get_mut(at));
@@ -1283,26 +1281,6 @@ fn pair_fixed_point(
             let (dd, dr) = delta(p, old);
             max_dd = max_dd.max(dd);
             max_dr = max_dr.max(dr);
-            if p.d.to_bits() != old.d.to_bits() || p.r.to_bits() != old.r.to_bits() {
-                // A changed `⟨d, r⟩` at `i` only perturbs a neighbor whose
-                // sending list can actually see `i`. Live rounds re-filter
-                // membership by `d < requirement`, so if `i` fails the
-                // neighbor's filter both before and after the change, that
-                // neighbor's candidate set and every input to it are
-                // untouched — leaving it asleep is exact. Frozen rounds pin
-                // membership from freeze time (a member's `d` may since
-                // have drifted past the requirement), so they wake every
-                // neighbor.
-                for &(nb, _) in snapshot.row(i) {
-                    let t = nb.index();
-                    let (Some(wake), Some(&seen)) = (stamp.get_mut(t), requirements.get(t)) else {
-                        continue;
-                    };
-                    if have_frozen || p.d < seen || old.d < seen {
-                        *wake = round + 1;
-                    }
-                }
-            }
             *next = p;
         }
         std::mem::swap(params, scratch);
@@ -1354,6 +1332,7 @@ fn pair_fixed_point(
     list_cands.clear();
     list_cands.extend_from_slice(cands);
     *out_rounds_used = rounds_used;
+    *out_node_steps = node_steps;
     *out_converged = converged;
 }
 
@@ -1914,5 +1893,283 @@ mod tests {
             }
         }
         assert!(ties > 1_000, "only {ties} tied ratios drawn");
+    }
+
+    /// `node_steps` is `rounds_used × active brokers`: the kernel steps
+    /// every broker inside the deadline ellipse but the subscriber in every
+    /// round, frozen rounds included, and never an absent one. Checked on
+    /// every pair from one publisher, unmasked (where some pair runs into
+    /// the freeze) and masked.
+    #[test]
+    fn node_steps_are_rounds_times_active_brokers() {
+        let mut rng = rng_for(0x57E9, "node-steps");
+        let topo = random_connected(60, 6, DelayRange::PAPER, &mut rng);
+        let est = analytic_estimates(&topo, 0.06, 1e-4);
+        let mut stats = Vec::new();
+        fill_link_stats(&topo, &est, 1, &mut stats);
+        let publisher = topo.node(0);
+        let dist = dijkstra(&topo, publisher, Metric::Delay);
+        let jobs: Vec<PairJob> = (1..topo.num_nodes())
+            .map(|sub| PairJob {
+                topic: TopicId::new(0),
+                publisher,
+                subscriber: topo.node(sub),
+                deadline: SimDuration::from_micros(
+                    2 * dist.cost_to(topo.node(sub)).expect("connected"),
+                ),
+            })
+            .collect();
+        let masked: NodeSet = [7, 21, 40].into_iter().map(|i| topo.node(i)).collect();
+        let mut frozen = 0;
+        for absent in [NodeSet::new(), masked] {
+            let snapshot = AdjacencySnapshot::build(&topo, &stats, &absent);
+            let built = compute_tables(&topo, &est, 1, &cfg(), &absent, jobs.clone());
+            for (job, t) in &built {
+                let (mut spd, mut bound) = (Vec::new(), Vec::new());
+                snapshot.alpha_distances_into(job.subscriber, &mut spd, &mut BinaryHeap::new());
+                snapshot.neighbor_min_into(&spd, &mut bound);
+                let active = topo
+                    .nodes()
+                    .filter(|&v| v != job.subscriber && bound[v.index()] < t.requirement(v))
+                    .count() as u64;
+                assert_eq!(
+                    t.node_steps(),
+                    u64::from(t.rounds_used()) * active,
+                    "{job:?} under {absent:?}"
+                );
+                frozen += usize::from(t.rounds_used() > 50 && absent.is_empty());
+            }
+            assert!(built.iter().any(|(_, t)| t.node_steps() > 0));
+        }
+        assert!(frozen > 0, "no unmasked pair reached the freeze");
+    }
+
+    /// What a naive Jacobi iteration makes of one subscription: the
+    /// kernel's rules written out again without any of its speed-ups.
+    struct Reference {
+        requirements: Vec<f64>,
+        params: Vec<DrPair>,
+        lists: Vec<Vec<Candidate>>,
+        rounds_used: u32,
+        converged: bool,
+    }
+
+    /// The reference model of the kernel. Every broker outside `absent`
+    /// but the subscriber recomputes its sending list
+    /// (`build_sending_list_from_row`) and `⟨d, r⟩` (`combine`) from the
+    /// previous round's values, for up to 100 rounds, until no value moves
+    /// by more than 1 µs in `d` and 1e-9 in `r`. Past a warm-up of 50
+    /// rounds, every list keeps the membership and order it had then, and
+    /// only the candidates' values are refreshed. No ellipse pruning, no
+    /// fused step, no visit permutations, no workspace, no snapshot.
+    fn reference(
+        topo: &Topology,
+        estimates: &LinkEstimates,
+        m: u32,
+        ordering: OrderingPolicy,
+        absent: &NodeSet,
+        job: &PairJob,
+    ) -> Reference {
+        let n = topo.num_nodes();
+        let deadline_us = job.deadline.as_micros() as f64;
+        let tree = dijkstra_masked(topo, job.publisher, Metric::Delay, absent);
+        let requirement = |node: NodeId| match tree.cost_to(node) {
+            Some(c) if !absent.contains(node) => deadline_us - c as f64,
+            _ => f64::NEG_INFINITY,
+        };
+        let row = |node: NodeId| -> Vec<(NodeId, LinkStats)> {
+            topo.neighbors(node)
+                .iter()
+                .filter(|&&(nb, _)| !absent.contains(nb))
+                .map(|&(nb, edge)| {
+                    let est = estimates.get(edge);
+                    let stats = m_transmission_stats(est.alpha.as_micros() as f64, est.gamma, m);
+                    (nb, stats)
+                })
+                .collect()
+        };
+        let steps = |node: NodeId| node != job.subscriber && !absent.contains(node);
+        let mut params = vec![DrPair::UNREACHABLE; n];
+        if !absent.contains(job.subscriber) {
+            params[job.subscriber.index()] = DrPair::SUBSCRIBER;
+        }
+        let list = |node: NodeId,
+                    params: &[DrPair],
+                    frozen: &Option<Vec<Vec<(NodeId, LinkStats)>>>|
+         -> Vec<Candidate> {
+            let mut out = Vec::new();
+            if !steps(node) {
+                return out;
+            }
+            match frozen {
+                Some(frozen) => out.extend(frozen[node.index()].iter().map(|&(nb, link)| {
+                    Candidate::from_link(nb, link.alpha, link.gamma, params[nb.index()])
+                })),
+                None => {
+                    build_sending_list_from_row(
+                        &row(node),
+                        params,
+                        requirement(node),
+                        ordering,
+                        &mut out,
+                    );
+                }
+            }
+            out
+        };
+        let mut frozen: Option<Vec<Vec<(NodeId, LinkStats)>>> = None;
+        let (mut rounds_used, mut converged) = (0, false);
+        for round in 1..=100 {
+            rounds_used = round;
+            if round > 50 && frozen.is_none() {
+                frozen = Some(
+                    topo.nodes()
+                        .map(|node| {
+                            let links = row(node);
+                            list(node, &params, &None)
+                                .iter()
+                                .map(|c| *links.iter().find(|l| l.0 == c.neighbor).unwrap())
+                                .collect()
+                        })
+                        .collect(),
+                );
+            }
+            let next: Vec<DrPair> = topo
+                .nodes()
+                .map(|node| match steps(node) {
+                    true => combine(&list(node, &params, &frozen)),
+                    false => params[node.index()],
+                })
+                .collect();
+            let (mut max_dd, mut max_dr) = (0.0f64, 0.0f64);
+            for (new, old) in next.iter().zip(&params) {
+                let dd = match (new.d.is_finite(), old.d.is_finite()) {
+                    (true, true) => (new.d - old.d).abs(),
+                    (false, false) => 0.0,
+                    _ => f64::INFINITY,
+                };
+                max_dd = max_dd.max(dd);
+                max_dr = max_dr.max((new.r - old.r).abs());
+            }
+            params = next;
+            if max_dd <= 1.0 && max_dr <= 1e-9 {
+                converged = true;
+                break;
+            }
+        }
+        let lists = topo.nodes().map(|v| list(v, &params, &frozen)).collect();
+        Reference {
+            requirements: topo.nodes().map(requirement).collect(),
+            params,
+            lists,
+            rounds_used,
+            converged,
+        }
+    }
+
+    /// `⟨d, r⟩` as raw bits, so `==` tells `-0.0` from `0.0`.
+    fn bits(p: DrPair) -> (u64, u64) {
+        (p.d.to_bits(), p.r.to_bits())
+    }
+
+    /// The kernel's tables are the reference model's, bit for bit: params,
+    /// sending lists, rounds used and convergence, over seeded 8–40-broker
+    /// overlays of degree 3–8 with random masks, deadlines of 1.5–4× the
+    /// shortest delay, `m` ∈ {1, 2} and every ordering policy, frozen
+    /// pairs among them. On a third of the overlays the links are lossless,
+    /// so every `d` and requirement is a whole number of µs, and the
+    /// deadline is the delay of a path `P → X – Y ⇝ S` (shortest legs, one
+    /// link): there `d` of `Y` can tie the requirement of `X`, the deadline
+    /// filter's boundary.
+    #[test]
+    fn kernel_matches_a_naive_jacobi_reference() {
+        const ORDERINGS: [OrderingPolicy; 4] = [
+            OrderingPolicy::RatioOptimal,
+            OrderingPolicy::ByDelay,
+            OrderingPolicy::ByReliability,
+            OrderingPolicy::Unsorted,
+        ];
+        let mut rng = rng_for(0x7AB1E, "kernel-reference");
+        let (mut cases, mut frozen, mut ties) = (0, 0, 0);
+        for case in 0..240 {
+            let n = rng.gen_range(8..=40);
+            let degree = rng.gen_range(3..=8).min(n - 1);
+            let topo = random_connected(n, degree, DelayRange::PAPER, &mut rng);
+            let lossless = rng.gen_bool(1.0 / 3.0);
+            let estimates = match lossless {
+                true => analytic_estimates(&topo, 0.0, 0.0),
+                false => analytic_estimates(&topo, rng.gen::<f64>() * 0.2, rng.gen::<f64>() * 0.01),
+            };
+            let m = rng.gen_range(1..=2);
+            let config = DcrdConfig {
+                ordering: ORDERINGS[case % ORDERINGS.len()],
+                ..cfg()
+            };
+            let absent: NodeSet = topo.nodes().filter(|_| rng.gen_bool(0.1)).collect();
+            let publisher = topo.node(rng.gen_range(0..n));
+            let subscriber = topo.node(rng.gen_range(0..n));
+            let from_publisher = dijkstra(&topo, publisher, Metric::Delay);
+            let to_subscriber = dijkstra(&topo, subscriber, Metric::Delay);
+            let shortest = from_publisher
+                .cost_to(subscriber)
+                .expect("connected")
+                .max(1_000);
+            let factor = 1.5 + 2.5 * rng.gen::<f64>();
+            let mut deadline_us = (factor * shortest as f64) as u64;
+            if lossless {
+                let ties: Vec<u64> = topo
+                    .nodes()
+                    .flat_map(|x| topo.neighbors(x).iter().map(move |&(y, _)| (x, y)))
+                    .filter_map(|(x, y)| {
+                        Some(from_publisher.cost_to(x)? + to_subscriber.cost_to(y)?)
+                    })
+                    .filter(|&us| (3 * shortest / 2..=4 * shortest).contains(&us))
+                    .collect();
+                if !ties.is_empty() {
+                    deadline_us = ties[rng.gen_range(0..ties.len())];
+                }
+            }
+            let job = PairJob {
+                topic: TopicId::new(0),
+                publisher,
+                subscriber,
+                deadline: SimDuration::from_micros(deadline_us),
+            };
+            let built = compute_tables(&topo, &estimates, m, &config, &absent, vec![job]);
+            let got = &built[0].1;
+            let want = reference(&topo, &estimates, m, config.ordering, &absent, &job);
+            let at = format!("case {case}: {job:?}, {:?}", config.ordering);
+            assert_eq!(got.rounds_used(), want.rounds_used, "{at}");
+            assert_eq!(got.converged(), want.converged, "{at}");
+            for node in topo.nodes() {
+                let want_list = &want.lists[node.index()];
+                assert_eq!(
+                    bits(got.params(node)),
+                    bits(want.params[node.index()]),
+                    "{at}: params of {node}"
+                );
+                let got_list = got.sending_list(node);
+                assert_eq!(got_list.len(), want_list.len(), "{at}: list of {node}");
+                for (g, w) in got_list.iter().zip(want_list) {
+                    assert_eq!(g.neighbor, w.neighbor, "{at}: list of {node}");
+                    assert_eq!(
+                        (g.d.to_bits(), g.r.to_bits()),
+                        (w.d.to_bits(), w.r.to_bits()),
+                        "{at}: list of {node}"
+                    );
+                }
+            }
+            cases += 1;
+            frozen += usize::from(got.rounds_used() > 50);
+            ties += topo
+                .nodes()
+                .filter(|&x| x != subscriber && !absent.contains(x))
+                .flat_map(|x| topo.neighbors(x).iter().map(move |&(y, _)| (x, y)))
+                .filter(|&(x, y)| want.params[y.index()].d == want.requirements[x.index()])
+                .count();
+        }
+        assert!(cases >= 200);
+        assert!(frozen >= 1, "no pair reached the freeze");
+        assert!(ties >= 1, "no neighbour's d tied a requirement");
     }
 }

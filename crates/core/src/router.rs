@@ -131,6 +131,15 @@ impl DcrdStrategy {
         self.tables.table_builds
     }
 
+    /// Kernel node-steps of every table this strategy built: the tables of
+    /// `setup`'s batch and of every settle since, each counted as
+    /// [`SubscriberTables::node_steps`]. Exact for a run's inputs, whatever
+    /// the host or worker count.
+    #[must_use]
+    pub fn table_node_steps(&self) -> u64 {
+        self.tables.table_node_steps
+    }
+
     /// Number of in-flight per-broker packet states (diagnostic).
     #[must_use]
     pub fn inflight_states(&self) -> usize {

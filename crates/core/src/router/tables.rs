@@ -193,6 +193,9 @@ pub(super) struct Tables {
     pub(super) table_version: u64,
     /// Stale seats settled by a read since setup.
     pub(super) table_builds: u64,
+    /// Kernel node-steps of every table built: setup's batch and each
+    /// settle ([`SubscriberTables::node_steps`]).
+    pub(super) table_node_steps: u64,
 }
 
 impl Tables {
@@ -220,6 +223,7 @@ impl Tables {
             PairJob::all(ctx.workload),
         );
         for (job, mut tables) in built {
+            self.table_node_steps += tables.node_steps();
             tables.set_version(self.table_version);
             self.store.insert(&job, tables);
         }
@@ -353,6 +357,7 @@ impl Tables {
         if seat.stale {
             settle_seat(&mut self.builder, &self.config, seat);
             self.table_builds += 1;
+            self.table_node_steps += seat.tables.as_ref().map_or(0, SubscriberTables::node_steps);
         }
         seat.tables.as_ref()
     }

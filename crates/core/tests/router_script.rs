@@ -1155,3 +1155,60 @@ fn repairs_build_no_table_until_a_packet_reads_it() {
         "a settled table is built once"
     );
 }
+
+/// `table_node_steps` counts the kernel work of every table the strategy
+/// built: setup's batch is the sum of its tables' node-steps, a repair and
+/// a shared read of a stale table add nothing, and the packet that settles
+/// a table adds exactly that table's node-steps, which are a fresh
+/// build's.
+#[test]
+fn a_settle_adds_its_tables_node_steps() {
+    let config = DcrdConfig {
+        repair: RepairMode::Incremental,
+        ..DcrdConfig::default()
+    };
+    let mut h = Harness::new(kite(), &[3, 4], config);
+    let (topic, publisher) = (TopicId::new(0), h.topo.node(0));
+    let setup: u64 = [3, 4]
+        .iter()
+        .map(|&s| {
+            let tables = h.strategy.tables_for(topic, publisher, h.topo.node(s));
+            tables.expect("tables").node_steps()
+        })
+        .sum();
+    assert!(setup > 0);
+    assert_eq!(h.strategy.table_node_steps(), setup);
+
+    let node = h.topo.node(1);
+    h.strategy
+        .on_membership(&[MembershipDelta::Leave { node }], SimTime::from_secs(1));
+    let subscriber = h.topo.node(3);
+    let copy = h.strategy.tables_for(topic, publisher, subscriber);
+    assert!(copy.is_some_and(|t| t.node_steps() > 0));
+    assert_eq!(h.strategy.table_node_steps(), setup, "no table built yet");
+
+    let builds = h.strategy.table_builds();
+    h.publish(&[3]);
+    assert_eq!(h.strategy.table_builds(), builds + 1, "one table settled");
+    let fresh = compute_tables(
+        &h.topo,
+        &estimates(&h.topo),
+        RunParams::default().m,
+        &config,
+        h.strategy.absent_brokers(),
+        PairJob::all(&h.workload),
+    );
+    let want = fresh
+        .iter()
+        .find(|(job, _)| job.subscriber == subscriber)
+        .map(|(_, t)| t.node_steps());
+    let held = h
+        .strategy
+        .settled_tables_for(topic, publisher, subscriber)
+        .map(|t| t.node_steps());
+    assert_eq!(held, want);
+    assert_eq!(
+        Some(h.strategy.table_node_steps()),
+        held.map(|steps| setup + steps)
+    );
+}

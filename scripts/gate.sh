@@ -110,27 +110,28 @@ stage_hostile() {
 
 # The two size counts the simplicity work tracks: every Rust line outside
 # `benchmark/`, and the non-test share of it (lines before a file's first
-# `#[cfg(test)]`, files under a `tests/` directory left out). Tracked and
-# untracked-but-not-ignored files count alike. Then each router file's
-# non-test lines, which fail the stage past 800.
+# column-0 `#[cfg(test)]`, files under a `tests/` directory left out). Only
+# a column-0 attribute starts the test code: a doc comment that names it,
+# or an indented test-only item, does not. Tracked and
+# untracked-but-not-ignored files count alike. Then the non-test lines of
+# each router file, which fail the stage past 800, and of `propagation.rs`,
+# which is not held to that limit.
 stage_loc() {
     local files
     files=$(git ls-files --cached --others --exclude-standard -- '*.rs' \
         | grep -v '^benchmark/' | while read -r f; do if [ -f "$f" ]; then echo "$f"; fi; done)
     echo "rust lines outside benchmark/: $(echo "$files" | xargs cat | wc -l)"
     echo "non-test lines: $(echo "$files" | grep -v '\(^\|/\)tests/' \
-        | xargs awk 'FNR == 1 { skip = 0 } /#\[cfg\(test\)\]/ { skip = 1 } !skip { n++ } END { print n }')"
-    # No router file may grow past 800 non-test lines. The rest of
-    # dcrd-core is not held to it yet: `propagation.rs` is over.
-    awk 'FNR == 1 { skip = 0; files[++k] = FILENAME } /#\[cfg\(test\)\]/ { skip = 1 }
+        | xargs awk 'FNR == 1 { skip = 0 } /^#\[cfg\(test\)\]/ { skip = 1 } !skip { n++ } END { print n }')"
+    awk 'FNR == 1 { skip = 0; files[++k] = FILENAME } /^#\[cfg\(test\)\]/ { skip = 1 }
         !skip { n[FILENAME]++ }
         END {
             for (i = 1; i <= k; i++) {
                 printf "%s: %d non-test lines\n", files[i], n[files[i]]
-                if (n[files[i]] > 800) over = 1
+                if (files[i] ~ /router/ && n[files[i]] > 800) over = 1
             }
             if (over) { print "a router file is over 800 non-test lines" > "/dev/stderr"; exit 1 }
-        }' crates/core/src/router.rs crates/core/src/router/*.rs
+        }' crates/core/src/router.rs crates/core/src/router/*.rs crates/core/src/propagation.rs
 }
 
 ci_stages=(fmt clippy analyzer analyzer-v2 test churn gossip bench fuzz hostile)
