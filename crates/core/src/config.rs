@@ -45,31 +45,6 @@ pub enum DurabilityMode {
     Durable,
 }
 
-/// How the router reacts to membership deltas (joins, leaves, confirmed
-/// deaths) reported by the failure detector.
-///
-/// Any mode but [`None`](RepairMode::None) also hands the custody entries
-/// of a confirmed-dead or departed broker to its upstream (or the
-/// publisher), and routes the restart of a broker the membership layer had
-/// removed through the same repair path a detector-observed join takes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RepairMode {
-    /// Ignore membership changes: routing tables keep naming departed
-    /// brokers (the paper's static-membership model). The baseline the
-    /// churn experiments measure against.
-    #[default]
-    None,
-    /// Localized repair: re-run shortest paths around the absent set, then
-    /// recompute `⟨d, r⟩` fixed-point state and sending lists **only** for
-    /// the subscriptions whose cost vectors actually changed, patching
-    /// upstream pointers from the new predecessors.
-    Incremental,
-    /// Rebuild every routing table from scratch on any membership change —
-    /// the correctness oracle incremental repair is tested against, and the
-    /// upper bound on repair cost.
-    GlobalRebuild,
-}
-
 /// Full DCRD configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DcrdConfig {
@@ -84,9 +59,15 @@ pub struct DcrdConfig {
     /// Custody durability and NACK recovery (volatile by default — the
     /// paper's model).
     pub durability: DurabilityMode,
-    /// Membership-churn survival: table repair, custody handoff and
-    /// restart repair (static membership by default — the paper's model).
-    pub repair: RepairMode,
+    /// Membership-churn survival (off by default — the paper's static
+    /// membership). On, every membership change the failure detector
+    /// reports invalidates every routing table over the new absent set,
+    /// hands the custody entries of a confirmed-dead or departed broker to
+    /// its upstream (or the publisher), and routes the restart of a broker
+    /// the membership layer had removed through the same repair a
+    /// detector-observed join takes. Off, tables keep naming departed
+    /// brokers: the baseline the churn experiments measure against.
+    pub repair: bool,
 }
 
 impl Default for DcrdConfig {
@@ -96,7 +77,7 @@ impl Default for DcrdConfig {
             reroute_upstream: true,
             persistence: PersistenceMode::Disabled,
             durability: DurabilityMode::Volatile,
-            repair: RepairMode::None,
+            repair: false,
         }
     }
 }
@@ -126,12 +107,12 @@ impl DcrdConfig {
     }
 
     /// The churn-survivable variant:
-    /// [`recovery_hardened`](Self::recovery_hardened) plus incremental
-    /// table repair, custody handoff and restart repair.
+    /// [`recovery_hardened`](Self::recovery_hardened) plus table repair,
+    /// custody handoff and restart repair ([`repair`](Self::repair)).
     #[must_use]
     pub fn churn_hardened() -> Self {
         DcrdConfig {
-            repair: RepairMode::Incremental,
+            repair: true,
             ..DcrdConfig::recovery_hardened()
         }
     }
@@ -148,7 +129,7 @@ mod tests {
         assert!(c.reroute_upstream);
         assert_eq!(c.persistence, PersistenceMode::Disabled);
         assert_eq!(c.durability, DurabilityMode::Volatile);
-        assert_eq!(c.repair, RepairMode::None);
+        assert!(!c.repair);
     }
 
     /// Each rung of the ladder is the previous rung with one feature
@@ -177,7 +158,7 @@ mod tests {
         assert_eq!(
             DcrdConfig::churn_hardened(),
             DcrdConfig {
-                repair: RepairMode::Incremental,
+                repair: true,
                 ..recovery
             }
         );

@@ -28,8 +28,8 @@
 //! * [`router`] — [`DcrdStrategy`]: the dynamic routing scheme
 //!   (Algorithm 2, §III-D), dispatching to two layers over one control
 //!   plane (`router/tables.rs`: the run's environment and every routing
-//!   table; a membership repair marks the tables it affects stale, and
-//!   routing builds each at its first read). `router/forward.rs` is the paper's forwarding core: hop-by-hop
+//!   table; a membership change or fresh link estimates mark every table
+//!   stale, and routing builds each at its first read). `router/forward.rs` is the paper's forwarding core: hop-by-hop
 //!   ACK timers, `m`-transmission retries, destination merging, loop
 //!   avoidance via the packet's routing path, upstream rerouting, and the
 //!   optional persistence extension. `router/custody.rs` is durable
@@ -74,6 +74,6 @@ pub mod reliability;
 pub mod router;
 pub mod sending_list;
 
-pub use config::{DcrdConfig, DurabilityMode, OrderingPolicy, PersistenceMode, RepairMode};
+pub use config::{DcrdConfig, DurabilityMode, OrderingPolicy, PersistenceMode};
 pub use journal::{InFlightJournal, JournalEntry, JournalStats};
 pub use router::DcrdStrategy;

@@ -22,8 +22,8 @@
 //! masked tree and fills a table's per-node delay requirements;
 //! [`TableBuilder::settle`] runs the `⟨d, r⟩` fixed point over them. A
 //! broker recomputes its tables whenever its neighbourhood changes
-//! (§III-B): the router primes every table a membership repair affects
-//! when the repair runs, and settles each at the first packet routed on
+//! (§III-B): the router primes every table when a membership change or
+//! fresh estimates arrive, and settles each at the first packet routed on
 //! it. The builder keeps everything one build can hand to the next: the
 //! per-edge link stats until the estimates change; the masked adjacency
 //! snapshot, the per-subscriber distance bounds and the publishers' masked
@@ -277,11 +277,6 @@ pub struct SubscriberTables {
     rounds_used: u32,
     node_steps: u64,
     converged: bool,
-    /// Monotone control-plane version of this entry: bumped by the owning
-    /// strategy on every recomputation so the gossip layer can summarize
-    /// and reconcile divergent table state by `(subscription, version)`
-    /// digests instead of comparing full tables.
-    version: u64,
 }
 
 impl SubscriberTables {
@@ -297,7 +292,6 @@ impl SubscriberTables {
             rounds_used: 0,
             node_steps: 0,
             converged: false,
-            version: 0,
         }
     }
 
@@ -366,19 +360,6 @@ impl SubscriberTables {
     #[must_use]
     pub fn converged(&self) -> bool {
         self.converged
-    }
-
-    /// The control-plane version of this entry (0 until the owning
-    /// strategy stamps its first recomputation).
-    #[must_use]
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// Stamps the control-plane version (set by the owning strategy on
-    /// every build or repair of this entry).
-    pub fn set_version(&mut self, version: u64) {
-        self.version = version;
     }
 
     /// Fills the half of a build that reads the publisher's tree: the
@@ -528,7 +509,7 @@ pub fn compute_tables(
 /// | per-edge `m`-transmission link stats | the estimates change ([`estimates_changed`](Self::estimates_changed)) or `m` does |
 /// | masked adjacency snapshot | the absent set or the link stats change ([`prepare`](Self::prepare)) |
 /// | per-subscriber α-distance bounds | the snapshot is rebuilt; each is refilled by the first build toward its subscriber |
-/// | each publisher's masked shortest-path tree | the caller refreshes it ([`refresh_tree`](Self::refresh_tree)) or forgets them all ([`forget_trees`](Self::forget_trees)) |
+/// | each publisher's masked shortest-path tree | the caller forgets them all ([`forget_trees`](Self::forget_trees)) |
 /// | one scratch workspace per worker | never; refitted whenever the snapshot is rebuilt |
 ///
 /// What is rebuilt is refilled in place, and a settle refills the buffers
@@ -615,24 +596,6 @@ impl TableBuilder {
         self.spare_trees.extend(self.trees.drain());
     }
 
-    /// Refills `publisher`'s tree for `absent` and shows `diff` the tree it
-    /// replaces (`None` for a publisher without one) beside the fresh one.
-    /// The replaced tree is not dropped: its buffers serve the next refill.
-    pub fn refresh_tree<R>(
-        &mut self,
-        topo: &Topology,
-        publisher: NodeId,
-        absent: &NodeSet,
-        diff: impl FnOnce(Option<&ShortestPaths>, &ShortestPaths) -> R,
-    ) -> R {
-        let old = self.trees.take(publisher);
-        let fresh = self.fill_tree(topo, publisher, absent);
-        let seen = diff(old.as_ref(), &fresh);
-        self.trees.insert(publisher, fresh);
-        self.spare_trees.extend(old);
-        seen
-    }
-
     /// `publisher`'s tree masked by `absent`, in a spare tree's buffers
     /// when there is one.
     fn fill_tree(&mut self, topo: &Topology, publisher: NodeId, absent: &NodeSet) -> ShortestPaths {
@@ -696,13 +659,12 @@ impl TableBuilder {
         let Some(bound) = self.bounds.get_mut(subscriber.index()) else {
             return;
         };
-        self.snapshot.alpha_distances_into(
+        self.snapshot.bound_into(
             subscriber,
             &mut self.alpha_distances,
             &mut self.frontier,
+            bound,
         );
-        self.snapshot
-            .neighbor_min_into(&self.alpha_distances, bound);
         self.bounded.insert(subscriber);
     }
 
@@ -720,8 +682,8 @@ impl TableBuilder {
     ///
     /// Every job publisher's tree is taken as masked by `absent`: the tree
     /// of a publisher the builder holds none for is filled first, and a
-    /// caller whose mask changed refreshes the trees it holds
-    /// ([`refresh_tree`](Self::refresh_tree)) or forgets them.
+    /// caller whose mask changed forgets the trees it holds
+    /// ([`forget_trees`](Self::forget_trees)).
     pub fn build(
         &mut self,
         topo: &Topology,
@@ -855,13 +817,12 @@ impl TableBuilder {
         let bound = match self.bound(subscriber) {
             Some(bound) => bound,
             None => {
-                let mut distances = Vec::new();
-                self.snapshot.alpha_distances_into(
+                self.snapshot.bound_into(
                     subscriber,
-                    &mut distances,
+                    &mut Vec::new(),
                     &mut BinaryHeap::new(),
+                    &mut own,
                 );
-                self.snapshot.neighbor_min_into(&distances, &mut own);
                 &own
             }
         };
@@ -1007,6 +968,21 @@ impl AdjacencySnapshot {
                 .fold(f64::INFINITY, |m, &v| m.min(v))
         }));
     }
+
+    /// `subscriber`'s pruning bound, into `out`: its α-distances
+    /// ([`alpha_distances_into`](Self::alpha_distances_into), into the
+    /// scratch `dist` and `heap`) minimised over each node's live
+    /// neighbours ([`neighbor_min_into`](Self::neighbor_min_into)).
+    fn bound_into(
+        &self,
+        subscriber: NodeId,
+        dist: &mut Vec<f64>,
+        heap: &mut BinaryHeap<Reverse<(u64, u32)>>,
+        out: &mut Vec<f64>,
+    ) {
+        self.alpha_distances_into(subscriber, dist, heap);
+        self.neighbor_min_into(dist, out);
+    }
 }
 
 /// Reusable scratch buffers for [`pair_fixed_point`] against one
@@ -1086,8 +1062,8 @@ impl TableWorkspace {
 /// [`AdjacencySnapshot`] and caller-owned scratch. The absent brokers
 /// contribute no candidates, get no sending lists, and carry `−∞`
 /// requirements; an empty mask *is* the unmasked computation — one float
-/// operation order, one freeze schedule — which is what lets incremental
-/// repair be oracle-checked against a from-scratch rebuild byte for byte.
+/// operation order, one freeze schedule — which is what lets a repaired
+/// table be checked against a fresh build byte for byte.
 ///
 /// `out` must have been primed ([`SubscriberTables::prime`]) over the
 /// publisher's tree masked by the same absent set, so its requirements
@@ -1628,9 +1604,9 @@ mod tests {
                      ws: &mut TableWorkspace,
                      out: &mut SubscriberTables| {
             let dist = dijkstra_masked(&topo, topo.node(publisher), Metric::Delay, &absent);
-            let (mut spd, mut bound) = (Vec::new(), Vec::new());
-            snapshot.alpha_distances_into(topo.node(subscriber), &mut spd, &mut BinaryHeap::new());
-            snapshot.neighbor_min_into(&spd, &mut bound);
+            let mut bound = Vec::new();
+            let (spd, heap) = (&mut Vec::new(), &mut BinaryHeap::new());
+            snapshot.bound_into(topo.node(subscriber), spd, heap, &mut bound);
             let deadline_us = dist
                 .cost_to(topo.node(subscriber))
                 .map_or(500.0 * MS, |c| 3.0 * c as f64);
@@ -1740,7 +1716,7 @@ mod tests {
         assert_eq!(serial.len(), jobs.len());
         assert!(serial.iter().any(|(_, t)| t.rounds_used() > 10));
         // The derived `PartialEq`: params, requirements, lists, rounds
-        // used, convergence flag and version, bit for bit.
+        // used, node-steps and convergence flag, bit for bit.
         assert_eq!(sized.len(), serial.len());
         for ((job, tables), (serial_job, serial_tables)) in sized.iter().zip(&serial) {
             assert_eq!(job, serial_job);
@@ -1925,9 +1901,9 @@ mod tests {
             let snapshot = AdjacencySnapshot::build(&topo, &stats, &absent);
             let built = compute_tables(&topo, &est, 1, &cfg(), &absent, jobs.clone());
             for (job, t) in &built {
-                let (mut spd, mut bound) = (Vec::new(), Vec::new());
-                snapshot.alpha_distances_into(job.subscriber, &mut spd, &mut BinaryHeap::new());
-                snapshot.neighbor_min_into(&spd, &mut bound);
+                let mut bound = Vec::new();
+                let (spd, heap) = (&mut Vec::new(), &mut BinaryHeap::new());
+                snapshot.bound_into(job.subscriber, spd, heap, &mut bound);
                 let active = topo
                     .nodes()
                     .filter(|&v| v != job.subscriber && bound[v.index()] < t.requirement(v))

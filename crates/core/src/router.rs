@@ -32,7 +32,7 @@ use dcrd_pubsub::strategy::{Actions, RoutingStrategy, SetupContext, TimerKey};
 use dcrd_pubsub::topic::TopicId;
 use dcrd_sim::SimTime;
 
-use crate::config::{DcrdConfig, DurabilityMode, RepairMode};
+use crate::config::{DcrdConfig, DurabilityMode};
 use crate::journal::InFlightJournal;
 use crate::propagation::SubscriberTables;
 
@@ -167,24 +167,26 @@ impl DcrdStrategy {
             .get(&(topic, publisher, subscriber))
     }
 
-    /// How many from-scratch [`rebuild_tables`](Self::on_monitor) passes
-    /// have run after setup. The initial table construction in `setup` is
-    /// not counted, so this is exactly the number of times the strategy
-    /// fell back to a global rebuild instead of healing incrementally.
+    /// How many passes over fresh link estimates
+    /// ([`on_monitor`](Self::on_monitor)) have invalidated every table after
+    /// setup. Setup's construction is
+    /// not counted, so a run whose estimates never change reports zero.
     #[must_use]
     pub fn global_rebuilds(&self) -> u64 {
         self.tables.global_rebuilds
     }
 
-    /// The monotone control-plane version the most recent table
-    /// recomputation was stamped with (zero until `setup` runs).
+    /// The monotone control-plane version: one per pass that built or
+    /// invalidated every table, `setup`'s construction included (zero
+    /// until `setup` runs).
     #[must_use]
     pub fn table_version(&self) -> u64 {
         self.tables.table_version
     }
 
-    /// How many incremental membership-repair passes have run instead of a
-    /// global rebuild.
+    /// How many membership changes have invalidated every table: one per
+    /// batch of deltas that changed the absent set under
+    /// [`DcrdConfig::repair`].
     #[must_use]
     pub fn incremental_repairs(&self) -> u64 {
         self.tables.incremental_repairs
@@ -197,11 +199,11 @@ impl DcrdStrategy {
     }
 
     /// Applies a batch of membership deltas: updates the absent mask, wipes
-    /// the dead brokers' volatile state, and — unless the [`RepairMode`] is
-    /// `None` — seizes their custody and repairs the routing tables.
+    /// the dead brokers' volatile state, and — under
+    /// [`DcrdConfig::repair`] — seizes their custody and repairs the
+    /// routing tables.
     fn apply_membership(&mut self, deltas: &[MembershipDelta]) {
-        // Every repair mode also hands off the custody of dead brokers.
-        let repairs = self.tables.config.repair != RepairMode::None;
+        let repairs = self.tables.config.repair;
         let changed = self.tables.apply(deltas);
         for dead in deltas.iter().filter(|d| d.removes()).map(|d| d.node()) {
             // The broker is gone for good: reclaim its volatile state the
@@ -350,17 +352,17 @@ impl RoutingStrategy for DcrdStrategy {
     fn on_gossip(&mut self, deltas: &[MembershipDelta], _now: SimTime) {
         // Gossip-disseminated deltas mean exactly what detector-broadcast
         // ones do; only their arrival time differs (post-convergence). The
-        // same incremental-repair machinery applies them.
+        // same repair applies them.
         self.apply_membership(deltas);
     }
 
     fn on_restart(&mut self, node: NodeId, now: SimTime, out: &mut Actions) {
-        // Under a repair mode, a broker the membership layer had written
+        // Under repair, a broker the membership layer had written
         // off rejoins through the same repair path a detector-observed join
         // takes, instead of waiting for the next probe round. A broker that
         // was never masked repairs nothing, so crash-restart recovery is
         // untouched.
-        if self.tables.config.repair != RepairMode::None && self.tables.absent.contains(node) {
+        if self.tables.config.repair && self.tables.absent.contains(node) {
             self.apply_membership(&[MembershipDelta::Join { node }]);
         }
         // A crash wipes the broker's volatile forwarding state. The

@@ -11,7 +11,7 @@ use dcrd_pubsub::topic::TopicId;
 use dcrd_pubsub::workload::Workload;
 use dcrd_sim::SimDuration;
 
-use crate::config::{DcrdConfig, RepairMode};
+use crate::config::DcrdConfig;
 use crate::propagation::{PairJob, SubscriberTables, TableBuilder};
 
 /// ACK-timeout α used if a timeout is computed for a link the strategy
@@ -30,8 +30,8 @@ const FALLBACK_ALPHA: SimDuration = SimDuration::from_millis(50);
 ///
 /// A seat is *stale* from the pass that invalidates it until the first
 /// read settles it ([`Tables::settled`]): its tables are then primed for
-/// that pass — endpoints, requirements and version current — and the rest
-/// of their buffers wait to be refilled.
+/// that pass — endpoints and requirements current — and the rest of their
+/// buffers wait to be refilled.
 #[derive(Debug, Default)]
 pub(super) struct TableStore {
     num_nodes: usize,
@@ -98,15 +98,6 @@ impl TableStore {
             .then(|| stream as usize * self.num_nodes + subscriber.index())
     }
 
-    /// The tables held at `(stream, subscriber)`, settled or not: only
-    /// their endpoints, requirements and version are sure to be current.
-    fn primed(&self, stream: u32, subscriber: NodeId) -> Option<&SubscriberTables> {
-        self.seats
-            .get(self.seat(stream, subscriber)?)?
-            .tables
-            .as_ref()
-    }
-
     /// Installs (or replaces) the settled tables of the job's subscription.
     fn insert(&mut self, job: &PairJob, tables: SubscriberTables) {
         let seat = self
@@ -121,16 +112,15 @@ impl TableStore {
         }
     }
 
-    /// Invalidates the job's seat for the pass stamped `version`: primes
-    /// its tables over `builder`'s current tree of the publisher, keeping
-    /// their buffers for the settle, and marks the seat stale.
+    /// Invalidates the job's seat: primes its tables over `builder`'s
+    /// current tree of the publisher, keeping their buffers for the settle,
+    /// and marks the seat stale.
     fn invalidate(
         &mut self,
         builder: &mut TableBuilder,
         topo: &Topology,
         absent: &NodeSet,
         job: &PairJob,
-        version: u64,
     ) {
         let seat = self
             .stream(job.topic, job.publisher)
@@ -144,7 +134,6 @@ impl TableStore {
             return;
         };
         builder.prime(topo, job, absent, tables);
-        tables.set_version(version);
         *stale = true;
     }
 }
@@ -176,20 +165,18 @@ pub(super) struct Tables {
     pub(super) absent: NodeSet,
     /// Builds every table and keeps what one build can hand to the next,
     /// among it the per-publisher masked shortest-path trees the current
-    /// tables were primed from. The incremental repair path diffs fresh
-    /// trees against these to scope invalidation to affected
-    /// subscriptions, and NACKs climb them: a node's predecessor is its
-    /// next hop toward the publisher.
+    /// tables were primed from. NACKs climb them: a node's predecessor is
+    /// its next hop toward the publisher.
     pub(super) builder: TableBuilder,
-    /// From-scratch `rebuild_tables` passes taken after setup. The initial
-    /// construction in `setup` is not counted — it is table construction,
-    /// not a repair — so a run that heals purely through incremental
-    /// repair and gossip reports zero.
+    /// [`on_monitor`](Self::on_monitor) passes taken after setup. The
+    /// initial construction in `setup` is not counted — it is table
+    /// construction, not a repair.
     pub(super) global_rebuilds: u64,
-    /// Incremental membership-repair passes taken instead of a rebuild.
+    /// Membership passes: batches of deltas that changed the absent set
+    /// and so invalidated every table.
     pub(super) incremental_repairs: u64,
-    /// Monotone control-plane version stamped onto every invalidated
-    /// [`SubscriberTables`] entry: bumped once per rebuild or repair pass.
+    /// Monotone control-plane version: bumped once by setup and once per
+    /// pass that invalidates every table.
     pub(super) table_version: u64,
     /// Stale seats settled by a read since setup.
     pub(super) table_builds: u64,
@@ -222,9 +209,8 @@ impl Tables {
             &self.absent,
             PairJob::all(ctx.workload),
         );
-        for (job, mut tables) in built {
+        for (job, tables) in built {
             self.table_node_steps += tables.node_steps();
-            tables.set_version(self.table_version);
             self.store.insert(&job, tables);
         }
     }
@@ -233,25 +219,26 @@ impl Tables {
     pub(super) fn on_monitor(&mut self, estimates: &LinkEstimates) {
         self.estimates = Some(estimates.clone());
         self.builder.estimates_changed();
-        self.rebuild_tables();
+        if self.invalidate_all() {
+            self.global_rebuilds += 1;
+        }
     }
 
-    /// From-scratch invalidation: refreshes every publisher's masked
-    /// shortest-path tree and marks every table stale, to be settled at its
-    /// next read.
-    pub(super) fn rebuild_tables(&mut self) {
-        debug_assert!(
-            self.topology.is_some() && self.workload.is_some() && self.estimates.is_some(),
-            "rebuild_tables before setup"
-        );
+    /// The one repair rule, for fresh estimates and membership changes
+    /// alike: refreshes every publisher's masked shortest-path tree,
+    /// primes every seat and marks it stale, to be settled at its next read
+    /// ([`settled`](Self::settled)). A stale table costs nothing until a
+    /// packet reads it, so no pass scopes itself to the tables a change can
+    /// affect. Returns whether there were tables to invalidate (not before
+    /// setup).
+    fn invalidate_all(&mut self) -> bool {
         let (Some(topo), Some(workload), Some(estimates)) = (
             self.topology.as_ref(),
             self.workload.as_ref(),
             self.estimates.as_ref(),
         ) else {
-            return;
+            return false;
         };
-        self.global_rebuilds += 1;
         self.table_version += 1;
         self.builder
             .prepare(topo, estimates, self.params.m, &self.absent);
@@ -259,93 +246,11 @@ impl Tables {
         for spec in workload.topics() {
             for sub in &spec.subscriptions {
                 let job = PairJob::new(spec.topic, spec.publisher, sub);
-                let version = self.table_version;
                 self.store
-                    .invalidate(&mut self.builder, topo, &self.absent, &job, version);
+                    .invalidate(&mut self.builder, topo, &self.absent, &job);
             }
         }
-    }
-
-    /// Incremental membership repair: re-derives each publisher's masked
-    /// shortest-path tree once, diffs it against the tree the pass started
-    /// from, and invalidates only the subscriptions a delta node can
-    /// actually influence — those whose tree changed over live brokers,
-    /// whose endpoints are delta nodes, whose deadline ellipse holds a
-    /// delta node (a positive requirement in the old table), or whose
-    /// publisher can now reach a joined node. Everything else keeps its
-    /// tables byte-for-byte, settled or not. The skip is sound because a
-    /// broker with requirement ≤ 0 is pruned from the fixed point (its
-    /// α-distance bound to the subscriber is ≥ 0), so it is `UNREACHABLE`
-    /// in every round, early and frozen ones included, and masking it
-    /// changes no input. Checking only final sending lists is not enough: a
-    /// removed broker inside the ellipse can shape early-round or frozen
-    /// lists, and so the fixed point, without appearing in any final list.
-    ///
-    /// The same soundness lets an invalidated table wait: a pass that
-    /// skips it leaves every input of its fixed point where the pass that
-    /// primed it left them, so settling it later gives what settling it
-    /// then would have.
-    fn repair_incremental(&mut self, changed: &[NodeId]) {
-        let (Some(topo), Some(workload), Some(estimates)) = (
-            self.topology.as_ref(),
-            self.workload.as_ref(),
-            self.estimates.as_ref(),
-        ) else {
-            return;
-        };
-        self.incremental_repairs += 1;
-        self.table_version += 1;
-        let version = self.table_version;
-        let absent = &self.absent;
-        self.builder.prepare(topo, estimates, self.params.m, absent);
-        let topics = workload.topics();
-        for (first, spec) in topics.iter().enumerate() {
-            // A publisher's topics are scanned together, at its first one,
-            // so every one of them is diffed against the tree the pass
-            // started from rather than the one refreshed for a sibling.
-            let publisher = spec.publisher;
-            if topics[..first].iter().any(|s| s.publisher == publisher) {
-                continue;
-            }
-            let (tree_changed, join_reaches) =
-                self.builder
-                    .refresh_tree(topo, publisher, absent, |old, fresh| {
-                        // The tree "changed" when any live broker's cost or
-                        // parent moved; delta nodes themselves are expected
-                        // to move and do not count (their rows are masked,
-                        // not routed through).
-                        let tree_changed = old.is_none_or(|o| {
-                            (0..topo.num_nodes()).any(|i| {
-                                let n = topo.node(i);
-                                !absent.contains(n)
-                                    && (o.cost_to(n) != fresh.cost_to(n)
-                                        || o.predecessor(n).map(|(p, _)| p)
-                                            != fresh.predecessor(n).map(|(p, _)| p))
-                            })
-                        });
-                        let join_reaches = changed
-                            .iter()
-                            .any(|&n| !absent.contains(n) && fresh.cost_to(n).is_some());
-                        (tree_changed, join_reaches)
-                    });
-            for spec in topics[first..].iter().filter(|s| s.publisher == publisher) {
-                let stream = self.store.stream(spec.topic, publisher);
-                for sub in &spec.subscriptions {
-                    let affected = tree_changed
-                        || join_reaches
-                        || changed.contains(&publisher)
-                        || changed.contains(&sub.subscriber)
-                        || stream
-                            .and_then(|s| self.store.primed(s, sub.subscriber))
-                            .is_none_or(|t| changed.iter().any(|&c| t.requirement(c) > 0.0));
-                    if affected {
-                        let job = PairJob::new(spec.topic, publisher, sub);
-                        self.store
-                            .invalidate(&mut self.builder, topo, absent, &job, version);
-                    }
-                }
-            }
-        }
+        true
     }
 
     /// The tables of `stream` toward `subscriber`, settled first if a pass
@@ -378,9 +283,10 @@ impl Tables {
         })
     }
 
-    /// Applies a batch of membership deltas to the absent mask, repairs the
-    /// tables as the [`RepairMode`] says, and returns the brokers whose
-    /// presence changed.
+    /// Applies a batch of membership deltas to the absent mask, invalidates
+    /// every table if any broker's presence changed under
+    /// [`DcrdConfig::repair`], and returns the brokers whose presence
+    /// changed.
     pub(super) fn apply(&mut self, deltas: &[MembershipDelta]) -> NodeList {
         let mut changed = NodeList::new();
         for delta in deltas {
@@ -400,10 +306,8 @@ impl Tables {
                 MembershipDelta::Refute { .. } => {}
             }
         }
-        match self.config.repair {
-            RepairMode::GlobalRebuild if !changed.is_empty() => self.rebuild_tables(),
-            RepairMode::Incremental if !changed.is_empty() => self.repair_incremental(&changed),
-            _ => {}
+        if self.config.repair && !changed.is_empty() && self.invalidate_all() {
+            self.incremental_repairs += 1;
         }
         changed
     }
@@ -449,31 +353,27 @@ mod tests {
     use crate::router::DcrdStrategy;
 
     /// What a from-scratch build of `jobs` against `strategy`'s current
-    /// mask and estimates gives, stamped with its current table version.
+    /// mask and estimates gives.
     fn build_now(strategy: &DcrdStrategy, jobs: Vec<PairJob>) -> Vec<(PairJob, SubscriberTables)> {
         let (Some(topo), Some(estimates)) = (&strategy.tables.topology, &strategy.tables.estimates)
         else {
             panic!("build_now before setup");
         };
-        let mut built = crate::propagation::compute_tables(
+        crate::propagation::compute_tables(
             topo,
             estimates,
             strategy.tables.params.m,
             &strategy.tables.config,
             &strategy.tables.absent,
             jobs,
-        );
-        for (_, tables) in &mut built {
-            tables.set_version(strategy.table_version());
-        }
-        built
+        )
     }
 
     /// The dense store holds exactly what a `BTreeMap` keyed by
     /// `(topic, publisher, subscriber)` would hold for the same pair jobs —
     /// with two publishers on one topic (two streams whose subscribers
-    /// overlap), and again after an incremental repair under a non-empty
-    /// absent mask, which replaces some tables and keeps the rest.
+    /// overlap), and again after a repair under a non-empty absent mask
+    /// that changes some of the tables.
     #[test]
     fn dense_store_matches_a_map_of_the_same_pair_jobs() {
         use dcrd_net::estimate::analytic_estimates;
@@ -514,7 +414,7 @@ mod tests {
         let failure = FailureModel::links_only(LinkFailureModel::new(0.0, 1));
         let set_up = || {
             let mut strategy = DcrdStrategy::new(DcrdConfig {
-                repair: RepairMode::Incremental,
+                repair: true,
                 ..DcrdConfig::default()
             });
             strategy.setup(&SetupContext {
@@ -572,55 +472,42 @@ mod tests {
             .tables_for(TopicId::new(0), topo.node(2), topo.node(3))
             .is_none());
 
-        // A broker leaves whose departure changes some tables and not
-        // others: the repair recomputes the pairs it can influence and
-        // keeps every other table as it was.
+        // A broker that neither publishes nor subscribes leaves, and its
+        // departure changes some tables: the store holds a fresh build over
+        // the new mask, every table of it.
         let before = strategy.table_version();
-        let splits_the_repair = |n: NodeId| {
+        let moves_a_table = |n: NodeId| {
             let mut trial = set_up();
-            trial.apply_membership(&[MembershipDelta::Leave { node: n }]);
-            let kept = jobs.iter().filter(|j| {
-                trial
-                    .tables_for(j.topic, j.publisher, j.subscriber)
-                    .is_some_and(|t| t.version() == before)
-            });
-            (1..jobs.len()).contains(&kept.count())
+            trial.tables.absent.insert(n);
+            build_now(&trial, jobs.clone())
+                .iter()
+                .any(|(j, t)| reference.get(&(j.topic, j.publisher, j.subscriber)) != Some(t))
         };
         let gone = (0..topo.num_nodes())
             .map(|i| topo.node(i))
             .filter(|&n| !jobs.iter().any(|j| j.publisher == n || j.subscriber == n))
-            .find(|&n| splits_the_repair(n))
-            .expect("a broker whose departure repairs some pairs and not others");
+            .find(|&n| moves_a_table(n))
+            .expect("a broker whose departure changes some table");
         strategy.apply_membership(&[MembershipDelta::Leave { node: gone }]);
         assert_eq!(strategy.absent_brokers().len(), 1);
         assert_eq!(strategy.table_version(), before + 1);
-        let (mut repaired, mut kept) = (0, 0);
-        for job in &jobs {
-            let key = (job.topic, job.publisher, job.subscriber);
-            let Some(held) = strategy.tables_for(key.0, key.1, key.2) else {
-                panic!("{key:?} lost its tables in the repair");
-            };
-            if held.version() == before {
-                kept += 1;
-            } else {
-                repaired += 1;
-                let fresh = build_now(&strategy, vec![*job]);
-                reference.insert(key, fresh.into_iter().next().expect("one pair").1);
-            }
-        }
-        assert!(repaired > 0 && kept > 0, "{repaired} repaired, {kept} kept");
+        assert_eq!(strategy.incremental_repairs(), 1);
+        reference = build_now(&strategy, jobs)
+            .into_iter()
+            .map(|(job, t)| ((job.topic, job.publisher, job.subscriber), t))
+            .collect();
         store_matches(&strategy, &reference);
     }
 
     /// Settling a table at its first read gives what settling every
     /// invalidated table at the end of its pass gives. Seeded scripts of
-    /// one to three leaves and joins a pass, publishers included, run under
-    /// incremental repair and under global rebuild, with fresh link
-    /// estimates midway. A lazy strategy reads a seeded third of its seats
-    /// after each pass; the reference settles every stale seat. After
-    /// every pass each seat of the two is `==`, version included — the
-    /// lazy side's unread seats compared through the copy `tables_for`
-    /// settles, its read ones in place.
+    /// one to three leaves and joins a pass, publishers included, with
+    /// fresh link estimates midway. A lazy strategy reads a seeded third of
+    /// its seats after each pass; the reference settles every stale seat.
+    /// After every pass each seat of the two is `==` — the lazy side's
+    /// unread seats compared through the copy `tables_for` settles, its
+    /// read ones in place — and the reference's tables are a fresh build
+    /// over the pass's mask and estimates.
     #[test]
     fn lazy_tables_match_settling_every_pass() {
         use dcrd_net::estimate::analytic_estimates;
@@ -633,9 +520,9 @@ mod tests {
         let estimates = analytic_estimates(&topo, 0.05, 0.01);
         let drifted = analytic_estimates(&topo, 0.08, 0.02);
         let failure = FailureModel::links_only(LinkFailureModel::new(0.0, 1));
-        let set_up = |repair: RepairMode| {
+        let set_up = || {
             let mut strategy = DcrdStrategy::new(DcrdConfig {
-                repair,
+                repair: true,
                 ..DcrdConfig::default()
             });
             strategy.setup(&SetupContext {
@@ -648,7 +535,7 @@ mod tests {
             strategy
         };
         let seats: Vec<(u32, NodeId)> = {
-            let strategy = set_up(RepairMode::Incremental);
+            let strategy = set_up();
             wl.topics()
                 .iter()
                 .flat_map(|t| {
@@ -659,66 +546,62 @@ mod tests {
                 })
                 .collect()
         };
-        for repair in [RepairMode::Incremental, RepairMode::GlobalRebuild] {
-            for script in 0..3 {
-                let mut lazy = set_up(repair);
-                let mut eager = set_up(repair);
-                for pass in 0..24 {
-                    if pass == 12 {
-                        lazy.tables.on_monitor(&drifted);
-                        eager.tables.on_monitor(&drifted);
-                    }
-                    let deltas: Vec<MembershipDelta> = (0..rng.gen_range(1..=3))
-                        .map(|_| {
-                            let node = topo.node(rng.gen_range(0..topo.num_nodes()));
-                            if lazy.absent_brokers().contains(node) {
-                                MembershipDelta::Join { node }
-                            } else {
-                                MembershipDelta::Leave { node }
-                            }
-                        })
-                        .collect();
-                    lazy.apply_membership(&deltas);
-                    eager.apply_membership(&deltas);
-                    for &(stream, subscriber) in &seats {
-                        eager.tables.settled(stream, subscriber);
-                        if rng.gen_bool(1.0 / 3.0) {
-                            lazy.tables.settled(stream, subscriber);
+        for script in 0..3 {
+            let mut lazy = set_up();
+            let mut eager = set_up();
+            for pass in 0..24 {
+                if pass == 12 {
+                    lazy.tables.on_monitor(&drifted);
+                    eager.tables.on_monitor(&drifted);
+                }
+                let deltas: Vec<MembershipDelta> = (0..rng.gen_range(1..=3))
+                    .map(|_| {
+                        let node = topo.node(rng.gen_range(0..topo.num_nodes()));
+                        if lazy.absent_brokers().contains(node) {
+                            MembershipDelta::Join { node }
+                        } else {
+                            MembershipDelta::Leave { node }
                         }
-                    }
-                    for &(stream, subscriber) in &seats {
-                        let want = eager.tables.view(stream, subscriber);
-                        assert!(
-                            lazy.tables.view(stream, subscriber) == want,
-                            "{repair:?} script {script} pass {pass}: stream {stream} → {subscriber}"
-                        );
-                    }
-                    // What this pass invalidated is what a fresh build over
-                    // its mask and estimates gives.
-                    let redone: Vec<PairJob> = PairJob::all(&wl)
-                        .into_iter()
-                        .filter(|j| {
-                            eager
-                                .tables_for(j.topic, j.publisher, j.subscriber)
-                                .is_some_and(|t| t.version() == eager.table_version())
-                        })
-                        .collect();
-                    for (job, fresh) in build_now(&eager, redone) {
-                        let held = eager.tables_for(job.topic, job.publisher, job.subscriber);
-                        assert!(
-                            held.as_deref() == Some(&fresh),
-                            "{repair:?} pass {pass}: {job:?}"
-                        );
+                    })
+                    .collect();
+                lazy.apply_membership(&deltas);
+                eager.apply_membership(&deltas);
+                // Every pass invalidates every seat, so settling them all
+                // builds each once.
+                let builds = eager.table_builds();
+                for &(stream, subscriber) in &seats {
+                    eager.tables.settled(stream, subscriber);
+                    if rng.gen_bool(1.0 / 3.0) {
+                        lazy.tables.settled(stream, subscriber);
                     }
                 }
-                assert_eq!(lazy.table_version(), eager.table_version());
-                assert!(
-                    lazy.table_builds() < eager.table_builds(),
-                    "{repair:?}: {} lazy builds, {} eager",
-                    lazy.table_builds(),
-                    eager.table_builds()
+                assert_eq!(
+                    eager.table_builds() - builds,
+                    seats.len() as u64,
+                    "script {script} pass {pass}"
                 );
+                for &(stream, subscriber) in &seats {
+                    let want = eager.tables.view(stream, subscriber);
+                    assert!(
+                        lazy.tables.view(stream, subscriber) == want,
+                        "script {script} pass {pass}: stream {stream} → {subscriber}"
+                    );
+                }
+                for (job, fresh) in build_now(&eager, PairJob::all(&wl)) {
+                    let held = eager.tables_for(job.topic, job.publisher, job.subscriber);
+                    assert!(
+                        held.as_deref() == Some(&fresh),
+                        "script {script} pass {pass}: {job:?}"
+                    );
+                }
             }
+            assert_eq!(lazy.table_version(), eager.table_version());
+            assert!(
+                lazy.table_builds() < eager.table_builds(),
+                "{} lazy builds, {} eager",
+                lazy.table_builds(),
+                eager.table_builds()
+            );
         }
     }
 }

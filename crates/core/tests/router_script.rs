@@ -4,7 +4,7 @@
 
 use dcrd_core::propagation::{compute_tables, PairJob};
 use dcrd_core::router::{JOURNAL_WRITE_COST, MAX_NACKS_PER_SEQ, MAX_PATH_FACTOR};
-use dcrd_core::{DcrdConfig, DcrdStrategy, DurabilityMode, PersistenceMode, RepairMode};
+use dcrd_core::{DcrdConfig, DcrdStrategy, DurabilityMode, PersistenceMode};
 use dcrd_net::estimate::{analytic_estimates, LinkEstimates};
 use dcrd_net::failure::{FailureModel, LinkFailureModel};
 use dcrd_net::graph::TopologyBuilder;
@@ -973,18 +973,13 @@ fn nack_budget_bounds_sweep_traffic() {
     );
 }
 
-/// The repair mode alone decides whether membership churn touches custody
-/// and restarts: a confirmed death hands the dead broker's custody to its
-/// upstream, and the restart of a removed broker rejoins it through table
-/// repair, under `Incremental` and `GlobalRebuild` but not under `None`.
+/// The repair switch alone decides whether membership churn touches
+/// custody and restarts: a confirmed death hands the dead broker's custody
+/// to its upstream, and the restart of a removed broker rejoins it through
+/// table repair, with `repair` on but not with it off.
 #[test]
 fn repair_mode_gates_custody_handoff_and_restart_repair() {
-    for repair in [
-        RepairMode::None,
-        RepairMode::Incremental,
-        RepairMode::GlobalRebuild,
-    ] {
-        let repairs = repair != RepairMode::None;
+    for repair in [false, true] {
         let mut rig = RecoveryRig::new(
             diamond(),
             &[(3, SimDuration::from_millis(500))],
@@ -1007,8 +1002,8 @@ fn repair_mode_gates_custody_handoff_and_restart_repair() {
         rig.strategy.on_ack(n(0), n(1), &fwd1, t, &mut out);
         assert_eq!(rig.strategy.inflight_states(), 1, "only 1 holds state");
 
-        // 1 is confirmed dead: every mode masks it, only repair modes seize
-        // its custody and re-serve it from its upstream's next tick.
+        // 1 is confirmed dead: it is masked either way, and only repair
+        // seizes its custody and re-serves it from its upstream's next tick.
         let t = SimTime::from_millis(50);
         rig.strategy
             .on_membership(&[MembershipDelta::ConfirmDead { node: n(1) }], t);
@@ -1019,7 +1014,7 @@ fn repair_mode_gates_custody_handoff_and_restart_repair() {
                 .expect("durable custody")
                 .entry(n(1), id)
                 .is_none(),
-            repairs,
+            repair,
             "{repair:?}: the dead broker's custody is handed off"
         );
         let mut out = Actions::new();
@@ -1028,30 +1023,26 @@ fn repair_mode_gates_custody_handoff_and_restart_repair() {
             .iter()
             .map(|&(_, to)| to)
             .collect();
-        let expected = if repairs { vec![n(2)] } else { vec![] };
+        let expected = if repair { vec![n(2)] } else { vec![] };
         assert_eq!(resent, expected, "{repair:?}: upstream re-serves around 1");
 
-        // 1 restarts: repair modes rejoin it through table repair, `None`
-        // leaves it masked until the detector reports a join.
+        // 1 restarts: repair rejoins it through table repair; without
+        // repair it stays masked until the detector reports a join.
         let version = rig.strategy.table_version();
         let mut out = Actions::new();
         rig.strategy
             .on_restart(n(1), SimTime::from_millis(80), &mut out);
         assert_eq!(
             rig.strategy.absent_brokers().contains(n(1)),
-            !repairs,
+            !repair,
             "{repair:?}: a removed broker's restart goes through repair"
         );
         assert_eq!(
             rig.strategy.table_version(),
-            version + u64::from(repairs),
+            version + u64::from(repair),
             "{repair:?}"
         );
-        let passes = match repair {
-            RepairMode::None => (0, 0),
-            RepairMode::Incremental => (2, 0),
-            RepairMode::GlobalRebuild => (0, 2),
-        };
+        let passes = if repair { (2, 0) } else { (0, 0) };
         assert_eq!(
             (
                 rig.strategy.incremental_repairs(),
@@ -1095,7 +1086,7 @@ fn a_claimed_sender_that_is_no_neighbor_never_becomes_the_upstream() {
     }
 }
 
-/// A membership repair invalidates the tables it affects and builds none.
+/// A membership repair invalidates every table and builds none.
 /// Two back-to-back repairs with no packet between them leave subscriber
 /// 3's table stale, and the next packet routed on it builds it once, into
 /// the sending list a fresh build over the final mask gives: 0 forwards
@@ -1103,7 +1094,7 @@ fn a_claimed_sender_that_is_no_neighbor_never_becomes_the_upstream() {
 #[test]
 fn repairs_build_no_table_until_a_packet_reads_it() {
     let config = DcrdConfig {
-        repair: RepairMode::Incremental,
+        repair: true,
         ..DcrdConfig::default()
     };
     let mut h = Harness::new(kite(), &[3], config);
@@ -1141,11 +1132,11 @@ fn repairs_build_no_table_until_a_packet_reads_it() {
     let hops: Vec<NodeId> = sends(&actions).iter().map(|&(_, to)| to).collect();
     assert_eq!(hops, vec![first]);
     assert_eq!(h.strategy.table_builds(), 1, "one build for two repairs");
+    assert_eq!(h.strategy.table_version(), 3, "setup and two repairs");
     let held = h
         .strategy
         .settled_tables_for(topic, publisher, subscriber)
         .expect("tables");
-    assert_eq!(held.version(), 3, "setup and two repairs");
     for node in h.topo.nodes() {
         assert_eq!(held.sending_list(node), want.sending_list(node), "{node}");
     }
@@ -1164,7 +1155,7 @@ fn repairs_build_no_table_until_a_packet_reads_it() {
 #[test]
 fn a_settle_adds_its_tables_node_steps() {
     let config = DcrdConfig {
-        repair: RepairMode::Incremental,
+        repair: true,
         ..DcrdConfig::default()
     };
     let mut h = Harness::new(kite(), &[3, 4], config);

@@ -424,7 +424,6 @@ const CHURN: Layout = Layout {
     tables: STUDY,
     plots: &[(0, MetricKind::Delivery, "rates-delivery")],
     footer: "invariant auditor: {} violation(s) across the churn sweep\n\
-             (incremental repair must track the global-rebuild oracle and beat no-repair)\n\
              control plane: {} rumor(s) pushed, {} anti-entropy round(s), \
              {} delta(s) applied, {} stale reconciliation(s)\n",
     holes: &[AUDIT, RUMORS, ANTI_ENTROPY, DELTAS, STALE],

@@ -7,7 +7,7 @@
 //!
 //! * **DCRD-gossip** — membership deltas spread epidemically
 //!   ([`ControlPlane::Gossip`]): eager-push rumors over bounded partial
-//!   views plus periodic anti-entropy, applied through incremental repair
+//!   views plus periodic anti-entropy, applied through membership repair
 //!   only once every present broker has learned them. Partitions stall
 //!   convergence; anti-entropy completes it after they heal.
 //! * **DCRD-oracle** — the pre-gossip control plane: detector output

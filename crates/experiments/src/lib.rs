@@ -21,8 +21,8 @@
 //!   comparing the durable custody journal + NACK recovery against the
 //!   volatile router, with the end-to-end sequence audit armed.
 //! * [`churn`] — the churn study: broker joins, graceful leaves and
-//!   permanent deaths mid-run, comparing incremental membership repair
-//!   against the global-rebuild oracle and a no-repair control.
+//!   permanent deaths mid-run, comparing membership repair against a
+//!   no-repair control.
 //! * [`gossip`] — the gossip study: epidemic membership dissemination
 //!   under partitions and control-plane loss, comparing gossip against
 //!   the oracle control plane and a no-dissemination control.

@@ -23,8 +23,7 @@
 //!   in the same pure-hash style as [`chaos`](crate::chaos).
 //!
 //! The detector reports changes as [`MembershipDelta`]s; routing strategies
-//! consume them to repair tables incrementally instead of rebuilding from
-//! scratch.
+//! consume them to repair their tables over the new membership.
 
 use std::collections::BTreeMap;
 
@@ -97,7 +96,7 @@ impl MemberRecord {
 /// A membership change reported by the [`SwimDetector`].
 ///
 /// Deltas are the control-plane currency: routing strategies receive them
-/// via `on_membership` and repair their tables incrementally.
+/// via `on_membership` and repair their tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MembershipDelta {
     /// A broker joined (late join, or rejoin after a confirmed death).

@@ -345,11 +345,6 @@ impl<V> NodeMap<V> {
         }
     }
 
-    /// Removes and returns the value for `node`, if present.
-    pub fn take(&mut self, node: NodeId) -> Option<V> {
-        self.slots.get_mut(node.index()).and_then(Option::take)
-    }
-
     /// Removes every value, handing each to the caller (in node order) —
     /// e.g. to recycle its buffers — and keeping the slot capacity.
     pub fn drain(&mut self) -> impl Iterator<Item = V> + '_ {
@@ -491,15 +486,12 @@ mod tests {
     }
 
     #[test]
-    fn node_map_take_and_drain_hand_values_back() {
+    fn node_map_drain_hands_values_back() {
         let mut m: NodeMap<u32> = NodeMap::new();
         for i in [5, 1, 3] {
             m.insert(n(i), i * 10);
         }
-        assert_eq!(m.take(n(3)), Some(30));
-        assert_eq!(m.take(n(3)), None);
-        assert_eq!(m.take(n(99)), None, "a node past the slots");
-        assert_eq!(m.drain().collect::<Vec<_>>(), vec![10, 50]);
+        assert_eq!(m.drain().collect::<Vec<_>>(), vec![10, 30, 50]);
         assert!(m.get(n(1)).is_none() && m.get(n(5)).is_none());
     }
 }

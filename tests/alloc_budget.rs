@@ -15,7 +15,7 @@
 //! on: the auditor checks every hop of every message, and its books must
 //! grow by amortised doubling, not by an allocation per message.
 //!
-//! A fourth case counts what one incremental table repair allocates, and
+//! A fourth case counts what one membership table repair allocates, and
 //! what building the tables it invalidated at their first read allocates:
 //! a broker recomputes its tables on every neighbourhood change (§III-B),
 //! and each build recycles what the last one left behind.
@@ -30,7 +30,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use dcrd::core::{DcrdConfig, DcrdStrategy, RepairMode};
+use dcrd::core::{DcrdConfig, DcrdStrategy};
 use dcrd::net::estimate::{analytic_estimates, LinkEstimates};
 use dcrd::net::failure::{FailureModel, LinkFailureModel};
 use dcrd::net::loss::LossModel;
@@ -279,13 +279,13 @@ fn long_paths_stay_within_their_allocation_budget() {
     );
 }
 
-/// Allocations one incremental repair of a 32-broker overlay may make.
+/// Allocations one membership repair of a 32-broker overlay may make.
 /// Before the table builder kept its buffers, each repair here made 710 to
 /// 747: four fresh vectors per recomputed pair, plus the link stats,
 /// snapshot, bounds, trees and workspace of every build. Reusing them, a
 /// repair made 3: its job list, the jobs with their recycled tables, and
-/// the built list. Since a repair only invalidates the tables it affects,
-/// and routing builds each at its first read, a repair makes none.
+/// the built list. Since a repair only invalidates the tables, and routing
+/// builds each at its first read, a repair makes none.
 const REPAIR_BUDGET: u64 = 16;
 
 /// Allocations the first read of an invalidated table may make per table
@@ -295,9 +295,9 @@ const REPAIR_BUDGET: u64 = 16;
 const SETTLE_BUDGET: u64 = 0;
 
 /// One warm-up leave and join, then 20 alternating leave/join deltas on
-/// brokers that publish nothing, each applied by an incremental repair and
-/// followed by a read of every subscription's tables through the router,
-/// which builds the ones the repair invalidated.
+/// brokers that publish nothing, each applied by a repair and followed by
+/// a read of every subscription's tables through the router, which builds
+/// every table the repair invalidated.
 #[test]
 fn repair_stays_within_its_allocation_budget() {
     let mut rng = rng_for(7, "alloc-repair");
@@ -306,7 +306,7 @@ fn repair_stays_within_its_allocation_budget() {
     let estimates = analytic_estimates(&topo, 0.05, 0.01);
     let failure = FailureModel::links_only(LinkFailureModel::new(0.0, 1));
     let mut strategy = DcrdStrategy::new(DcrdConfig {
-        repair: RepairMode::Incremental,
+        repair: true,
         ..DcrdConfig::default()
     });
     strategy.setup(&SetupContext {

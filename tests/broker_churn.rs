@@ -1,5 +1,5 @@
 //! End-to-end broker-churn survival: brokers join, leave and die mid-run
-//! while the churn-hardened control plane (SWIM detection → incremental
+//! while the churn-hardened control plane (SWIM detection → table
 //! repair → custody handoff) keeps delivering.
 //!
 //! The unit layers pin the detector and repair mechanics; these tests run
@@ -8,8 +8,9 @@
 //! * **recovery**: after the join/leave burst settles (plus the detector's
 //!   suspicion window), delivery of freshly published messages is back to
 //!   ≥ 0.99;
-//! * **no global rebuilds**: the whole run is absorbed by incremental
-//!   repairs — the post-setup rebuild counter stays at zero;
+//! * **membership repair alone**: the whole run is absorbed by the
+//!   repairs membership deltas trigger — no pass over fresh link estimates
+//!   runs, so `global_rebuilds` stays at zero;
 //! * **determinism**: the same seed reproduces a bit-identical
 //!   transmission trace across two runs.
 
@@ -77,14 +78,14 @@ fn delivery_recovers_after_churn_burst() {
         ratio >= 0.99,
         "post-burst delivery only {ratio:.4} ({delivered}/{expected})"
     );
-    // The run survived on incremental repair alone (the counter excludes
+    // The run survived on membership repair alone (the counter excludes
     // setup's initial table construction).
     assert_eq!(strategy.global_rebuilds(), 0, "no rebuild after setup");
 }
 
 /// Saturated churn: every unprotected broker joins, leaves or dies. The
-/// whole upheaval is absorbed by incremental repairs (zero post-setup
-/// global rebuilds), departures leave a non-empty absent mask, and
+/// whole upheaval is absorbed by membership repairs (zero post-setup
+/// passes over fresh estimates), departures leave a non-empty absent mask, and
 /// confirmed deaths hand their custody off instead of stranding it.
 #[test]
 fn saturated_churn_needs_no_global_rebuild() {
@@ -93,7 +94,7 @@ fn saturated_churn_needs_no_global_rebuild() {
     assert_eq!(strategy.global_rebuilds(), 0);
     assert!(
         strategy.incremental_repairs() > 0,
-        "rate-1.0 churn triggered no incremental repair"
+        "rate-1.0 churn triggered no membership repair"
     );
     assert!(
         !strategy.absent_brokers().is_empty(),

@@ -1,8 +1,8 @@
 //! Randomized convergence properties of the gossip delta path: applying a
 //! set of membership deltas for **distinct** brokers through `on_gossip`
 //! must be order-insensitive (any permutation leaves identical routing
-//! state), and the incremental result must match a from-scratch global
-//! rebuild over the brokers still present.
+//! state), and that state must match a fresh `compute_tables` over the
+//! brokers still present.
 //!
 //! This is what makes epidemic dissemination safe: gossip gives no
 //! ordering guarantee across brokers, so two brokers may learn the same
@@ -14,13 +14,16 @@
 //! — so the property quantifies over one delta per broker, which is what
 //! a single converged gossip round carries.)
 
-use dcrd::core::{DcrdConfig, DcrdStrategy, RepairMode};
+use std::borrow::Cow;
+
+use dcrd::core::propagation::{compute_tables, PairJob, SubscriberTables};
+use dcrd::core::{DcrdConfig, DcrdStrategy};
 use dcrd::experiments::runner::{build_topology, build_workload};
 use dcrd::experiments::scenario::{Scenario, ScenarioBuilder};
-use dcrd::net::estimate::analytic_estimates;
+use dcrd::net::estimate::{analytic_estimates, LinkEstimates};
 use dcrd::net::failure::{FailureModel, LinkFailureModel, LinkOutageModel};
 use dcrd::net::membership::MembershipDelta;
-use dcrd::net::{NodeId, Topology};
+use dcrd::net::{NodeId, NodeSet, Topology};
 use dcrd::pubsub::strategy::{RoutingStrategy, RunParams, SetupContext};
 use dcrd::pubsub::workload::Workload;
 use dcrd::sim::rng::{cases, derive_seed_indexed};
@@ -38,8 +41,13 @@ fn scenario(seed: u64) -> Scenario {
         .build()
 }
 
+/// The link estimates every strategy here is set up with.
+fn estimates(topo: &Topology) -> LinkEstimates {
+    analytic_estimates(topo, 0.05, 1e-4)
+}
+
 fn setup(topo: &Topology, workload: &Workload, config: DcrdConfig) -> DcrdStrategy {
-    let estimates = analytic_estimates(topo, 0.05, 1e-4);
+    let estimates = estimates(topo);
     let failure = FailureModel::new(LinkOutageModel::Epoch(LinkFailureModel::new(0.05, 1)), None);
     let ctx = SetupContext {
         topology: topo,
@@ -64,67 +72,70 @@ fn apply_in_order(strategy: &mut DcrdStrategy, deltas: &[MembershipDelta], order
     }
 }
 
+/// Every subscription's tables as `strategy` holds them, in
+/// [`PairJob::all`] order.
+fn held(strategy: &DcrdStrategy, workload: &Workload) -> Vec<(PairJob, SubscriberTables)> {
+    PairJob::all(workload)
+        .into_iter()
+        .map(|job| {
+            let tables = strategy
+                .tables_for(job.topic, job.publisher, job.subscriber)
+                .map(Cow::into_owned)
+                .unwrap_or_else(|| panic!("{job:?} has no tables"));
+            (job, tables)
+        })
+        .collect()
+}
+
 /// Asserts identical sending lists (same neighbors, same order,
-/// bit-identical delay and reliability) and requirements for every present
-/// broker across two strategies.
+/// bit-identical delay and reliability), `⟨d, r⟩` and requirements for
+/// every broker outside `absent` across two sets of tables of the same
+/// jobs.
 fn assert_tables_match(
-    a: &DcrdStrategy,
-    b: &DcrdStrategy,
+    a: &[(PairJob, SubscriberTables)],
+    b: &[(PairJob, SubscriberTables)],
+    absent: &NodeSet,
     topo: &Topology,
-    workload: &Workload,
     label: &str,
 ) {
-    assert_eq!(
-        a.absent_brokers(),
-        b.absent_brokers(),
-        "{label}: absent sets"
-    );
-    let absent = a.absent_brokers().clone();
+    assert_eq!(a.len(), b.len(), "{label}: table count");
     let mut compared = 0usize;
-    for t in workload.topics() {
-        for sub in &t.subscriptions {
-            let ta = a.tables_for(t.topic, t.publisher, sub.subscriber);
-            let tb = b.tables_for(t.topic, t.publisher, sub.subscriber);
-            let (ta, tb) = match (ta, tb) {
-                (Some(ta), Some(tb)) => (ta, tb),
-                (ta, tb) => {
-                    assert_eq!(ta.is_some(), tb.is_some(), "{label}: table existence");
-                    continue;
-                }
-            };
-            for node in topo.nodes().filter(|&node| !absent.contains(node)) {
-                let (la, lb) = (ta.sending_list(node), tb.sending_list(node));
+    for ((job, ta), (job_b, tb)) in a.iter().zip(b) {
+        assert_eq!(job, job_b, "{label}: job order");
+        for node in topo.nodes().filter(|&node| !absent.contains(node)) {
+            let (la, lb) = (ta.sending_list(node), tb.sending_list(node));
+            assert_eq!(
+                la.len(),
+                lb.len(),
+                "{label}: sending-list length of {node} diverged for {job:?}"
+            );
+            for (ca, cb) in la.iter().zip(lb) {
                 assert_eq!(
-                    la.len(),
-                    lb.len(),
-                    "{label}: sending-list length of {node} diverged for {} {} -> {}",
-                    t.topic,
-                    t.publisher,
-                    sub.subscriber
+                    ca.neighbor, cb.neighbor,
+                    "{label}: neighbor order of {node} diverged"
                 );
-                for (ca, cb) in la.iter().zip(lb) {
-                    assert_eq!(
-                        ca.neighbor, cb.neighbor,
-                        "{label}: neighbor order of {node} diverged"
-                    );
-                    assert!(
-                        ca.d.to_bits() == cb.d.to_bits() && ca.r.to_bits() == cb.r.to_bits(),
-                        "{label}: candidate {} of {node} diverged: \
-                         d {} vs {}, r {} vs {}",
-                        ca.neighbor,
-                        ca.d,
-                        cb.d,
-                        ca.r,
-                        cb.r
-                    );
-                }
-                assert_eq!(
-                    ta.requirement(node).to_bits(),
-                    tb.requirement(node).to_bits(),
-                    "{label}: requirement of {node} diverged"
+                assert!(
+                    ca.d.to_bits() == cb.d.to_bits() && ca.r.to_bits() == cb.r.to_bits(),
+                    "{label}: candidate {} of {node} diverged: \
+                     d {} vs {}, r {} vs {}",
+                    ca.neighbor,
+                    ca.d,
+                    cb.d,
+                    ca.r,
+                    cb.r
                 );
-                compared += 1;
             }
+            assert_eq!(
+                ta.params(node),
+                tb.params(node),
+                "{label}: ⟨d, r⟩ of {node} diverged for {job:?}"
+            );
+            assert_eq!(
+                ta.requirement(node).to_bits(),
+                tb.requirement(node).to_bits(),
+                "{label}: requirement of {node} diverged"
+            );
+            compared += 1;
         }
     }
     assert!(compared > 0, "{label}: equivalence check compared nothing");
@@ -132,8 +143,8 @@ fn assert_tables_match(
 
 /// For a one-delta-per-broker set (`kinds[i]` picks `ConfirmDead` over
 /// `Leave` for the i-th churnable broker), every application order yields
-/// the same routing state, and that state equals a from-scratch global
-/// rebuild on the surviving membership.
+/// the same routing state, and that state equals a fresh build on the
+/// surviving membership.
 fn check_gossip_deltas(seed: u64, perm_seed: u64, kinds: &[bool]) {
     let s = scenario(seed);
     let topo = build_topology(&s, 0);
@@ -166,28 +177,37 @@ fn check_gossip_deltas(seed: u64, perm_seed: u64, kinds: &[bool]) {
     apply_in_order(&mut in_order, &deltas, &forward);
     apply_in_order(&mut shuffled, &deltas, &permuted);
 
-    let oracle_config = DcrdConfig {
-        repair: RepairMode::GlobalRebuild,
-        ..DcrdConfig::churn_hardened()
-    };
-    let mut oracle = setup(&topo, &workload, oracle_config);
-    apply_in_order(&mut oracle, &deltas, &forward);
-
-    // The gossip path never falls back to a rebuild; the oracle is
-    // nothing but rebuilds.
+    // One repair pass per delta; no fresh estimates arrived.
     assert_eq!(in_order.global_rebuilds(), 0);
     assert_eq!(shuffled.global_rebuilds(), 0);
     assert_eq!(in_order.incremental_repairs() as usize, deltas.len());
-    assert!(oracle.global_rebuilds() > 0);
 
-    assert_tables_match(&in_order, &shuffled, &topo, &workload, "permutation");
-    assert_tables_match(&in_order, &oracle, &topo, &workload, "rebuild-oracle");
+    assert_eq!(in_order.absent_brokers(), shuffled.absent_brokers());
+    let absent = in_order.absent_brokers().clone();
+    let fresh = compute_tables(
+        &topo,
+        &estimates(&topo),
+        RunParams::default().m,
+        &DcrdConfig::churn_hardened(),
+        &absent,
+        PairJob::all(&workload),
+    );
+    let in_order = held(&in_order, &workload);
+    assert_tables_match(
+        &in_order,
+        &held(&shuffled, &workload),
+        &absent,
+        &topo,
+        "permutation",
+    );
+    assert_tables_match(&in_order, &fresh, &absent, &topo, "fresh build");
 }
 
 /// Arbitrary one-delta-per-broker sets, plus a fixed case: applied in
 /// index order, these deltas once left n4's list for (topic4, n4 → n10)
-/// with two entries where the rebuild has one, because a removed broker
-/// inside the pair's deadline ellipse shaped the fixed point without
+/// with two entries where a fresh build has one: a repair rule that
+/// skipped the tables no delta seemed to reach missed a removed broker
+/// inside the pair's deadline ellipse, which shaped the fixed point without
 /// appearing in any final sending list.
 #[test]
 fn gossip_delta_application_is_order_insensitive_and_matches_rebuild() {

@@ -1,6 +1,6 @@
 //! Partition-heal acceptance for the gossip control plane: membership
 //! deltas produced while the overlay is partitioned converge after the
-//! cut heals, get applied through incremental repair only, and delivery
+//! cut heals, get applied through membership repair only, and delivery
 //! recovers — while a no-dissemination control on the same schedule does
 //! not.
 //!
@@ -81,7 +81,7 @@ fn post_heal_ratios(log: &DeliveryLog) -> (f64, f64) {
 }
 
 /// Acceptance: under gossip dissemination, post-heal delivery recovers to
-/// ≥ 0.99 on incremental repair alone, with a clean audit (including the
+/// ≥ 0.99 on membership repair alone, with a clean audit (including the
 /// staleness clause) and the control-plane counters proving the epidemic
 /// path actually carried the deltas.
 #[test]

@@ -1,19 +1,17 @@
-//! Oracle equivalence for incremental membership repair: after an
-//! arbitrary scripted churn sequence, the incremental repair path must
-//! leave every **present** broker with byte-identical sending lists to a
-//! from-scratch `rebuild_tables` on the final topology.
+//! Membership repair against an independent reference: after an arbitrary
+//! scripted churn sequence, the router must leave every **present** broker
+//! with the sending list, `⟨d, r⟩` and requirement that a fresh
+//! `compute_tables` over the final absent set gives, bit for bit.
 //!
 //! (Absent brokers' own table rows are non-normative — the runtime never
 //! lets an absent broker act — so the comparison quantifies over present
 //! brokers only.)
 
-use std::borrow::Cow;
-
 use dcrd::core::propagation::{compute_tables, PairJob, SubscriberTables};
-use dcrd::core::{DcrdConfig, DcrdStrategy, RepairMode};
+use dcrd::core::{DcrdConfig, DcrdStrategy};
 use dcrd::experiments::runner::{build_topology, build_workload};
 use dcrd::experiments::scenario::{Scenario, ScenarioBuilder};
-use dcrd::net::estimate::analytic_estimates;
+use dcrd::net::estimate::{analytic_estimates, LinkEstimates};
 use dcrd::net::failure::{FailureModel, LinkFailureModel, LinkOutageModel};
 use dcrd::net::membership::MembershipDelta;
 use dcrd::net::topology::ring;
@@ -44,9 +42,14 @@ fn environment(seed: u64) -> (Topology, Workload) {
     (topo, workload)
 }
 
+/// The link estimates every strategy here is set up with.
+fn estimates(topo: &Topology) -> LinkEstimates {
+    analytic_estimates(topo, 0.05, 1e-4)
+}
+
 /// Sets up one strategy over the given environment.
 fn setup(topo: &Topology, workload: &Workload, config: DcrdConfig) -> DcrdStrategy {
-    let estimates = analytic_estimates(topo, 0.05, 1e-4);
+    let estimates = estimates(topo);
     let failure = FailureModel::new(LinkOutageModel::Epoch(LinkFailureModel::new(0.05, 1)), None);
     let ctx = SetupContext {
         topology: topo,
@@ -60,10 +63,10 @@ fn setup(topo: &Topology, workload: &Workload, config: DcrdConfig) -> DcrdStrate
     strategy
 }
 
-/// The incremental arm and the global-rebuild oracle digest the same
-/// scripted churn; every present broker's sending list must match
-/// byte-for-byte at the end.
-fn assert_oracle_equivalence(
+/// The churn-hardened router digests the scripted churn; every present
+/// broker's sending list, `⟨d, r⟩` and requirement must then match a fresh
+/// build over the final absent set.
+fn assert_matches_fresh_build(
     topo: &Topology,
     workload: &Workload,
     script: impl Fn(&[NodeId]) -> Vec<Vec<MembershipDelta>>,
@@ -80,56 +83,44 @@ fn assert_oracle_equivalence(
     );
     let batches = script(&churnable);
 
-    let mut incremental = setup(topo, workload, DcrdConfig::churn_hardened());
-    let oracle_config = DcrdConfig {
-        repair: RepairMode::GlobalRebuild,
-        ..DcrdConfig::churn_hardened()
-    };
-    let mut oracle = setup(topo, workload, oracle_config);
-
+    let config = DcrdConfig::churn_hardened();
+    let mut strategy = setup(topo, workload, config);
     let mut now = SimTime::from_secs(1);
     for batch in &batches {
-        incremental.on_membership(batch, now);
-        oracle.on_membership(batch, now);
+        strategy.on_membership(batch, now);
         now += SimDuration::from_secs(1);
     }
+    // One repair pass per batch; no fresh estimates arrived.
+    assert_eq!(strategy.incremental_repairs() as usize, batches.len());
+    assert_eq!(strategy.global_rebuilds(), 0);
 
-    // The arms agree on who is gone, and only the oracle rebuilt (the
-    // counter excludes setup's initial construction).
-    assert_eq!(incremental.absent_brokers(), oracle.absent_brokers());
-    assert_eq!(incremental.global_rebuilds(), 0, "incremental arm rebuilt");
-    assert_eq!(incremental.incremental_repairs() as usize, batches.len());
-    assert!(oracle.global_rebuilds() > 0, "oracle never rebuilt");
-
-    let absent = incremental.absent_brokers().clone();
+    let absent = strategy.absent_brokers().clone();
+    let fresh = compute_tables(
+        topo,
+        &estimates(topo),
+        RunParams::default().m,
+        &config,
+        &absent,
+        PairJob::all(workload),
+    );
     let mut compared = 0usize;
-    for t in workload.topics() {
-        for sub in &t.subscriptions {
-            let a = incremental.tables_for(t.topic, t.publisher, sub.subscriber);
-            let b = oracle.tables_for(t.topic, t.publisher, sub.subscriber);
-            let (a, b) = match (a, b) {
-                (Some(a), Some(b)) => (a, b),
-                (a, b) => {
-                    assert_eq!(a.is_some(), b.is_some(), "table existence diverged");
-                    continue;
-                }
-            };
-            for node in topo.nodes().filter(|&node| !absent.contains(node)) {
-                assert_eq!(
-                    a.sending_list(node),
-                    b.sending_list(node),
-                    "sending list of {node} diverged for {} {} → {}",
-                    t.topic,
-                    t.publisher,
-                    sub.subscriber
-                );
-                assert_eq!(
-                    a.requirement(node).to_bits(),
-                    b.requirement(node).to_bits(),
-                    "requirement of {node} diverged"
-                );
-                compared += 1;
-            }
+    for (job, want) in &fresh {
+        let Some(got) = strategy.tables_for(job.topic, job.publisher, job.subscriber) else {
+            panic!("{job:?} has no tables");
+        };
+        for node in topo.nodes().filter(|&node| !absent.contains(node)) {
+            assert_eq!(
+                got.sending_list(node),
+                want.sending_list(node),
+                "sending list of {node} diverged for {job:?}"
+            );
+            assert_eq!(got.params(node), want.params(node), "{job:?} at {node}");
+            assert_eq!(
+                got.requirement(node).to_bits(),
+                want.requirement(node).to_bits(),
+                "requirement of {node} diverged for {job:?}"
+            );
+            compared += 1;
         }
     }
     assert!(compared > 0, "equivalence check compared nothing");
@@ -139,7 +130,7 @@ fn assert_oracle_equivalence(
 #[test]
 fn scripted_churn_matches_from_scratch_rebuild() {
     let (topo, workload) = environment(0x0DC2D);
-    assert_oracle_equivalence(&topo, &workload, |churnable| {
+    assert_matches_fresh_build(&topo, &workload, |churnable| {
         let (a, b, c) = (churnable[0], churnable[1], churnable[2]);
         vec![
             vec![MembershipDelta::ConfirmDead { node: a }],
@@ -160,7 +151,7 @@ fn scripted_churn_matches_from_scratch_rebuild() {
 #[test]
 fn batched_mass_death_matches_from_scratch_rebuild() {
     let (topo, workload) = environment(99);
-    assert_oracle_equivalence(&topo, &workload, |churnable| {
+    assert_matches_fresh_build(&topo, &workload, |churnable| {
         vec![churnable
             .iter()
             .take(3)
@@ -174,7 +165,7 @@ fn batched_mass_death_matches_from_scratch_rebuild() {
 #[test]
 fn full_departure_and_return_matches_rebuild() {
     let (topo, workload) = environment(7);
-    assert_oracle_equivalence(&topo, &workload, |churnable| {
+    assert_matches_fresh_build(&topo, &workload, |churnable| {
         vec![
             churnable
                 .iter()
@@ -188,9 +179,8 @@ fn full_departure_and_return_matches_rebuild() {
     });
 }
 
-/// Two topics share a publisher: each must be diffed against the tree the
-/// repair pass started from, not the one refreshed for its sibling. On a
-/// ring of five 10 ms links, both topics run from broker 0 to broker 4 with
+/// Two topics share a publisher, and a death moves both topics' tables. On
+/// a ring of five 10 ms links, both topics run from broker 0 to broker 4 with
 /// 15 ms deadlines; once broker 1 dies, broker 2 sits 30 ms from the
 /// publisher instead of 20 ms, so its requirement for *both* topics falls
 /// from −5 ms to −15 ms.
@@ -210,41 +200,32 @@ fn topics_sharing_a_publisher_match_from_scratch_rebuild() {
     };
     let workload = Workload::from_topics(vec![topic(0), topic(1)]);
     let dead = topo.node(1);
-    assert_oracle_equivalence(&topo, &workload, |_| {
+    assert_matches_fresh_build(&topo, &workload, |_| {
         vec![vec![MembershipDelta::ConfirmDead { node: dead }]]
     });
 }
 
-/// A repair moves each recomputed table's buffers into its job and refills
-/// them; the refill must be indistinguishable from a fresh build. Fifty
-/// seeded leave/join steps on one strategy: after each, every table the
-/// step recomputed equals a fresh `compute_tables` result bit for bit — all
-/// of its buffers, so a stale tail left past a list that shrank shows — and
-/// every table it kept still matches the fresh build on every present
-/// broker (an absent broker's own row is non-normative, see the module
-/// docs).
+/// A repair refills each table's buffers in place at its first read; the
+/// refill must be indistinguishable from a fresh build. Fifty seeded
+/// leave/join steps on one strategy: after each, every table equals a
+/// fresh `compute_tables` result bit for bit — all of its buffers, so a
+/// stale tail left past a list that shrank shows.
 #[test]
 fn recycled_tables_match_fresh_builds() {
     let (topo, workload) = environment(0x5EED);
     let config = DcrdConfig::churn_hardened();
     let mut strategy = setup(&topo, &workload, config);
-    let estimates = analytic_estimates(&topo, 0.05, 1e-4);
     let publishers: Vec<NodeId> = workload.topics().iter().map(|t| t.publisher).collect();
     let churnable: Vec<NodeId> = topo
         .nodes()
         .filter(|node| !publishers.contains(node))
         .collect();
     let jobs = PairJob::all(&workload);
-    let listed = |t: &SubscriberTables| topo.nodes().map(|n| t.sending_list(n).len()).sum();
-    let held = |strategy: &DcrdStrategy, job: &PairJob| -> SubscriberTables {
-        strategy
-            .tables_for(job.topic, job.publisher, job.subscriber)
-            .map(Cow::into_owned)
-            .unwrap_or_else(|| panic!("{job:?} has no tables"))
-    };
+    let listed =
+        |t: &SubscriberTables| -> usize { topo.nodes().map(|n| t.sending_list(n).len()).sum() };
 
     let mut rng = rng_for(0x5EED, "recycled-tables");
-    let (mut recomputed, mut kept, mut shrank) = (0, 0, 0);
+    let mut shrank = 0;
     let mut now = SimTime::from_secs(1);
     for step in 0..50 {
         let node = churnable[rng.gen_range(0..churnable.len())];
@@ -253,51 +234,41 @@ fn recycled_tables_match_fresh_builds() {
         } else {
             MembershipDelta::Leave { node }
         };
-        let listed_before: Vec<usize> = jobs.iter().map(|j| listed(&held(&strategy, j))).collect();
+        let listed_before: Vec<usize> = jobs
+            .iter()
+            .map(|j| {
+                let held = strategy.settled_tables_for(j.topic, j.publisher, j.subscriber);
+                held.map_or(0, listed)
+            })
+            .collect();
         strategy.on_membership(&[delta], now);
         now += SimDuration::from_secs(1);
 
-        let absent = strategy.absent_brokers().clone();
         let fresh = compute_tables(
             &topo,
-            &estimates,
+            &estimates(&topo),
             RunParams::default().m,
             &config,
-            &absent,
+            strategy.absent_brokers(),
             jobs.clone(),
         );
-        for ((job, mut want), before) in fresh.into_iter().zip(listed_before) {
-            let got = held(&strategy, &job);
-            if got.version() == strategy.table_version() {
-                want.set_version(got.version());
-                assert!(
-                    got == want,
-                    "step {step} ({delta:?}): the recomputed tables of {job:?} differ from a fresh build"
-                );
-                recomputed += 1;
-                shrank += usize::from(listed(&got) < before);
-                continue;
-            }
-            kept += 1;
-            for n in topo.nodes().filter(|&n| !absent.contains(n)) {
-                assert_eq!(
-                    got.sending_list(n),
-                    want.sending_list(n),
-                    "step {step}: kept tables of {job:?} at {n}"
-                );
-                assert_eq!(got.params(n), want.params(n), "step {step}: {job:?} at {n}");
-                assert_eq!(
-                    got.requirement(n).to_bits(),
-                    want.requirement(n).to_bits(),
-                    "step {step}: {job:?} at {n}"
-                );
-            }
+        let builds = strategy.table_builds();
+        for ((job, want), before) in fresh.into_iter().zip(listed_before) {
+            let got = strategy
+                .settled_tables_for(job.topic, job.publisher, job.subscriber)
+                .unwrap_or_else(|| panic!("{job:?} has no tables"));
+            assert!(
+                *got == want,
+                "step {step} ({delta:?}): the rebuilt tables of {job:?} differ from a fresh build"
+            );
+            shrank += usize::from(listed(got) < before);
         }
+        assert_eq!(
+            strategy.table_builds() - builds,
+            jobs.len() as u64,
+            "step {step}: every table is rebuilt in place at its first read"
+        );
     }
-    println!("{recomputed} tables recomputed ({shrank} with shorter lists), {kept} kept");
-    assert!(
-        recomputed > 0 && kept > 0,
-        "{recomputed} recomputed, {kept} kept"
-    );
-    assert!(shrank > 0, "no recomputed table's lists shrank");
+    println!("{shrank} rebuilt tables with shorter lists");
+    assert!(shrank > 0, "no rebuilt table's lists shrank");
 }
