@@ -24,12 +24,15 @@
 //!   (§III-B); a [`propagation::TableBuilder`] builds the tables of any
 //!   list of subscriptions, is the only way to build them, and keeps what
 //!   one build can hand to the next ([`propagation::compute_tables`] is a
-//!   fresh builder's single build).
+//!   fresh builder's single build). Every table is one kernel call that
+//!   fills its requirements from its publisher's tree and runs the fixed
+//!   point.
 //! * [`router`] — [`DcrdStrategy`]: the dynamic routing scheme
 //!   (Algorithm 2, §III-D), dispatching to two layers over one control
 //!   plane (`router/tables.rs`: the run's environment and every routing
-//!   table; a membership change or fresh link estimates mark every table
-//!   stale, and routing builds each at its first read). `router/forward.rs` is the paper's forwarding core: hop-by-hop
+//!   table; a membership change or fresh link estimates move the table
+//!   version, a table built at an older one is stale, and routing builds
+//!   each at its first read). `router/forward.rs` is the paper's forwarding core: hop-by-hop
 //!   ACK timers, `m`-transmission retries, destination merging, loop
 //!   avoidance via the packet's routing path, upstream rerouting, and the
 //!   optional persistence extension. `router/custody.rs` is durable

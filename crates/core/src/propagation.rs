@@ -18,19 +18,21 @@
 //! any list of subscriptions ([`PairJob`]s) and is the only way to build
 //! them; [`compute_tables`] is a fresh builder's single build.
 //!
-//! A build has two halves. [`TableBuilder::prime`] reads the publisher's
-//! masked tree and fills a table's per-node delay requirements;
-//! [`TableBuilder::settle`] runs the `⟨d, r⟩` fixed point over them. A
-//! broker recomputes its tables whenever its neighbourhood changes
-//! (§III-B): the router primes every table when a membership change or
-//! fresh estimates arrive, and settles each at the first packet routed on
-//! it. The builder keeps everything one build can hand to the next: the
-//! per-edge link stats until the estimates change; the masked adjacency
-//! snapshot, the per-subscriber distance bounds and the publishers' masked
-//! shortest-path trees, refilled in place when the absent set changes; one
-//! scratch workspace per worker. A settle refills the buffers of the table
-//! it settles. No input of the kernel depends on what a buffer held
-//! before, so a recycled build is bit-identical to a fresh one.
+//! A build is one kernel call per table: it fills the table's per-node
+//! delay requirements from the publisher's masked tree and runs the
+//! `⟨d, r⟩` fixed point over them. A broker recomputes its tables whenever
+//! its neighbourhood changes (§III-B): a membership change or fresh
+//! estimates move the router's table version and bring the builder's
+//! snapshot and trees up to the new mask ([`TableBuilder::prepare`]), and
+//! the first packet routed on a table a version behind settles it
+//! ([`TableBuilder::settle`]). The builder keeps everything one build can
+//! hand to the next: the per-edge link stats until the estimates change;
+//! the masked adjacency snapshot, the per-subscriber distance bounds and
+//! the publishers' masked shortest-path trees, refilled in place when the
+//! absent set changes; one scratch workspace per worker. A settle refills
+//! the buffers of the table it settles. No input of the kernel depends on
+//! what a buffer held before, so a recycled build is bit-identical to a
+//! fresh one.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -39,7 +41,7 @@ use dcrd_net::estimate::LinkEstimates;
 use dcrd_net::paths::{dijkstra_masked, dijkstra_masked_into, Metric, ShortestPaths};
 use dcrd_net::{NodeId, NodeSet, Topology};
 use dcrd_pubsub::hotstate::NodeMap;
-use dcrd_pubsub::topic::{Subscription, TopicId};
+use dcrd_pubsub::topic::TopicId;
 use dcrd_pubsub::workload::Workload;
 use dcrd_sim::{par, SimDuration};
 
@@ -260,8 +262,8 @@ fn extend_sorted_candidates(
 /// The converged routing state of every broker toward one subscription.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SubscriberTables {
-    subscriber: NodeId,
-    publisher: NodeId,
+    /// The subscription the tables route: its endpoints and deadline.
+    job: PairJob,
     /// Per-node delay requirement `D_XS` in µs (may be ≤ 0 for brokers too
     /// far from the publisher).
     requirements: Vec<f64>,
@@ -280,11 +282,10 @@ pub struct SubscriberTables {
 }
 
 impl SubscriberTables {
-    /// Tables with no buffers yet, for [`pair_fixed_point`] to fill.
-    fn unfilled() -> Self {
+    /// `job`'s tables with no buffers yet, for [`pair_fixed_point`] to fill.
+    fn unfilled(job: PairJob) -> Self {
         SubscriberTables {
-            subscriber: NodeId::new(0),
-            publisher: NodeId::new(0),
+            job,
             requirements: Vec::new(),
             list_offsets: Vec::new(),
             list_cands: Vec::new(),
@@ -298,13 +299,13 @@ impl SubscriberTables {
     /// The subscriber these tables route toward.
     #[must_use]
     pub fn subscriber(&self) -> NodeId {
-        self.subscriber
+        self.job.subscriber
     }
 
     /// The publisher whose deadline anchors the requirements.
     #[must_use]
     pub fn publisher(&self) -> NodeId {
-        self.publisher
+        self.job.publisher
     }
 
     /// The sorted sending list of `node` (empty for an unknown node).
@@ -361,43 +362,6 @@ impl SubscriberTables {
     pub fn converged(&self) -> bool {
         self.converged
     }
-
-    /// Fills the half of a build that reads the publisher's tree: the
-    /// endpoints of `job` and every node's delay requirement `D_XS` over
-    /// the `n`-node overlay minus `absent`. The other buffers keep what
-    /// they held until [`pair_fixed_point`] refills them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dist_from_publisher` was not computed from the job's
-    /// publisher.
-    fn prime(
-        &mut self,
-        job: &PairJob,
-        dist_from_publisher: &ShortestPaths,
-        n: usize,
-        absent: &NodeSet,
-    ) {
-        assert_eq!(
-            dist_from_publisher.source(),
-            job.publisher,
-            "distance tree must be rooted at the publisher"
-        );
-        let deadline_us = job.deadline.as_micros() as f64;
-        self.subscriber = job.subscriber;
-        self.publisher = job.publisher;
-        self.requirements.clear();
-        self.requirements.extend((0..n).map(|i| {
-            let node = NodeId::new(i as u32);
-            if absent.contains(node) {
-                return f64::NEG_INFINITY;
-            }
-            match dist_from_publisher.cost_to(node) {
-                Some(c) => deadline_us - c as f64,
-                None => f64::NEG_INFINITY,
-            }
-        }));
-    }
 }
 
 fn delta(a: DrPair, b: DrPair) -> (f64, f64) {
@@ -446,29 +410,18 @@ pub struct PairJob {
 }
 
 impl PairJob {
-    /// The job of `sub`'s subscription to `topic` as published by
-    /// `publisher`.
-    #[must_use]
-    pub(crate) fn new(topic: TopicId, publisher: NodeId, sub: &Subscription) -> Self {
-        PairJob {
-            topic,
-            publisher,
-            subscriber: sub.subscriber,
-            deadline: sub.deadline,
-        }
-    }
-
     /// Every subscription of `workload`, in topic order and, within a
     /// topic, in subscription order.
     #[must_use]
     pub fn all(workload: &Workload) -> Vec<PairJob> {
         let mut jobs = Vec::with_capacity(workload.num_subscriptions());
         for spec in workload.topics() {
-            jobs.extend(
-                spec.subscriptions
-                    .iter()
-                    .map(|sub| PairJob::new(spec.topic, spec.publisher, sub)),
-            );
+            jobs.extend(spec.subscriptions.iter().map(|sub| PairJob {
+                topic: spec.topic,
+                publisher: spec.publisher,
+                subscriber: sub.subscriber,
+                deadline: sub.deadline,
+            }));
         }
         jobs
     }
@@ -497,10 +450,10 @@ pub fn compute_tables(
 /// [`build`](Self::build) fans its pairs out over [`par::map_init`]
 /// workers, one per [`PAIR_NODES_PER_WORKER`] of `pairs × live brokers`,
 /// capped by the host's parallelism; the tables are bit-identical for every
-/// worker count. [`prime`](Self::prime) and [`settle`](Self::settle) build
-/// one table in place instead, in the two halves a lazy caller runs apart:
-/// the first when a repair invalidates the table, the second when the table
-/// is next read.
+/// worker count. [`settle`](Self::settle) rebuilds one table in place
+/// instead, for a caller that builds each table when it is next read, and
+/// [`settled`](Self::settled) builds one into a copy. All three make the
+/// same kernel call.
 ///
 /// Between builds the builder keeps, each until its input changes:
 ///
@@ -509,7 +462,7 @@ pub fn compute_tables(
 /// | per-edge `m`-transmission link stats | the estimates change ([`estimates_changed`](Self::estimates_changed)) or `m` does |
 /// | masked adjacency snapshot | the absent set or the link stats change ([`prepare`](Self::prepare)) |
 /// | per-subscriber α-distance bounds | the snapshot is rebuilt; each is refilled by the first build toward its subscriber |
-/// | each publisher's masked shortest-path tree | the caller forgets them all ([`forget_trees`](Self::forget_trees)) |
+/// | each publisher's masked shortest-path tree | the snapshot is rebuilt, over its mask; a build fills the tree of a job publisher it holds none for |
 /// | one scratch workspace per worker | never; refitted whenever the snapshot is rebuilt |
 ///
 /// What is rebuilt is refilled in place, and a settle refills the buffers
@@ -536,12 +489,10 @@ pub struct TableBuilder {
     /// Scratch of the bounds' α-distance searches.
     alpha_distances: Vec<f64>,
     frontier: BinaryHeap<Reverse<(u64, u32)>>,
-    /// Each publisher's shortest-delay tree, masked by the absent set it
-    /// was last filled for. NACKs climb them too: a node's predecessor is
-    /// its next hop toward the publisher.
+    /// Each publisher's shortest-delay tree, masked by `snapshot_mask`.
+    /// NACKs climb them too: a node's predecessor is its next hop toward
+    /// the publisher.
     trees: NodeMap<ShortestPaths>,
-    /// Trees displaced or forgotten, refilled by the next ones needed.
-    spare_trees: Vec<ShortestPaths>,
     /// One scratch workspace per worker, lent to [`par::map_init`]; a
     /// settle runs on the first.
     workspaces: Vec<TableWorkspace>,
@@ -569,7 +520,6 @@ impl TableBuilder {
             alpha_distances: Vec::new(),
             frontier: BinaryHeap::new(),
             trees: NodeMap::new(),
-            spare_trees: Vec::new(),
             workspaces: Vec::new(),
         }
     }
@@ -583,43 +533,17 @@ impl TableBuilder {
         self.snapshot_valid = false;
     }
 
-    /// The tree `publisher`'s tables were last primed from: its
-    /// shortest-delay tree masked by that pass's absent set.
+    /// The tree `publisher`'s tables are built from: its shortest-delay
+    /// tree masked by the absent set of the last [`prepare`](Self::prepare).
     #[must_use]
     pub fn tree(&self, publisher: NodeId) -> Option<&ShortestPaths> {
         self.trees.get(publisher)
     }
 
-    /// Forgets every publisher's tree; the next build that needs one fills
-    /// it again, into a forgotten tree's buffers.
-    pub fn forget_trees(&mut self) {
-        self.spare_trees.extend(self.trees.drain());
-    }
-
-    /// `publisher`'s tree masked by `absent`, in a spare tree's buffers
-    /// when there is one.
-    fn fill_tree(&mut self, topo: &Topology, publisher: NodeId, absent: &NodeSet) -> ShortestPaths {
-        match self.spare_trees.pop() {
-            Some(mut tree) => {
-                dijkstra_masked_into(topo, publisher, Metric::Delay, absent, &mut tree);
-                tree
-            }
-            None => dijkstra_masked(topo, publisher, Metric::Delay, absent),
-        }
-    }
-
-    /// Fills `publisher`'s tree for `absent` unless the builder holds one.
-    fn keep_tree(&mut self, topo: &Topology, publisher: NodeId, absent: &NodeSet) {
-        if self.trees.get(publisher).is_none() {
-            let tree = self.fill_tree(topo, publisher, absent);
-            self.trees.insert(publisher, tree);
-        }
-    }
-
     /// Brings what every table of one pass shares up to date for `absent`
-    /// and `m`: the link stats, the masked snapshot over them, and the
-    /// workspaces fitted to it. Costs a mask comparison when nothing
-    /// changed.
+    /// and `m`: the link stats, the masked snapshot over them, the
+    /// workspaces fitted to it and every held tree, refilled over the
+    /// snapshot's mask. Costs a mask comparison when nothing changed.
     pub fn prepare(
         &mut self,
         topo: &Topology,
@@ -643,6 +567,9 @@ impl TableBuilder {
         let n = self.snapshot.num_nodes();
         if self.bounds.len() < n {
             self.bounds.resize_with(n, Vec::new);
+        }
+        for tree in self.trees.values_mut() {
+            dijkstra_masked_into(topo, tree.source(), Metric::Delay, absent, tree);
         }
         for ws in &mut self.workspaces {
             ws.fit(&self.snapshot);
@@ -679,11 +606,6 @@ impl TableBuilder {
     /// Builds the tables of every job over the overlay minus the `absent`
     /// brokers, with `m` transmissions per link attempt, and returns them
     /// in job order.
-    ///
-    /// Every job publisher's tree is taken as masked by `absent`: the tree
-    /// of a publisher the builder holds none for is filled first, and a
-    /// caller whose mask changed forgets the trees it holds
-    /// ([`forget_trees`](Self::forget_trees)).
     pub fn build(
         &mut self,
         topo: &Topology,
@@ -716,36 +638,36 @@ impl TableBuilder {
         if jobs.is_empty() {
             return Vec::new();
         }
-        // Serial prelude, shared read-only by every worker: each job
-        // publisher's masked tree, the per-edge m-transmission stats, the
-        // masked adjacency snapshot over them, and one subscriber-rooted
-        // α-distance bound per distinct subscriber (a subscriber listening
-        // on several topics shares one Dijkstra pass) — each kept from the
-        // last build while its inputs hold.
-        for job in &jobs {
-            self.keep_tree(topo, job.publisher, absent);
-        }
+        // Serial prelude, shared read-only by every worker: the per-edge
+        // m-transmission stats, the masked adjacency snapshot over them and
+        // the trees held over the same mask, the tree of each job publisher
+        // not held yet, and one subscriber-rooted α-distance bound per
+        // distinct subscriber (a subscriber listening on several topics
+        // shares one Dijkstra pass) — each kept from the last build while
+        // its inputs hold.
         self.prepare(topo, estimates, m, absent);
         for job in &jobs {
+            if self.trees.get(job.publisher).is_none() {
+                let tree = dijkstra_masked(topo, job.publisher, Metric::Delay, absent);
+                self.trees.insert(job.publisher, tree);
+            }
             self.keep_bound(job.subscriber);
         }
 
         let mut workspaces = std::mem::take(&mut self.workspaces);
         let this = &*self;
-        let n = this.snapshot.num_nodes();
         let new_workspace = || TableWorkspace::new(&this.snapshot);
         let built = par::map_init(jobs, workers, &mut workspaces, new_workspace, |ws, job| {
             // Both lookups were filled by the prelude; a miss would be a
             // bug, and the degraded path leaves that pair without tables.
-            let (Some(dist), Some(bound)) =
+            let (Some(tree), Some(bound)) =
                 (this.trees.get(job.publisher), this.bound(job.subscriber))
             else {
                 debug_assert!(false, "pair job without its prelude inputs");
                 return None;
             };
-            let mut tables = SubscriberTables::unfilled();
-            tables.prime(&job, dist, n, absent);
-            pair_fixed_point(&this.snapshot, bound, config, absent, ws, &mut tables);
+            let mut tables = SubscriberTables::unfilled(job);
+            pair_fixed_point(&this.snapshot, bound, tree, config, absent, ws, &mut tables);
             Some((job, tables))
         });
         self.workspaces = workspaces;
@@ -754,35 +676,15 @@ impl TableBuilder {
         tables
     }
 
-    /// The half of a one-table build that reads the publisher's tree:
-    /// refills `tables`' endpoints and requirements for `job` over the
-    /// overlay minus `absent`, filling the publisher's tree first if the
-    /// builder holds none. The rest of `tables` is stale until
-    /// [`settle`](Self::settle).
-    pub fn prime(
-        &mut self,
-        topo: &Topology,
-        job: &PairJob,
-        absent: &NodeSet,
-        tables: &mut SubscriberTables,
-    ) {
-        self.keep_tree(topo, job.publisher, absent);
-        if let Some(dist) = self.trees.get(job.publisher) {
-            tables.prime(job, dist, topo.num_nodes(), absent);
-        }
-    }
-
-    /// The other half: runs the fixed point of `tables`, primed by
-    /// [`prime`](Self::prime), over the snapshot and mask of the last
-    /// [`prepare`](Self::prepare), refilling its buffers, inline on the
-    /// builder's first workspace. The tables equal a [`build`](Self::build)
-    /// of the primed job whenever no input of the fixed point moved since
-    /// the prime. No job list, no fan-out, no per-pass work, and no
-    /// allocation once earlier builds sized the builder's buffers and the
-    /// table's.
+    /// Rebuilds `tables` for their job in place over the snapshot, mask and
+    /// trees of the last [`prepare`](Self::prepare), inline on the
+    /// builder's first workspace: the kernel call a [`build`](Self::build)
+    /// of the job makes, refilling the tables' buffers. No job list, no
+    /// fan-out, no per-pass work, and no allocation once earlier builds
+    /// sized the builder's buffers and the table's.
     pub fn settle(&mut self, config: &DcrdConfig, tables: &mut SubscriberTables) {
         debug_assert!(self.snapshot_valid, "settle before prepare");
-        let subscriber = tables.subscriber;
+        let subscriber = tables.subscriber();
         self.keep_bound(subscriber);
         if self.workspaces.is_empty() {
             self.workspaces.push(TableWorkspace::new(&self.snapshot));
@@ -792,27 +694,33 @@ impl TableBuilder {
             snapshot_mask,
             bounds,
             bounded,
+            trees,
             workspaces,
             ..
         } = self;
         let bound = bounds
             .get(subscriber.index())
             .filter(|_| bounded.contains(subscriber));
-        let (Some(bound), Some(ws)) = (bound, workspaces.first_mut()) else {
-            debug_assert!(false, "settle without a bound or a workspace");
+        let tree = trees.get(tables.publisher());
+        let (Some(bound), Some(tree), Some(ws)) = (bound, tree, workspaces.first_mut()) else {
+            debug_assert!(false, "settle without a bound, a tree or a workspace");
             return;
         };
-        pair_fixed_point(snapshot, bound, config, snapshot_mask, ws, tables);
+        pair_fixed_point(snapshot, bound, tree, config, snapshot_mask, ws, tables);
     }
 
     /// What [`settle`](Self::settle) would make of `tables`, for a reader
-    /// that holds the builder shared: the same kernel on a workspace and a
-    /// bound of its own.
+    /// that holds the builder shared: the same kernel call into a copy, on
+    /// a workspace and a bound of its own.
     #[must_use]
     pub fn settled(&self, config: &DcrdConfig, tables: &SubscriberTables) -> SubscriberTables {
         debug_assert!(self.snapshot_valid, "settled before prepare");
-        let mut out = tables.clone();
-        let subscriber = out.subscriber;
+        let mut out = SubscriberTables::unfilled(tables.job);
+        let Some(tree) = self.trees.get(out.publisher()) else {
+            debug_assert!(false, "settled without a tree");
+            return tables.clone();
+        };
+        let subscriber = out.subscriber();
         let mut own = Vec::new();
         let bound = match self.bound(subscriber) {
             Some(bound) => bound,
@@ -830,6 +738,7 @@ impl TableBuilder {
         pair_fixed_point(
             &self.snapshot,
             bound,
+            tree,
             config,
             &self.snapshot_mask,
             &mut ws,
@@ -1065,23 +974,25 @@ impl TableWorkspace {
 /// operation order, one freeze schedule — which is what lets a repaired
 /// table be checked against a fresh build byte for byte.
 ///
-/// `out` must have been primed ([`SubscriberTables::prime`]) over the
-/// publisher's tree masked by the same absent set, so its requirements
-/// reflect detours around the missing brokers. `spd_bound_from_subscriber`
-/// must be [`neighbor_min_into`](AdjacencySnapshot::neighbor_min_into) over
+/// The call first fills `out`'s per-node delay requirements for its job
+/// from `dist_from_publisher`, the publisher's shortest-delay tree masked
+/// by the same absent set, so they reflect detours around the missing
+/// brokers. `spd_bound_from_subscriber` must be
+/// [`neighbor_min_into`](AdjacencySnapshot::neighbor_min_into) over
 /// [`alpha_distances_into`](AdjacencySnapshot::alpha_distances_into)`(subscriber)`
 /// on the same snapshot, and `ws` must have been fitted to it.
 ///
-/// The fixed point lands in `out`, whose other buffers are cleared and
-/// refilled (a settle hands in the tables it replaces). The result depends
-/// neither on what `out` held beyond its priming nor on what `ws` was used
-/// for before: every buffer is cleared per call, and the visit
-/// permutations `ws` keeps only change the order an exact sort *starts*
-/// from. Inputs of the wrong length read as unreachable brokers instead of
-/// panicking (debug builds assert).
+/// The tables land in `out`, whose buffers are cleared and refilled (a
+/// settle hands in the tables it replaces). The result depends neither on
+/// what `out` held beyond its job nor on what `ws` was used for before:
+/// every buffer is cleared per call, and the visit permutations `ws` keeps
+/// only change the order an exact sort *starts* from. Inputs of the wrong
+/// length read as unreachable brokers instead of panicking (debug builds
+/// assert).
 fn pair_fixed_point(
     snapshot: &AdjacencySnapshot,
     spd_bound_from_subscriber: &[f64],
+    dist_from_publisher: &ShortestPaths,
     config: &DcrdConfig,
     absent: &NodeSet,
     ws: &mut TableWorkspace,
@@ -1089,7 +1000,7 @@ fn pair_fixed_point(
 ) {
     let n = snapshot.num_nodes();
     let SubscriberTables {
-        subscriber,
+        job,
         requirements,
         list_offsets,
         list_cands,
@@ -1097,9 +1008,19 @@ fn pair_fixed_point(
         rounds_used: out_rounds_used,
         node_steps: out_node_steps,
         converged: out_converged,
-        ..
     } = out;
-    let subscriber = *subscriber;
+    let subscriber = job.subscriber;
+    // `D_XS = D_PS − shortest delay(P → X)`, and no budget at a broker the
+    // masked tree does not reach.
+    let deadline_us = job.deadline.as_micros() as f64;
+    requirements.clear();
+    requirements.extend((0..n).map(|i| {
+        let node = NodeId::new(i as u32);
+        match dist_from_publisher.cost_to(node) {
+            Some(c) if !absent.contains(node) => deadline_us - c as f64,
+            _ => f64::NEG_INFINITY,
+        }
+    }));
     let requirements: &[f64] = requirements;
     debug_assert!(
         requirements.len() == n && spd_bound_from_subscriber.len() == n,
@@ -1616,15 +1537,24 @@ mod tests {
                 subscriber: topo.node(subscriber),
                 deadline: SimDuration::from_micros(deadline_us as u64),
             };
-            out.prime(&job, &dist, topo.num_nodes(), &absent);
-            pair_fixed_point(&snapshot, &bound, &config, &absent, ws, out);
+            out.job = job;
+            pair_fixed_point(&snapshot, &bound, &dist, &config, &absent, ws, out);
         };
-        let mut fresh = SubscriberTables::unfilled();
+        // Each build below sets the job of the tables it fills.
+        let unfilled = || {
+            SubscriberTables::unfilled(PairJob {
+                topic: TopicId::new(0),
+                publisher: topo.node(0),
+                subscriber: topo.node(0),
+                deadline: SimDuration::ZERO,
+            })
+        };
+        let mut fresh = unfilled();
         build(0, 9, &mut TableWorkspace::new(&snapshot), &mut fresh);
         assert!(fresh.params(topo.node(0)).reachable());
         let mut used = TableWorkspace::new(&whole);
         used.fit(&snapshot);
-        let mut recycled = SubscriberTables::unfilled();
+        let mut recycled = unfilled();
         for (publisher, subscriber) in [(3, 30), (9, 0), (25, 4), (0, 17)] {
             build(publisher, subscriber, &mut used, &mut recycled);
         }
@@ -1751,14 +1681,14 @@ mod tests {
                 );
             }
         }
-        // One table at a time, each job priming and settling the tables of
-        // the job mirrored to it in place, on the same builder: the batch
-        // build's tables again.
+        // One table at a time, each job settling the tables of the job
+        // mirrored to it in place, on the same builder: the batch build's
+        // tables again.
         let mut recycled: Vec<SubscriberTables> =
             serial.iter().rev().map(|(_, t)| t.clone()).collect();
         builder.prepare(&topo, &estimates, 1, &absent);
         for ((job, want), tables) in serial.iter().zip(&mut recycled) {
-            builder.prime(&topo, job, &absent, tables);
+            tables.job = *job;
             builder.settle(&config, tables);
             assert!(
                 tables == want,

@@ -176,9 +176,10 @@ impl DcrdStrategy {
         self.tables.global_rebuilds
     }
 
-    /// The monotone control-plane version: one per pass that built or
-    /// invalidated every table, `setup`'s construction included (zero
-    /// until `setup` runs).
+    /// The monotone control-plane version and the tables' staleness
+    /// epoch: one per pass that built or invalidated every table,
+    /// `setup`'s construction included (zero until `setup` runs). A table
+    /// built at an older version is rebuilt when next read.
     #[must_use]
     pub fn table_version(&self) -> u64 {
         self.tables.table_version

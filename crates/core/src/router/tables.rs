@@ -28,10 +28,9 @@ const FALLBACK_ALPHA: SimDuration = SimDuration::from_millis(50);
 /// sit at `s × num_nodes + v`, so the forwarding path resolves a packet's
 /// stream once and then reaches each destination's tables by index.
 ///
-/// A seat is *stale* from the pass that invalidates it until the first
-/// read settles it ([`Tables::settled`]): its tables are then primed for
-/// that pass — endpoints and requirements current — and the rest of their
-/// buffers wait to be refilled.
+/// A seat is *stale* while it was built at an older table version than
+/// the current one: a pass moved the version since, and the first read
+/// settles the seat ([`Tables::settled`]), refilling its tables' buffers.
 #[derive(Debug, Default)]
 pub(super) struct TableStore {
     num_nodes: usize,
@@ -45,8 +44,8 @@ pub(super) struct TableStore {
 pub(super) struct Seat {
     /// The subscription's tables; `None` for a seat no subscription fills.
     pub(super) tables: Option<SubscriberTables>,
-    /// Whether a pass invalidated the tables and no read settled them yet.
-    stale: bool,
+    /// The [`Tables::table_version`] the tables were built at.
+    built_at: u64,
 }
 
 impl TableStore {
@@ -98,8 +97,8 @@ impl TableStore {
             .then(|| stream as usize * self.num_nodes + subscriber.index())
     }
 
-    /// Installs (or replaces) the settled tables of the job's subscription.
-    fn insert(&mut self, job: &PairJob, tables: SubscriberTables) {
+    /// Installs (or replaces) the job's tables, built at `version`.
+    fn insert(&mut self, job: &PairJob, tables: SubscriberTables, version: u64) {
         let seat = self
             .stream(job.topic, job.publisher)
             .and_then(|stream| self.seat(stream, job.subscriber));
@@ -107,34 +106,9 @@ impl TableStore {
         if let Some(slot) = seat.and_then(|at| self.seats.get_mut(at)) {
             *slot = Seat {
                 tables: Some(tables),
-                stale: false,
+                built_at: version,
             };
         }
-    }
-
-    /// Invalidates the job's seat: primes its tables over `builder`'s
-    /// current tree of the publisher, keeping their buffers for the settle,
-    /// and marks the seat stale.
-    fn invalidate(
-        &mut self,
-        builder: &mut TableBuilder,
-        topo: &Topology,
-        absent: &NodeSet,
-        job: &PairJob,
-    ) {
-        let seat = self
-            .stream(job.topic, job.publisher)
-            .and_then(|stream| self.seat(stream, job.subscriber));
-        let Some(Seat {
-            tables: Some(tables),
-            stale,
-        }) = seat.and_then(|at| self.seats.get_mut(at))
-        else {
-            debug_assert!(false, "pair job without a seated table");
-            return;
-        };
-        builder.prime(topo, job, absent, tables);
-        *stale = true;
     }
 }
 
@@ -142,11 +116,8 @@ impl TableStore {
 /// seat settled, and the forwarding path stays as small as it was.
 #[cold]
 #[inline(never)]
-fn settle_seat(builder: &mut TableBuilder, config: &DcrdConfig, seat: &mut Seat) {
-    if let Some(tables) = seat.tables.as_mut() {
-        builder.settle(config, tables);
-    }
-    seat.stale = false;
+fn settle_seat(builder: &mut TableBuilder, config: &DcrdConfig, tables: &mut SubscriberTables) {
+    builder.settle(config, tables);
 }
 
 /// The control plane both router layers read: what `setup` hands the
@@ -164,9 +135,9 @@ pub(super) struct Tables {
     /// dead or gracefully departed). Every table computation masks them.
     pub(super) absent: NodeSet,
     /// Builds every table and keeps what one build can hand to the next,
-    /// among it the per-publisher masked shortest-path trees the current
-    /// tables were primed from. NACKs climb them: a node's predecessor is
-    /// its next hop toward the publisher.
+    /// among it the per-publisher shortest-path trees masked by the last
+    /// pass's absent set, which every table is built from. NACKs climb
+    /// them: a node's predecessor is its next hop toward the publisher.
     pub(super) builder: TableBuilder,
     /// [`on_monitor`](Self::on_monitor) passes taken after setup. The
     /// initial construction in `setup` is not counted — it is table
@@ -175,8 +146,9 @@ pub(super) struct Tables {
     /// Membership passes: batches of deltas that changed the absent set
     /// and so invalidated every table.
     pub(super) incremental_repairs: u64,
-    /// Monotone control-plane version: bumped once by setup and once per
-    /// pass that invalidates every table.
+    /// The staleness epoch: bumped once by setup and once per pass, so a
+    /// seat built at an older version is stale and every pass invalidates
+    /// every table.
     pub(super) table_version: u64,
     /// Stale seats settled by a read since setup.
     pub(super) table_builds: u64,
@@ -194,8 +166,7 @@ impl Tables {
         self.workload = Some(ctx.workload.clone());
         self.estimates = Some(ctx.estimates.clone());
         self.store = TableStore::new(ctx.topology.num_nodes(), ctx.workload);
-        self.builder.estimates_changed();
-        self.builder.forget_trees();
+        self.builder = TableBuilder::new();
         // Setup is table *construction*, not a repair: the rebuild counter
         // only measures from-scratch passes the control plane fell back to
         // after the run started.
@@ -211,7 +182,7 @@ impl Tables {
         );
         for (job, tables) in built {
             self.table_node_steps += tables.node_steps();
-            self.store.insert(&job, tables);
+            self.store.insert(&job, tables, self.table_version);
         }
     }
 
@@ -225,46 +196,42 @@ impl Tables {
     }
 
     /// The one repair rule, for fresh estimates and membership changes
-    /// alike: refreshes every publisher's masked shortest-path tree,
-    /// primes every seat and marks it stale, to be settled at its next read
+    /// alike: moves the table version, which leaves every seat stale, and
+    /// brings the builder's snapshot and publisher trees up to the current
+    /// absent set, over which each seat is settled at its next read
     /// ([`settled`](Self::settled)). A stale table costs nothing until a
     /// packet reads it, so no pass scopes itself to the tables a change can
     /// affect. Returns whether there were tables to invalidate (not before
     /// setup).
     fn invalidate_all(&mut self) -> bool {
-        let (Some(topo), Some(workload), Some(estimates)) = (
-            self.topology.as_ref(),
-            self.workload.as_ref(),
-            self.estimates.as_ref(),
-        ) else {
+        let (Some(topo), Some(estimates)) = (self.topology.as_ref(), self.estimates.as_ref())
+        else {
             return false;
         };
         self.table_version += 1;
         self.builder
             .prepare(topo, estimates, self.params.m, &self.absent);
-        self.builder.forget_trees();
-        for spec in workload.topics() {
-            for sub in &spec.subscriptions {
-                let job = PairJob::new(spec.topic, spec.publisher, sub);
-                self.store
-                    .invalidate(&mut self.builder, topo, &self.absent, &job);
-            }
-        }
         true
     }
 
     /// The tables of `stream` toward `subscriber`, settled first if a pass
-    /// left them stale: the one way routing reads a seat.
+    /// left them stale: the one way routing reads a seat. A stale seat
+    /// settles over the builder's snapshot and trees, which hold the mask
+    /// of the last pass, not the live [`absent`](Self::absent): without
+    /// [`DcrdConfig::repair`] a membership change moves the mask and runs
+    /// no pass.
     #[inline]
     pub(super) fn settled(&mut self, stream: u32, subscriber: NodeId) -> Option<&SubscriberTables> {
         let at = self.store.seat(stream, subscriber)?;
-        let seat = self.store.seats.get_mut(at)?;
-        if seat.stale {
-            settle_seat(&mut self.builder, &self.config, seat);
+        let Seat { tables, built_at } = self.store.seats.get_mut(at)?;
+        let tables = tables.as_mut()?;
+        if *built_at != self.table_version {
+            settle_seat(&mut self.builder, &self.config, tables);
+            *built_at = self.table_version;
             self.table_builds += 1;
-            self.table_node_steps += seat.tables.as_ref().map_or(0, SubscriberTables::node_steps);
+            self.table_node_steps += tables.node_steps();
         }
-        seat.tables.as_ref()
+        Some(tables)
     }
 
     /// What [`settled`](Self::settled) would return, leaving a stale seat
@@ -276,7 +243,7 @@ impl Tables {
     ) -> Option<Cow<'_, SubscriberTables>> {
         let seat = self.store.seats.get(self.store.seat(stream, subscriber)?)?;
         let tables = seat.tables.as_ref()?;
-        Some(if seat.stale {
+        Some(if seat.built_at != self.table_version {
             Cow::Owned(self.builder.settled(&self.config, tables))
         } else {
             Cow::Borrowed(tables)
@@ -497,6 +464,98 @@ mod tests {
             .map(|(job, t)| ((job.topic, job.publisher, job.subscriber), t))
             .collect();
         store_matches(&strategy, &reference);
+    }
+
+    /// Without [`DcrdConfig::repair`] a membership change moves the absent
+    /// mask and runs no pass. Here one leave does so before fresh estimates
+    /// run a pass, and a second leave after it: every seat read afterwards
+    /// — copied by `tables_for` while stale, then settled in place — and
+    /// every publisher's tree equal a build over the drifted estimates and
+    /// the mask of the estimates' pass, not the live mask.
+    #[test]
+    fn stale_seats_settle_over_the_mask_of_their_pass() {
+        use dcrd_net::estimate::analytic_estimates;
+        use dcrd_net::paths::{dijkstra_masked, Metric};
+        use dcrd_net::topology::random_connected;
+        use dcrd_pubsub::workload::WorkloadConfig;
+
+        let mut rng = rng_for(53, "pass-mask");
+        let topo = random_connected(24, 4, DelayRange::PAPER, &mut rng);
+        let wl = Workload::generate(&topo, &WorkloadConfig::PAPER, &mut rng);
+        let estimates = analytic_estimates(&topo, 0.05, 0.01);
+        let drifted = analytic_estimates(&topo, 0.08, 0.02);
+        let failure = FailureModel::links_only(LinkFailureModel::new(0.0, 1));
+        let mut strategy = DcrdStrategy::new(DcrdConfig {
+            repair: false,
+            ..DcrdConfig::default()
+        });
+        strategy.setup(&SetupContext {
+            topology: &topo,
+            estimates: &estimates,
+            workload: &wl,
+            failure_oracle: &failure,
+            params: RunParams::default(),
+        });
+        let jobs = PairJob::all(&wl);
+        let mut others = topo
+            .nodes()
+            .filter(|&n| !jobs.iter().any(|j| j.publisher == n));
+        let (before, after) = (
+            others.next().expect("a broker that publishes nothing"),
+            others.next().expect("a second one"),
+        );
+        strategy.apply_membership(&[MembershipDelta::Leave { node: before }]);
+        strategy.tables.on_monitor(&drifted);
+        strategy.apply_membership(&[MembershipDelta::Leave { node: after }]);
+        assert_eq!(strategy.absent_brokers().len(), 2);
+        assert_eq!(strategy.table_version(), 2);
+        assert_eq!(strategy.incremental_repairs(), 0);
+
+        let pass_mask: NodeSet = [before].into_iter().collect();
+        let config = strategy.tables.config;
+        let m = strategy.tables.params.m;
+        let want = crate::propagation::compute_tables(
+            &topo,
+            &drifted,
+            m,
+            &config,
+            &pass_mask,
+            jobs.clone(),
+        );
+        let live = crate::propagation::compute_tables(
+            &topo,
+            &drifted,
+            m,
+            &config,
+            strategy.absent_brokers(),
+            jobs,
+        );
+        assert!(
+            want.iter().zip(&live).any(|((_, a), (_, b))| a != b),
+            "the second leave moves no table"
+        );
+        for (job, fresh) in &want {
+            let copy = strategy.tables_for(job.topic, job.publisher, job.subscriber);
+            assert!(copy.as_deref() == Some(fresh), "copy of {job:?}");
+            let settled = strategy.settled_tables_for(job.topic, job.publisher, job.subscriber);
+            assert!(settled == Some(fresh), "settled {job:?}");
+        }
+        for publisher in wl.topics().iter().map(|t| t.publisher) {
+            let tree = strategy.tables.builder.tree(publisher).expect("a tree");
+            let fresh = dijkstra_masked(&topo, publisher, Metric::Delay, &pass_mask);
+            for node in topo.nodes() {
+                assert_eq!(
+                    tree.cost_to(node),
+                    fresh.cost_to(node),
+                    "{publisher} → {node}"
+                );
+                assert_eq!(
+                    tree.predecessor(node),
+                    fresh.predecessor(node),
+                    "{publisher} → {node}"
+                );
+            }
+        }
     }
 
     /// Settling a table at its first read gives what settling every

@@ -345,10 +345,9 @@ impl<V> NodeMap<V> {
         }
     }
 
-    /// Removes every value, handing each to the caller (in node order) —
-    /// e.g. to recycle its buffers — and keeping the slot capacity.
-    pub fn drain(&mut self) -> impl Iterator<Item = V> + '_ {
-        self.slots.iter_mut().filter_map(Option::take)
+    /// Every value, in node order, for the caller to refill in place.
+    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> + '_ {
+        self.slots.iter_mut().filter_map(Option::as_mut)
     }
 
     /// Drops every value, keeping the slot capacity.
@@ -486,12 +485,18 @@ mod tests {
     }
 
     #[test]
-    fn node_map_drain_hands_values_back() {
+    fn node_map_values_mut_visits_each_value_in_node_order() {
         let mut m: NodeMap<u32> = NodeMap::new();
         for i in [5, 1, 3] {
             m.insert(n(i), i * 10);
         }
-        assert_eq!(m.drain().collect::<Vec<_>>(), vec![10, 30, 50]);
-        assert!(m.get(n(1)).is_none() && m.get(n(5)).is_none());
+        let mut seen = Vec::new();
+        for v in m.values_mut() {
+            seen.push(*v);
+            *v += 1;
+        }
+        assert_eq!(seen, vec![10, 30, 50]);
+        assert_eq!((m.get(n(1)), m.get(n(5))), (Some(&11), Some(&51)));
+        assert!(m.get(n(2)).is_none());
     }
 }

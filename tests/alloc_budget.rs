@@ -286,7 +286,7 @@ fn long_paths_stay_within_their_allocation_budget() {
 /// repair made 3: its job list, the jobs with their recycled tables, and
 /// the built list. Since a repair only invalidates the tables, and routing
 /// builds each at its first read, a repair makes none.
-const REPAIR_BUDGET: u64 = 16;
+const REPAIR_BUDGET: u64 = 0;
 
 /// Allocations the first read of an invalidated table may make per table
 /// it builds. The build refills the table's own buffers on the builder's
@@ -363,7 +363,7 @@ fn repair_stays_within_its_allocation_budget() {
     println!("(allocations, tables built) per read of every table: {per_read:?}");
     let worst = per_repair.iter().copied().max().unwrap_or(0);
     assert!(
-        worst <= REPAIR_BUDGET,
+        !per_repair.iter().any(|&made| made > REPAIR_BUDGET),
         "a repair made {worst} allocations, over the budget of {REPAIR_BUDGET}: {per_repair:?}"
     );
     let built: u64 = per_read.iter().map(|&(_, b)| b).sum();

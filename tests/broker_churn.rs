@@ -9,14 +9,17 @@
 //!   suspicion window), delivery of freshly published messages is back to
 //!   ≥ 0.99;
 //! * **membership repair alone**: the whole run is absorbed by the
-//!   repairs membership deltas trigger — no pass over fresh link estimates
-//!   runs, so `global_rebuilds` stays at zero;
+//!   repairs membership deltas trigger — every table version after
+//!   setup's is one membership pass — and at the end every subscription's
+//!   tables equal a fresh build over the final absent set;
 //! * **determinism**: the same seed reproduces a bit-identical
 //!   transmission trace across two runs.
 
+use dcrd::core::propagation::{compute_tables, PairJob};
 use dcrd::core::{DcrdConfig, DcrdStrategy};
-use dcrd::experiments::runner::simulate;
+use dcrd::experiments::runner::{build_topology, build_workload, simulate};
 use dcrd::experiments::scenario::{BrokerChurnSpec, Scenario, ScenarioBuilder};
+use dcrd::net::estimate::analytic_estimates;
 use dcrd::pubsub::runtime::DeliveryLog;
 use dcrd::sim::SimTime;
 
@@ -45,6 +48,47 @@ fn run_with_log(scenario: &Scenario, capture_trace: bool) -> (DeliveryLog, DcrdS
     let mut strategy = DcrdStrategy::new(scenario.dcrd);
     let log = simulate(scenario, 0, &mut strategy, capture_trace);
     (log, strategy)
+}
+
+/// Every version after setup's is one membership pass, and every present
+/// broker's sending list, `⟨d, r⟩` and requirement in every subscription's
+/// tables match a fresh build over the final absent set and the run's
+/// estimates: the clean links' analytic ones, which no monitor pass
+/// replaces.
+fn assert_repaired_to_a_fresh_build(scenario: &Scenario, strategy: &DcrdStrategy) {
+    assert_eq!(strategy.table_version(), 1 + strategy.incremental_repairs());
+    let topo = build_topology(scenario, 0);
+    let workload = build_workload(scenario, &topo, 0);
+    let absent = strategy.absent_brokers();
+    let fresh = compute_tables(
+        &topo,
+        &analytic_estimates(&topo, scenario.pf, scenario.pl),
+        scenario.m,
+        &scenario.dcrd,
+        absent,
+        PairJob::all(&workload),
+    );
+    let mut compared = 0usize;
+    for (job, want) in &fresh {
+        let Some(got) = strategy.tables_for(job.topic, job.publisher, job.subscriber) else {
+            panic!("{job:?} has no tables");
+        };
+        for node in topo.nodes().filter(|&node| !absent.contains(node)) {
+            assert_eq!(
+                got.sending_list(node),
+                want.sending_list(node),
+                "sending list of {node} diverged for {job:?}"
+            );
+            assert_eq!(got.params(node), want.params(node), "{job:?} at {node}");
+            assert_eq!(
+                got.requirement(node).to_bits(),
+                want.requirement(node).to_bits(),
+                "requirement of {node} diverged for {job:?}"
+            );
+            compared += 1;
+        }
+    }
+    assert!(compared > 0, "equivalence check compared nothing");
 }
 
 /// Acceptance: after the burst window and the detector's suspicion lag
@@ -78,20 +122,19 @@ fn delivery_recovers_after_churn_burst() {
         ratio >= 0.99,
         "post-burst delivery only {ratio:.4} ({delivered}/{expected})"
     );
-    // The run survived on membership repair alone (the counter excludes
-    // setup's initial table construction).
-    assert_eq!(strategy.global_rebuilds(), 0, "no rebuild after setup");
+    // The run survived on membership repair alone.
+    assert_repaired_to_a_fresh_build(&scenario, &strategy);
 }
 
 /// Saturated churn: every unprotected broker joins, leaves or dies. The
-/// whole upheaval is absorbed by membership repairs (zero post-setup
-/// passes over fresh estimates), departures leave a non-empty absent mask, and
+/// whole upheaval is absorbed by membership repairs (every post-setup
+/// table version is one), departures leave a non-empty absent mask, and
 /// confirmed deaths hand their custody off instead of stranding it.
 #[test]
 fn saturated_churn_needs_no_global_rebuild() {
     let scenario = churn_scenario(1.0, 7);
     let (log, strategy) = run_with_log(&scenario, false);
-    assert_eq!(strategy.global_rebuilds(), 0);
+    assert_repaired_to_a_fresh_build(&scenario, &strategy);
     assert!(
         strategy.incremental_repairs() > 0,
         "rate-1.0 churn triggered no membership repair"
