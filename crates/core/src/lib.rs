@@ -20,8 +20,8 @@
 //!   the `dᵢ < D_XS` deadline filter plus the ordering policy's sort
 //!   (Algorithm 1, §III-C).
 //! * [`propagation`] — the distributed recursive computation of `⟨d, r⟩`
-//!   across the overlay, run as synchronous gossip rounds to a fixed point
-//!   (§III-B); a [`propagation::TableBuilder`] builds the tables of any
+//!   across the overlay, run as in-place sweeps from the subscriber
+//!   outward to a fixed point (§III-B); a [`propagation::TableBuilder`] builds the tables of any
 //!   list of subscriptions, is the only way to build them, and keeps what
 //!   one build can hand to the next ([`propagation::compute_tables`] is a
 //!   fresh builder's single build). Every table is one kernel call that

@@ -2,15 +2,17 @@
 //!
 //! In a deployment every broker recomputes its parameters whenever a
 //! neighbor shares fresh ones, starting from the subscriber announcing
-//! `⟨0, 1⟩`. We model this as **synchronous gossip rounds** (a Jacobi
-//! iteration): each round, every live broker that can meet its deadline
-//! at all rebuilds its sending list and `⟨d, r⟩` from the previous round's
-//! neighbor values. Nothing is skipped within a round, so a table's work is
-//! exactly its rounds times its active brokers
-//! ([`SubscriberTables::node_steps`]). Most pairs stop within tolerance in
-//! about 20 rounds on the benchmark overlays. The deadline filter can also
-//! trap the iteration in an exact limit cycle (period 2 to 12), which the
-//! freeze after a 50-round warm-up ends; the round cap bounds the rest.
+//! `⟨0, 1⟩`, so the announcement spreads outward. We model this as
+//! **in-place sweeps** (a Gauss–Seidel iteration): each sweep visits every
+//! live broker that can meet its deadline at all, nearest the subscriber
+//! first, and rebuilds its sending list and `⟨d, r⟩` from its neighbors'
+//! current values, including those updated earlier in the same sweep.
+//! Nothing is skipped within a sweep, so a table's work is exactly its
+//! sweeps times its active brokers ([`SubscriberTables::node_steps`]). Most
+//! pairs stop within tolerance in about 10 sweeps on the benchmark
+//! overlays. The deadline filter can also trap the iteration in an exact
+//! limit cycle, which the freeze after a 50-sweep warm-up ends; the sweep
+//! cap bounds the rest.
 //!
 //! Because the per-node delay requirement is `D_XS = D_PS − shortest
 //! delay(P → X)`, the tables are specific to a *(publisher, subscriber)*
@@ -55,7 +57,7 @@ use crate::sending_list::build_sending_list_from_row;
 /// general list-building path.
 const FUSED_STACK: usize = 16;
 
-/// Most synchronous gossip rounds one `⟨d, r⟩` computation runs.
+/// Most sweeps one `⟨d, r⟩` computation runs.
 const MAX_ROUNDS: u32 = 100;
 
 /// Convergence tolerance on `d`, in µs.
@@ -64,7 +66,7 @@ const TOLERANCE_D: f64 = 1.0;
 /// Convergence tolerance on `r`.
 const TOLERANCE_R: f64 = 1e-9;
 
-/// Fused live-round step for one broker under `RatioOptimal` ordering:
+/// Fused live-sweep step for one broker under `RatioOptimal` ordering:
 /// Algorithm 1's filter, Theorem 1's sort, and Eq. 3's fold, entirely on
 /// stack buffers. This produces the same result as
 /// `build_sending_list_from_row` + `combine` — same candidate set,
@@ -75,10 +77,10 @@ const TOLERANCE_R: f64 = 1e-9;
 /// materialized.
 ///
 /// `order` is this node's persistent visit permutation over `row`'s
-/// slots, carried across gossip rounds: candidates are gathered in last
-/// round's sorted order, so the insertion sort sees nearly-sorted input
+/// slots, carried across sweeps: candidates are gathered in last
+/// sweep's sorted order, so the insertion sort sees nearly-sorted input
 /// and its inner loop stays branch-predictable (`⟨d, r⟩` drifts a little
-/// every round, but ranks rarely swap). This is *exact*: the gathered
+/// every sweep, but ranks rarely swap). This is *exact*: the gathered
 /// multiset is visit-order-independent, the comparator is a strict total
 /// order (distinct neighbor ids break every tie), and insertion sort
 /// from any starting arrangement yields the unique sorted permutation.
@@ -114,7 +116,7 @@ fn store<T>(at: &mut [T; FUSED_STACK], i: usize, value: T) {
 
 /// The shared gather + filter + sort half of the fused step: member
 /// candidates land in `ids`/`ds`/`rs` `[0, len)` in ascending `(d/r, id)`
-/// order, and `order` is rewritten for the next round. `order` holds at
+/// order, and `order` is rewritten for the next sweep. `order` holds at
 /// most [`FUSED_STACK`] slots of `row`.
 #[inline(always)]
 fn gather_sorted(
@@ -146,7 +148,7 @@ fn gather_sorted(
         // Branchless filter: compute and store unconditionally (harmless
         // for failing slots — `∞` arithmetic is well-defined and the slot
         // is overwritten or ignored), advance `len` by the filter bit.
-        // Membership flips between rounds would otherwise mispredict.
+        // Membership flips between sweeps would otherwise mispredict.
         let d = link.alpha + p.d;
         let r = link.gamma * p.r;
         let ratio = if r <= 0.0 { f64::INFINITY } else { d / r };
@@ -268,10 +270,8 @@ pub struct SubscriberTables {
     /// far from the publisher).
     requirements: Vec<f64>,
     /// Per-node sorted sending lists in CSR form: node `v`'s list is
-    /// `list_cands[list_offsets[v] .. list_offsets[v + 1]]`. One flat
-    /// allocation per table instead of one `Vec` per broker — at 1k
-    /// brokers the nested form put millions of small allocations on every
-    /// rebuild pass.
+    /// `list_cands[list_offsets[v] .. list_offsets[v + 1]]`, one flat
+    /// allocation per table instead of one `Vec` per broker.
     list_offsets: Vec<u32>,
     list_cands: Vec<Candidate>,
     /// Per-node `⟨d, r⟩`.
@@ -340,16 +340,16 @@ impl SubscriberTables {
             .unwrap_or(f64::NEG_INFINITY)
     }
 
-    /// Gossip rounds executed before convergence (or the cap).
+    /// Sweeps executed before convergence (or the cap).
     #[must_use]
     pub fn rounds_used(&self) -> u32 {
         self.rounds_used
     }
 
-    /// Node-steps the fixed point ran: one per broker per round it
+    /// Node-steps the fixed point ran: one per broker per sweep it
     /// recomputed. The kernel prunes the absent brokers, the subscriber
     /// and every broker outside the deadline ellipse, and steps each other
-    /// (*active*) broker in every round, so this is exactly
+    /// (*active*) broker in every sweep, so this is exactly
     /// `rounds_used × active brokers`: the table's kernel work, exact and
     /// independent of the host.
     #[must_use]
@@ -357,7 +357,7 @@ impl SubscriberTables {
         self.node_steps
     }
 
-    /// Whether the computation converged within the round cap.
+    /// Whether the computation converged within the sweep cap.
     #[must_use]
     pub fn converged(&self) -> bool {
         self.converged
@@ -383,14 +383,13 @@ fn delta(a: DrPair, b: DrPair) -> (f64, f64) {
 /// over, both measured on a 2-vCPU x86-64 host:
 ///
 /// * a scoped spawn + join that wakes a vCPU idle for 2 ms costs
-///   ≈ 0.2 ms (median; p99 ≈ 0.5 ms);
-/// * the kernel costs ≈ 2 µs per pair-node: ≈ 18 node-steps of
-///   ≈ 100 ns each (at `build-256`, 19.97 rounds per pair over the 94 % of
-///   brokers inside the deadline ellipse).
+///   ≈ 0.05 ms (median; p99 ≈ 0.15 ms);
+/// * the kernel costs ≈ 1.3 µs per pair-node: ≈ 9.4 node-steps of
+///   ≈ 135 ns each (at `build-256`, 11.07 sweeps per pair).
 ///
 /// At `1 << 12` the smallest fan-out splits ≈ 8 k pair-nodes, and its
-/// second worker takes over ≈ 8 ms of kernel time for a start-up under a
-/// tenth of that even at p99. Every 64- and 256-broker setup (≈ 19 k
+/// second worker takes over ≈ 5 ms of kernel time for a start-up of a
+/// thirtieth of that even at p99. Every 64- and 256-broker setup (≈ 19 k
 /// pair-nodes and up) fans out; a 32-broker setup of ≈ 140 pairs
 /// (≈ 4.5 k pair-nodes) runs inline.
 pub const PAIR_NODES_PER_WORKER: usize = 1 << 12;
@@ -461,7 +460,7 @@ pub fn compute_tables(
 /// |---|---|
 /// | per-edge `m`-transmission link stats | the estimates change ([`estimates_changed`](Self::estimates_changed)) or `m` does |
 /// | masked adjacency snapshot | the absent set or the link stats change ([`prepare`](Self::prepare)) |
-/// | per-subscriber α-distance bounds | the snapshot is rebuilt; each is refilled by the first build toward its subscriber |
+/// | per-subscriber α-distance bounds and sweep orders | the snapshot is rebuilt; each is refilled by the first build toward its subscriber |
 /// | each publisher's masked shortest-path tree | the snapshot is rebuilt, over its mask; a build fills the tree of a job publisher it holds none for |
 /// | one scratch workspace per worker | never; refitted whenever the snapshot is rebuilt |
 ///
@@ -482,9 +481,9 @@ pub struct TableBuilder {
     snapshot: AdjacencySnapshot,
     snapshot_mask: NodeSet,
     snapshot_valid: bool,
-    /// Per-subscriber pruning bounds over the snapshot, indexed by
-    /// subscriber; only the members of `bounded` are current.
-    bounds: Vec<Vec<f64>>,
+    /// Per-subscriber pruning bounds over the snapshot, each with the sweep
+    /// order it gives, indexed by subscriber; only `bounded`'s are current.
+    bounds: Vec<(Vec<f64>, Vec<u32>)>,
     bounded: NodeSet,
     /// Scratch of the bounds' α-distance searches.
     alpha_distances: Vec<f64>,
@@ -566,7 +565,7 @@ impl TableBuilder {
         self.bounded.clear();
         let n = self.snapshot.num_nodes();
         if self.bounds.len() < n {
-            self.bounds.resize_with(n, Vec::new);
+            self.bounds.resize_with(n, Default::default);
         }
         for tree in self.trees.values_mut() {
             dijkstra_masked_into(topo, tree.source(), Metric::Delay, absent, tree);
@@ -576,31 +575,28 @@ impl TableBuilder {
         }
     }
 
-    /// Fills `subscriber`'s pruning bound over the snapshot unless it is
-    /// current: the α-distance from the subscriber to every node, minimised
-    /// over each node's live neighbours.
+    /// Fills `subscriber`'s pruning bound over the snapshot and its sweep
+    /// order unless they are current: the α-distance from the subscriber to
+    /// every node, minimised over each node's live neighbours.
     fn keep_bound(&mut self, subscriber: NodeId) {
         if self.bounded.contains(subscriber) {
             return;
         }
-        let Some(bound) = self.bounds.get_mut(subscriber.index()) else {
+        let Some((bound, order)) = self.bounds.get_mut(subscriber.index()) else {
             return;
         };
-        self.snapshot.bound_into(
-            subscriber,
-            &mut self.alpha_distances,
-            &mut self.frontier,
-            bound,
-        );
+        let (dist, heap) = (&mut self.alpha_distances, &mut self.frontier);
+        self.snapshot.bound_into(subscriber, dist, heap, bound);
+        sweep_order_into(bound, order);
         self.bounded.insert(subscriber);
     }
 
-    /// The current pruning bound of `subscriber`, if it has one.
-    fn bound(&self, subscriber: NodeId) -> Option<&[f64]> {
+    /// The current pruning bound and sweep order of `subscriber`, if it has
+    /// them.
+    fn bound(&self, subscriber: NodeId) -> Option<&(Vec<f64>, Vec<u32>)> {
         self.bounds
             .get(subscriber.index())
             .filter(|_| self.bounded.contains(subscriber))
-            .map(Vec::as_slice)
     }
 
     /// Builds the tables of every job over the overlay minus the `absent`
@@ -660,13 +656,14 @@ impl TableBuilder {
         let built = par::map_init(jobs, workers, &mut workspaces, new_workspace, |ws, job| {
             // Both lookups were filled by the prelude; a miss would be a
             // bug, and the degraded path leaves that pair without tables.
-            let (Some(tree), Some(bound)) =
+            let (Some(tree), Some((bound, order))) =
                 (this.trees.get(job.publisher), this.bound(job.subscriber))
             else {
                 debug_assert!(false, "pair job without its prelude inputs");
                 return None;
             };
             let mut tables = SubscriberTables::unfilled(job);
+            ws.set_sweep_order(job.subscriber, order);
             pair_fixed_point(&this.snapshot, bound, tree, config, absent, ws, &mut tables);
             Some((job, tables))
         });
@@ -689,24 +686,16 @@ impl TableBuilder {
         if self.workspaces.is_empty() {
             self.workspaces.push(TableWorkspace::new(&self.snapshot));
         }
-        let TableBuilder {
-            snapshot,
-            snapshot_mask,
-            bounds,
-            bounded,
-            trees,
-            workspaces,
-            ..
-        } = self;
-        let bound = bounds
-            .get(subscriber.index())
-            .filter(|_| bounded.contains(subscriber));
-        let tree = trees.get(tables.publisher());
-        let (Some(bound), Some(tree), Some(ws)) = (bound, tree, workspaces.first_mut()) else {
+        let mut workspaces = std::mem::take(&mut self.workspaces);
+        let (kept, tree) = (self.bound(subscriber), self.trees.get(tables.publisher()));
+        if let (Some((bound, order)), Some(tree), Some(ws)) = (kept, tree, workspaces.first_mut()) {
+            ws.set_sweep_order(subscriber, order);
+            let (snapshot, absent) = (&self.snapshot, &self.snapshot_mask);
+            pair_fixed_point(snapshot, bound, tree, config, absent, ws, tables);
+        } else {
             debug_assert!(false, "settle without a bound, a tree or a workspace");
-            return;
-        };
-        pair_fixed_point(snapshot, bound, tree, config, snapshot_mask, ws, tables);
+        }
+        self.workspaces = workspaces;
     }
 
     /// What [`settle`](Self::settle) would make of `tables`, for a reader
@@ -723,7 +712,7 @@ impl TableBuilder {
         let subscriber = out.subscriber();
         let mut own = Vec::new();
         let bound = match self.bound(subscriber) {
-            Some(bound) => bound,
+            Some((bound, _)) => bound,
             None => {
                 self.snapshot.bound_into(
                     subscriber,
@@ -765,28 +754,17 @@ fn fill_link_stats(topo: &Topology, estimates: &LinkEstimates, m: u32, out: &mut
 /// The snapshot depends only on `(topology, link stats, absent set)` — none
 /// of which vary across the subscriptions of one table rebuild — so build
 /// it **once per rebuild pass** and share it across every
-/// `(publisher, subscriber)` pair. At 1k brokers the per-call construction
-/// it replaces dominated rebuild time: thousands of subscription passes
-/// each allocating a thousand per-node vectors.
+/// `(publisher, subscriber)` pair.
 #[derive(Debug, Clone, Default)]
 struct AdjacencySnapshot {
     /// Node `v`'s row lives at `pairs[offsets[v] .. offsets[v + 1]]`.
     offsets: Vec<u32>,
-    /// Flat `(neighbor, link stats)` pairs in topology neighbor order —
-    /// the same order the per-call construction produced, which keeps the
-    /// `⟨d, r⟩` float operation sequence byte-identical.
+    /// Flat `(neighbor, link stats)` pairs in topology neighbor order, which
+    /// fixes the float operation order of every `⟨d, r⟩`.
     pairs: Vec<(NodeId, LinkStats)>,
 }
 
 impl AdjacencySnapshot {
-    /// Builds the snapshot for one rebuild pass.
-    #[cfg(test)]
-    fn build(topo: &Topology, link_stats: &[LinkStats], absent: &NodeSet) -> Self {
-        let mut snapshot = AdjacencySnapshot::default();
-        snapshot.rebuild(topo, link_stats, absent);
-        snapshot
-    }
-
     /// Refills the snapshot in place for one rebuild pass.
     fn rebuild(&mut self, topo: &Topology, link_stats: &[LinkStats], absent: &NodeSet) {
         let n = topo.num_nodes();
@@ -895,12 +873,9 @@ impl AdjacencySnapshot {
 }
 
 /// Reusable scratch buffers for [`pair_fixed_point`] against one
-/// [`AdjacencySnapshot`]: a list buffer, the next round's values, the
-/// active brokers, the frozen lists, the final lists, and the fused step's
-/// visit permutations. A table build computes thousands of
-/// (topic, subscriber) pairs against one snapshot; sharing one workspace
-/// across those calls replaces ~9 allocations (some past the allocator's
-/// mmap threshold) per pair with `clear`/`resize` on warm buffers, and a
+/// [`AdjacencySnapshot`]: a list buffer, the active brokers, the sweep
+/// order, the frozen lists, the final lists, and the fused step's visit
+/// permutations. One workspace serves every pair its worker builds, and a
 /// [`TableBuilder`] keeps its workspaces from one build to the next.
 ///
 /// Every buffer is sized for the snapshot's worst case when the workspace
@@ -912,9 +887,10 @@ impl AdjacencySnapshot {
 #[derive(Debug, Default)]
 struct TableWorkspace {
     list_buf: Vec<Candidate>,
-    scratch: Vec<DrPair>,
     active: Vec<bool>,
-    actives: Vec<u32>,
+    /// The sweep order of `sweep_for`'s pairs ([`sweep_order_into`]).
+    sweep_order: Vec<u32>,
+    sweep_for: Option<NodeId>,
     frozen_offsets: Vec<u32>,
     frozen_flat: Vec<(NodeId, LinkStats)>,
     /// The final sending lists of the pair in progress, copied out once
@@ -950,9 +926,9 @@ impl TableWorkspace {
             buf.reserve_exact(size);
         }
         room(&mut self.list_buf, widest);
-        room(&mut self.scratch, n);
         room(&mut self.active, n);
-        room(&mut self.actives, n);
+        room(&mut self.sweep_order, n);
+        self.sweep_for = None;
         room(&mut self.frozen_offsets, n + 1);
         room(&mut self.frozen_flat, entries);
         room(&mut self.cands, entries);
@@ -965,6 +941,22 @@ impl TableWorkspace {
             self.order_offsets.push(self.order.len() as u32);
         }
     }
+
+    /// Lends the kernel `subscriber`'s sweep order, as a builder keeps it.
+    fn set_sweep_order(&mut self, subscriber: NodeId, order: &[u32]) {
+        self.sweep_order.clear();
+        self.sweep_order.extend_from_slice(order);
+        self.sweep_for = Some(subscriber);
+    }
+}
+
+/// Every node of `bound`'s snapshot in ascending (pruning bound, index)
+/// order, into `out`: the sweep order of every pair toward its subscriber.
+fn sweep_order_into(bound: &[f64], out: &mut Vec<u32>) {
+    let bound_of = |i: u32| bound.get(i as usize).copied().unwrap_or(f64::INFINITY);
+    out.clear();
+    out.extend(0..bound.len() as u32);
+    out.sort_unstable_by(|&a, &b| bound_of(a).total_cmp(&bound_of(b)).then(a.cmp(&b)));
 }
 
 /// The kernel: one subscription's `⟨d, r⟩` fixed point against a prebuilt
@@ -985,8 +977,10 @@ impl TableWorkspace {
 /// The tables land in `out`, whose buffers are cleared and refilled (a
 /// settle hands in the tables it replaces). The result depends neither on
 /// what `out` held beyond its job nor on what `ws` was used for before:
-/// every buffer is cleared per call, and the visit permutations `ws` keeps
-/// only change the order an exact sort *starts* from. Inputs of the wrong
+/// every buffer is cleared per call, the visit permutations `ws` keeps
+/// only change the order an exact sort *starts* from, and the sweep order
+/// it keeps for one subscriber is the one that subscriber's bound gives
+/// over the snapshot `ws` was last fitted to. Inputs of the wrong
 /// length read as unreachable brokers instead of panicking (debug builds
 /// assert).
 fn pair_fixed_point(
@@ -1032,16 +1026,16 @@ fn pair_fixed_point(
         "workspace of another snapshot"
     );
 
-    // The gossip rounds below only vary in the neighbors' `⟨d, r⟩`, so the
-    // round loop rebuilds one reusable candidate buffer straight from the
-    // static snapshot rows instead of walking the topology per node per
-    // round. Absent neighbors were dropped at snapshot build time, so no
-    // round ever considers them as candidates.
+    // The sweeps below only vary in the neighbors' `⟨d, r⟩`, so the sweep
+    // loop rebuilds one reusable candidate buffer straight from the static
+    // snapshot rows instead of walking the topology per node per sweep.
+    // Absent neighbors were dropped at snapshot build time, so no sweep
+    // ever considers them as candidates.
     let TableWorkspace {
         list_buf,
-        scratch,
         active,
-        actives,
+        sweep_order,
+        sweep_for,
         frozen_offsets,
         frozen_flat,
         cands,
@@ -1065,33 +1059,32 @@ fn pair_fixed_point(
     // Ellipse pruning: a neighbor's `⟨d, r⟩` can never report a `d` below
     // its shortest α-distance to the subscriber, so a broker whose
     // requirement undercuts that bound for *every* neighbor provably holds
-    // an empty sending list in every round and stays `UNREACHABLE` — the
+    // an empty sending list in every sweep and stays `UNREACHABLE` — the
     // exact values the full iteration would produce. The survivors form the
     // deadline ellipse around the publisher→subscriber axis
     // (`dist(P→X) + spd(X→S) ≲ deadline`), which shrinks sharply for
     // close pairs and tight deadlines.
     active.clear();
     active.resize(n, false);
-    actives.clear();
     let nodes = active
         .iter_mut()
         .zip(spd_bound_from_subscriber)
         .zip(requirements)
         .enumerate();
     for (i, ((is_active, &bound), &requirement)) in nodes {
-        if i == subscriber.index() && subscriber_active {
-            continue;
-        }
-        if bound < requirement {
-            *is_active = true;
-            actives.push(i as u32);
-        }
+        *is_active = bound < requirement && !(i == subscriber.index() && subscriber_active);
+    }
+    // Sweep order: nearest the subscriber first, so one sweep carries the
+    // subscriber's announcement outward as far as its values have settled,
+    // as §III-B's gossip does. Inactive brokers stay `UNREACHABLE` under
+    // any schedule, so only the active brokers' order matters.
+    if *sweep_for != Some(subscriber) {
+        sweep_order_into(spd_bound_from_subscriber, sweep_order);
+        *sweep_for = Some(subscriber);
     }
     let mut rounds_used = 0;
     let mut node_steps = 0u64;
     let mut converged = false;
-    scratch.clear();
-    scratch.extend_from_slice(params);
     // The deadline filter and the value-dependent sort make the iteration a
     // *discrete* dynamical system: a neighbor whose `d` sits near a
     // requirement boundary can flap in and out of sending lists (and lists
@@ -1105,7 +1098,7 @@ fn pair_fixed_point(
     // Frozen list membership and order, in CSR form (node `i`'s order is
     // `frozen_flat[frozen_offsets[i] .. frozen_offsets[i + 1]]`): two flat
     // buffers instead of one `Vec` per broker. Each entry carries its
-    // link's static stats so frozen rounds recompute Eq. 2 without
+    // link's static stats so frozen sweeps recompute Eq. 2 without
     // re-searching the row.
     let mut have_frozen = false;
     frozen_offsets.clear();
@@ -1118,9 +1111,9 @@ fn pair_fixed_point(
             .filter(|_| fused && row_len <= FUSED_STACK)? as usize;
         Some(off..off + row_len)
     };
-    for round in 1..=MAX_ROUNDS {
-        rounds_used = round;
-        if round > warmup && !have_frozen {
+    for sweep in 1..=MAX_ROUNDS {
+        rounds_used = sweep;
+        if sweep > warmup && !have_frozen {
             frozen_offsets.push(0);
             for (i, (&is_active, &requirement)) in active.iter().zip(requirements).enumerate() {
                 if is_active {
@@ -1147,11 +1140,12 @@ fn pair_fixed_point(
         }
         let mut max_dd = 0.0f64;
         let mut max_dr = 0.0f64;
-        for &iu in actives.iter() {
+        for &iu in sweep_order
+            .iter()
+            .filter(|&&i| active.get(i as usize) == Some(&true))
+        {
             let i = iu as usize;
-            let (Some(&old), Some(&requirement), Some(next)) =
-                (params.get(i), requirements.get(i), scratch.get_mut(i))
-            else {
+            let (Some(&old), Some(&requirement)) = (params.get(i), requirements.get(i)) else {
                 continue;
             };
             node_steps += 1;
@@ -1178,9 +1172,11 @@ fn pair_fixed_point(
             let (dd, dr) = delta(p, old);
             max_dd = max_dd.max(dd);
             max_dr = max_dr.max(dr);
-            *next = p;
+            // In place: every broker later in this sweep reads the new value.
+            if let Some(slot) = params.get_mut(i) {
+                *slot = p;
+            }
         }
-        std::mem::swap(params, scratch);
         if max_dd <= TOLERANCE_D && max_dr <= TOLERANCE_R {
             converged = true;
             break;
@@ -1192,7 +1188,7 @@ fn pair_fixed_point(
     // into the workspace and copied out once complete: at most one
     // allocation per table (none when a recycled one has the room),
     // whatever pair the workspace built last. Fused-eligible rows reuse the
-    // persistent visit order exactly like the round step, keeping the
+    // persistent visit order exactly like the sweep step, keeping the
     // final sort nearly-sorted too.
     list_offsets.clear();
     list_offsets.reserve_exact(n + 1);
@@ -1271,6 +1267,15 @@ mod tests {
     use dcrd_sim::rng::rng_for;
 
     const MS: f64 = 1_000.0; // µs per ms
+
+    impl AdjacencySnapshot {
+        /// Builds the snapshot for one rebuild pass.
+        fn build(topo: &Topology, link_stats: &[LinkStats], absent: &NodeSet) -> Self {
+            let mut snapshot = AdjacencySnapshot::default();
+            snapshot.rebuild(topo, link_stats, absent);
+            snapshot
+        }
+    }
 
     fn cfg() -> DcrdConfig {
         DcrdConfig::default()
@@ -1850,8 +1855,18 @@ mod tests {
         assert!(frozen > 0, "no unmasked pair reached the freeze");
     }
 
-    /// What a naive Jacobi iteration makes of one subscription: the
-    /// kernel's rules written out again without any of its speed-ups.
+    /// The order in which the reference model recomputes its brokers.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Schedule {
+        /// In place, nearest the subscriber first: the kernel's schedule.
+        Sweep,
+        /// Every broker from the previous round's values, for the work
+        /// comparison only.
+        Jacobi,
+    }
+
+    /// What a naive iteration makes of one subscription: the kernel's
+    /// rules written out again without any of its speed-ups.
     struct Reference {
         requirements: Vec<f64>,
         params: Vec<DrPair>,
@@ -1862,12 +1877,17 @@ mod tests {
 
     /// The reference model of the kernel. Every broker outside `absent`
     /// but the subscriber recomputes its sending list
-    /// (`build_sending_list_from_row`) and `⟨d, r⟩` (`combine`) from the
-    /// previous round's values, for up to 100 rounds, until no value moves
-    /// by more than 1 µs in `d` and 1e-9 in `r`. Past a warm-up of 50
-    /// rounds, every list keeps the membership and order it had then, and
-    /// only the candidates' values are refreshed. No ellipse pruning, no
-    /// fused step, no visit permutations, no workspace, no snapshot.
+    /// (`build_sending_list_from_row`) and `⟨d, r⟩` (`combine`), for up to
+    /// 100 rounds, until no value moves by more than 1 µs in `d` and 1e-9
+    /// in `r`. Under [`Schedule::Sweep`] a round visits the brokers in
+    /// ascending (bound, index) order — the bound being each broker's
+    /// fewest α-µs to the subscriber over the live links (Bellman–Ford),
+    /// minimised over its live neighbours — and each new value replaces
+    /// the old at once; under [`Schedule::Jacobi`] every broker reads the
+    /// previous round's values. Past a warm-up of 50 rounds, every list
+    /// keeps the membership and order it had then, and only the
+    /// candidates' values are refreshed. No ellipse pruning, no fused
+    /// step, no visit permutations, no workspace, no snapshot.
     fn reference(
         topo: &Topology,
         estimates: &LinkEstimates,
@@ -1875,6 +1895,7 @@ mod tests {
         ordering: OrderingPolicy,
         absent: &NodeSet,
         job: &PairJob,
+        schedule: Schedule,
     ) -> Reference {
         let n = topo.num_nodes();
         let deadline_us = job.deadline.as_micros() as f64;
@@ -1895,6 +1916,31 @@ mod tests {
                 .collect()
         };
         let steps = |node: NodeId| node != job.subscriber && !absent.contains(node);
+        let mut to_subscriber = vec![f64::INFINITY; n];
+        to_subscriber[job.subscriber.index()] = 0.0;
+        let mut relaxed = true;
+        while relaxed {
+            relaxed = false;
+            for u in topo.nodes() {
+                for (nb, link) in row(u) {
+                    let via = to_subscriber[u.index()] + link.alpha;
+                    if link.alpha.is_finite() && via < to_subscriber[nb.index()] {
+                        to_subscriber[nb.index()] = via;
+                        relaxed = true;
+                    }
+                }
+            }
+        }
+        let bound = |node: NodeId| {
+            row(node)
+                .iter()
+                .map(|&(nb, _)| to_subscriber[nb.index()])
+                .fold(f64::INFINITY, f64::min)
+        };
+        let mut order: Vec<NodeId> = topo.nodes().filter(|&v| steps(v)).collect();
+        if schedule == Schedule::Sweep {
+            order.sort_by(|&a, &b| bound(a).total_cmp(&bound(b)).then(a.cmp(&b)));
+        }
         let mut params = vec![DrPair::UNREACHABLE; n];
         if !absent.contains(job.subscriber) {
             params[job.subscriber.index()] = DrPair::SUBSCRIBER;
@@ -1940,15 +1986,14 @@ mod tests {
                         .collect(),
                 );
             }
-            let next: Vec<DrPair> = topo
-                .nodes()
-                .map(|node| match steps(node) {
-                    true => combine(&list(node, &params, &frozen)),
-                    false => params[node.index()],
-                })
-                .collect();
+            let read = params.clone();
             let (mut max_dd, mut max_dr) = (0.0f64, 0.0f64);
-            for (new, old) in next.iter().zip(&params) {
+            for &node in &order {
+                let new = match schedule {
+                    Schedule::Sweep => combine(&list(node, &params, &frozen)),
+                    Schedule::Jacobi => combine(&list(node, &read, &frozen)),
+                };
+                let old = params[node.index()];
                 let dd = match (new.d.is_finite(), old.d.is_finite()) {
                     (true, true) => (new.d - old.d).abs(),
                     (false, false) => 0.0,
@@ -1956,8 +2001,8 @@ mod tests {
                 };
                 max_dd = max_dd.max(dd);
                 max_dr = max_dr.max((new.r - old.r).abs());
+                params[node.index()] = new;
             }
-            params = next;
             if max_dd <= 1.0 && max_dr <= 1e-9 {
                 converged = true;
                 break;
@@ -1978,17 +2023,18 @@ mod tests {
         (p.d.to_bits(), p.r.to_bits())
     }
 
-    /// The kernel's tables are the reference model's, bit for bit: params,
-    /// sending lists, rounds used and convergence, over seeded 8–40-broker
+    /// The kernel's tables are the reference model's sweep, bit for bit:
+    /// params, sending lists, rounds used and convergence, over seeded 8–40-broker
     /// overlays of degree 3–8 with random masks, deadlines of 1.5–4× the
     /// shortest delay, `m` ∈ {1, 2} and every ordering policy, frozen
     /// pairs among them. On a third of the overlays the links are lossless,
     /// so every `d` and requirement is a whole number of µs, and the
     /// deadline is the delay of a path `P → X – Y ⇝ S` (shortest legs, one
     /// link): there `d` of `Y` can tie the requirement of `X`, the deadline
-    /// filter's boundary.
+    /// filter's boundary. The same cases under the reference's Jacobi
+    /// schedule must take more rounds in total than the sweep.
     #[test]
-    fn kernel_matches_a_naive_jacobi_reference() {
+    fn kernel_matches_a_naive_sweep_reference() {
         const ORDERINGS: [OrderingPolicy; 4] = [
             OrderingPolicy::RatioOptimal,
             OrderingPolicy::ByDelay,
@@ -1997,6 +2043,7 @@ mod tests {
         ];
         let mut rng = rng_for(0x7AB1E, "kernel-reference");
         let (mut cases, mut frozen, mut ties) = (0, 0, 0);
+        let (mut sweeps, mut jacobi_rounds) = (0u64, 0u64);
         for case in 0..240 {
             let n = rng.gen_range(8..=40);
             let degree = rng.gen_range(3..=8).min(n - 1);
@@ -2043,7 +2090,20 @@ mod tests {
             };
             let built = compute_tables(&topo, &estimates, m, &config, &absent, vec![job]);
             let got = &built[0].1;
-            let want = reference(&topo, &estimates, m, config.ordering, &absent, &job);
+            let model = |schedule| {
+                reference(
+                    &topo,
+                    &estimates,
+                    m,
+                    config.ordering,
+                    &absent,
+                    &job,
+                    schedule,
+                )
+            };
+            let want = model(Schedule::Sweep);
+            sweeps += u64::from(want.rounds_used);
+            jacobi_rounds += u64::from(model(Schedule::Jacobi).rounds_used);
             let at = format!("case {case}: {job:?}, {:?}", config.ordering);
             assert_eq!(got.rounds_used(), want.rounds_used, "{at}");
             assert_eq!(got.converged(), want.converged, "{at}");
@@ -2074,7 +2134,9 @@ mod tests {
                 .filter(|&(x, y)| want.params[y.index()].d == want.requirements[x.index()])
                 .count();
         }
+        println!("{sweeps} sweeps against {jacobi_rounds} Jacobi rounds over {cases} cases");
         assert!(cases >= 200);
+        assert!(sweeps < jacobi_rounds, "the sweep saves no rounds");
         assert!(frozen >= 1, "no pair reached the freeze");
         assert!(ties >= 1, "no neighbour's d tied a requirement");
     }

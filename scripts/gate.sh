@@ -115,7 +115,7 @@ stage_hostile() {
 # or an indented test-only item, does not. Tracked and
 # untracked-but-not-ignored files count alike. Then the non-test lines of
 # each router file, which fail the stage past 800, and of `propagation.rs`,
-# which fail it past 1 300.
+# which fail it past 1 260.
 stage_loc() {
     local files
     files=$(git ls-files --cached --others --exclude-standard -- '*.rs' \
@@ -129,9 +129,9 @@ stage_loc() {
             for (i = 1; i <= k; i++) {
                 printf "%s: %d non-test lines\n", files[i], n[files[i]]
                 if (files[i] ~ /router/ && n[files[i]] > 800) over = 1
-                if (files[i] ~ /propagation/ && n[files[i]] > 1300) over = 1
+                if (files[i] ~ /propagation/ && n[files[i]] > 1260) over = 1
             }
-            if (over) { print "a router file is over 800 non-test lines, or propagation.rs over 1300" > "/dev/stderr"; exit 1 }
+            if (over) { print "a router file is over 800 non-test lines, or propagation.rs over 1260" > "/dev/stderr"; exit 1 }
         }' crates/core/src/router.rs crates/core/src/router/*.rs crates/core/src/propagation.rs
 }
 
